@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: constants, pack, verify, whitespace, reduce, render.  All
-JSON goes to stdout unless ``-o`` names a file; package-level errors are
-reported as one machine-readable JSON object on stdout with exit code 1.
+JSON goes to stdout unless ``-o`` names a file; usage errors and
+package-level errors are reported as one machine-readable JSON object on
+stdout with exit code 1.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional
 from .constants import build_report, factor_float, report_to_dict
 from .errors import MoserpackError
 from .geometry import (
+    Packing,
     Rectangle,
     instance_from_dict,
     packing_from_dict,
@@ -31,6 +33,12 @@ from .whitespace import WhitespaceJob, whitespace_pack
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_packing(path: str) -> Packing:
+    """Read a packing file, or the ``"packing"`` member of ``reduce`` output."""
+    data = _read_json(path)
+    return packing_from_dict(data["packing"] if "packing" in data else data)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -87,7 +95,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    packing = packing_from_dict(_read_json(args.packing))
+    packing = _read_packing(args.packing)
     report = verify_packing(packing, tol=args.tol)
     _emit_json(
         {
@@ -101,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_whitespace(args: argparse.Namespace) -> int:
-    base = packing_from_dict(_read_json(args.base))
+    base = _read_packing(args.base)
     tail = instance_from_dict(_read_json(args.tail))
     job = WhitespaceJob(base, tail, c=args.c, F=factor_float(args.F))
     packing = whitespace_pack(job)
@@ -129,14 +137,21 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    packing = packing_from_dict(_read_json(args.packing))
+    packing = _read_packing(args.packing)
     doc = render_svg(packing, args.scale, tail_from=args.tail_from)
     _emit(doc.to_string(), args.output)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors take the JSON error path."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moserpack",
         description="Square packing toolkit: shelf packers, whitespace packing, "
         "and certified reduction constants.",
@@ -194,9 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cli_dispatch(argv: Optional[list[str]] = None) -> int:
     """Parse argv and run one subcommand, mapping errors to exit code 1."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (MoserpackError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stdout.write(

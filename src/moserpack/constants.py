@@ -12,13 +12,16 @@ For an area factor F > 1 the chain of constants is
 
 with delta(V) = (F - 1) / (10 F / V + 1/10).
 
-Everything feeding a floor is evaluated in outward-rounded interval
-arithmetic (mpmath's ``iv`` context) starting at 50 decimal digits and
-doubling up to 200 until the enclosure no longer straddles an integer;
+Each formula is written once and evaluates in either mpmath context:
+``mp`` for reported values, ``iv`` for certificates.  Everything feeding a
+floor is evaluated in outward-rounded interval arithmetic (``iv``, e^2 from
+``iv.exp``) starting at 50 decimal digits and doubling up to 200 until the
+enclosure no longer straddles an integer;
 :class:`~moserpack.errors.FloorUncertified` is raised past that point.
 The integral form is additionally cross-checked against adaptive
-quadrature before flooring, and e^2 comes from the exponential series
-with an explicit truncation bound rather than a library constant.
+quadrature before flooring.  The window (N1, N] is certified to carry
+harmonic mass at least 1 by the closed-form bound
+sum_{i=a}^{b} 1/i >= ln((b + 1)/a), also evaluated in ``iv``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from mpmath import iv, mp, mpf
-import mpmath
 from scipy.integrate import quad
 
 from .errors import FloorUncertified, MoserpackError, QuadratureDisagreement
@@ -56,22 +58,24 @@ def _workdps(dps: int):
         iv.dps = old_iv
 
 
-def resolve_factor(F: Factor) -> mpf:
-    """Evaluate a factor spec at the current working precision.
+def _factor(F: Factor, ctx):
+    """A factor spec in ``ctx``: an mpf under ``mp``, an enclosure under ``iv``.
 
     Accepts the symbolic name ``"novotny"`` for (2 + sqrt(3))/3, a decimal
     string, or a number.  The factor must exceed 1.
     """
-    if isinstance(F, str):
-        if F.strip().lower() == NOVOTNY:
-            val = (2 + mp.sqrt(3)) / 3
-        else:
-            val = mp.mpf(F)
+    if isinstance(F, str) and F.strip().lower() == NOVOTNY:
+        val = (2 + ctx.sqrt(3)) / 3
     else:
-        val = mp.mpf(F)
-    if not val > 1:
+        val = ctx.mpf(F)
+    if not mp.mpf(val.b if ctx is iv else val) > 1:
         raise ValueError(f"area factor must exceed 1, got {F!r}")
     return val
+
+
+def resolve_factor(F: Factor) -> mpf:
+    """Evaluate a factor spec at the current working precision."""
+    return _factor(F, mp)
 
 
 def factor_float(F: Factor) -> float:
@@ -80,25 +84,21 @@ def factor_float(F: Factor) -> float:
         return float(resolve_factor(F))
 
 
-def _factor_interval(F: Factor):
-    """Interval enclosure of a factor spec in the current ``iv`` context."""
-    if isinstance(F, str):
-        if F.strip().lower() == NOVOTNY:
-            val = (2 + iv.sqrt(3)) / 3
-        else:
-            val = iv.mpf(F)
-    else:
-        val = iv.mpf(F)
-    if not mp.mpf(val.b) > 1:
-        raise ValueError(f"area factor must exceed 1, got {F!r}")
-    return val
+def _ctx(x):
+    return iv if isinstance(x, iv.mpf) else mp
 
 
 def _c_of(F):
     """c from F; works for both mpf and interval operands."""
-    ctx = iv if isinstance(F, iv.mpf) else mp
+    ctx = _ctx(F)
     three_tenths = ctx.mpf(3) / 10
     return ctx.sqrt(three_tenths ** 2 + (F - 1) / 5) - three_tenths
+
+
+def _delta(F, V):
+    """delta(V) = (F - 1) / (10 F / V + 1/10) for float, mpf or interval operands."""
+    tenth = _ctx(F).mpf(1) / 10 if isinstance(F, (mpf, iv.mpf)) else 0.1
+    return (F - 1) / (10 * F / V + tenth)
 
 
 def compute_c(F: Factor, dps: int = 50) -> mpf:
@@ -108,11 +108,11 @@ def compute_c(F: Factor, dps: int = 50) -> mpf:
 
 
 def delta_simple(F: Factor, dps: int = 50) -> mpf:
-    """Edge bound delta = (F - 1) / (10 F / c^2 + 1/10)."""
+    """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10)."""
     with _workdps(dps):
         Fv = resolve_factor(F)
         c = _c_of(Fv)
-        return (Fv - 1) / (10 * Fv / (c * c) + mp.mpf(1) / 10)
+        return _delta(Fv, c * c)
 
 
 def delta_of_V(F: Factor, V: float, dps: int = 50) -> mpf:
@@ -126,7 +126,7 @@ def delta_of_V(F: Factor, V: float, dps: int = 50) -> mpf:
         Vv = mp.mpf(V)
         if Vv < c * c - _ROOT_TOL or Vv > 1 + _ROOT_TOL:
             raise ValueError(f"V={V} outside [c^2, 1] = [{float(c * c)}, 1]")
-        return (Fv - 1) / (10 * Fv / Vv + mp.mpf(1) / 10)
+        return _delta(Fv, Vv)
 
 
 # --- certified floors -------------------------------------------------------
@@ -155,30 +155,13 @@ def _certified_floor(make: Callable[[], object], what: str,
         dps = min(2 * dps, max_dps)
 
 
-def _e2_interval():
-    """Enclosure of e^2 from the exponential series with truncation bound."""
-    total = iv.mpf(1)
-    term = iv.mpf(1)
-    k = 0
-    tiny = mpf(10) ** (-(mp.dps + 10))
-    while True:
-        k += 1
-        term = term * 2 / k
-        total += term
-        # remainder after term k:  sum_{j>k} 2^j/j!  <  t_k * (2/(k+1)) / (1 - 2/(k+2))
-        if k > 4:
-            rem = mp.mpf(term.b) * (mpf(2) / (k + 1)) / (1 - mpf(2) / (k + 2))
-            if rem < tiny:
-                return total + iv.mpf([0, rem])
-
-
 def n0_simple(F: Factor) -> int:
     """max(1, floor(1/delta^2)) with the floor interval-certified."""
 
     def make():
-        Fi = _factor_interval(F)
+        Fi = _factor(F, iv)
         c = _c_of(Fi)
-        d = (Fi - 1) / (10 * Fi / (c * c) + iv.mpf(1) / 10)
+        d = _delta(Fi, c * c)
         return 1 / (d * d)
 
     return max(1, _certified_floor(make, "n0_simple"))
@@ -194,7 +177,7 @@ def n0_integral(F: Factor, quad_rel_tol: float = 1e-6) -> int:
     """
 
     def make():
-        Fi = _factor_interval(F)
+        Fi = _factor(F, iv)
         a = _c_of(Fi) ** 2
         return (100 * Fi ** 2 * (1 / a - 1) + 2 * Fi * iv.log(1 / a) + (1 - a) / 100) / (Fi - 1) ** 2
 
@@ -203,12 +186,7 @@ def n0_integral(F: Factor, quad_rel_tol: float = 1e-6) -> int:
         mid = float((mp.mpf(closed.a) + mp.mpf(closed.b)) / 2)
         Ff = float(resolve_factor(F))
         cf = float(_c_of(resolve_factor(F)))
-    q, _err = quad(
-        lambda V: (10 * Ff / V + 0.1) ** 2 / (Ff - 1) ** 2,
-        cf * cf,
-        1.0,
-        limit=200,
-    )
+    q, _err = quad(lambda V: _delta(Ff, V) ** -2, cf * cf, 1.0, limit=200)
     if abs(q - mid) > quad_rel_tol * abs(mid):
         raise QuadratureDisagreement(
             f"closed form {mid} vs quadrature {q} beyond {quad_rel_tol} relative"
@@ -237,19 +215,33 @@ def harmonic_bounds(n: int) -> tuple[float, float, float]:
     return (math.log(n + 1), harmonic_range_sum(1, n), math.log(n) + 1.0)
 
 
-def derive_N(F: Factor, N0: int, *, check_harmonic: bool = True) -> tuple[int, int]:
+def _harmonic_lower(a: int, b: int) -> mpf:
+    """Certified lower bound on sum_{i=a}^{b} 1/i for 1 <= a <= b.
+
+    Each term satisfies 1/i >= integral of dx/x over [i, i + 1], so the sum
+    is at least ln((b + 1)/a); the result is the lower endpoint of an
+    outward-rounded enclosure of that logarithm at 50 digits.
+    """
+    with _workdps(50):
+        return mp.mpf(iv.log(iv.mpf(b + 1) / a).a)
+
+
+def derive_N(F: Factor, N0: int) -> tuple[int, int]:
     """(N1, N) from N0: the two outer floors, interval-certified.
 
     N1 = floor(max(N0, (10F + 1/10)^2, 100 c^2)) and N = floor(e^2 N1).
-    With ``check_harmonic`` the guarantee sum_{i=N1+1}^{N} 1/i >= 1 is
-    asserted by direct summation (it ensures an index with edge below
-    c/sqrt(n) exists in (N1, N] whenever the tail area is below c^2).
+    The window (N1, N] carries harmonic mass sum_{i=N1+1}^{N} 1/i >= 1,
+    which ensures an index with edge below c/sqrt(n) exists in it whenever
+    the tail area is below c^2.  That always holds: the mass is at least
+    ln((N + 1)/(N1 + 1)), and N + 1 > e^2 N1 >= e^2 (N1 + 1)/2 gives
+    ln((N + 1)/(N1 + 1)) > 2 - ln 2 > 1.  The bound is still evaluated in
+    interval arithmetic, so a wrong N raises :class:`MoserpackError`.
     """
     if N0 < 1:
         raise ValueError(f"N0 must be >= 1, got {N0}")
 
     def make_n1():
-        Fi = _factor_interval(F)
+        Fi = _factor(F, iv)
         c = _c_of(Fi)
         cands = [iv.mpf(N0), (10 * Fi + iv.mpf(1) / 10) ** 2, 100 * c * c]
         lo = max(mp.mpf(x.a) for x in cands)
@@ -257,18 +249,12 @@ def derive_N(F: Factor, N0: int, *, check_harmonic: bool = True) -> tuple[int, i
         return iv.mpf([lo, hi])
 
     N1 = _certified_floor(make_n1, "N1")
-
-    def make_n():
-        return _e2_interval() * N1
-
-    N = _certified_floor(make_n, "N")
-
-    if check_harmonic:
-        s = harmonic_range_sum(N1 + 1, N)
-        if s < 1.0:
-            raise MoserpackError(
-                f"harmonic certificate failed: sum over ({N1}, {N}] = {s} < 1"
-            )
+    N = _certified_floor(lambda: iv.exp(2) * N1, "N")
+    mass = _harmonic_lower(N1 + 1, N)
+    if mass < 1:
+        raise MoserpackError(
+            f"harmonic certificate failed: mass over ({N1}, {N}] bounded only by {mass} < 1"
+        )
     return N1, N
 
 
@@ -308,33 +294,32 @@ class KSample:
     fval: float
 
 
-def _f_refined(F, V, H):
-    """Smaller root of x^2 + (H - x)(F V / H - x) = V; context-generic."""
-    ctx = iv if isinstance(V, iv.mpf) else mp
+def _root_parts(F, V, H):
+    """(q, disc) with q - sqrt(disc) the smaller root of x^2 + (H - x)(F V / H - x) = V.
+
+    Works for float, array and mpf operands alike.
+    """
     q = (H + F * V / H) / 4
-    disc = q * q - (F - 1) * V / 2
-    return q - ctx.sqrt(disc)
+    return q, q * q - (F - 1) * V / 2
 
 
-def _k_membership_float(F: float, V: np.ndarray, H: np.ndarray):
-    q = (H + F * V / H) / 4.0
-    disc = q * q - (F - 1.0) * V / 2.0
+def _k_grid(F: float, c2: float, side: int):
+    """(V, H, f) on a side x side grid of [c^2, 1] x [sqrt(F c^2), 10 F].
+
+    f is the threshold f(V, H) at members of K and inf elsewhere.
+    """
+    V, H = np.meshgrid(np.linspace(c2, 1.0, side),
+                       np.linspace(math.sqrt(F * c2), 10 * F, side), indexing="ij")
+    q, disc = _root_parts(F, V, H)
     ok = (V >= 0) & (H >= np.sqrt(F * V)) & (H <= 10 * F) & (disc >= 0)
-    return ok, q, disc
+    return V, H, np.where(ok, q - np.sqrt(np.maximum(disc, 0.0)), np.inf)
 
 
 def k_sample_grid(F: float, count: int, c2: float) -> list[KSample]:
     """Deterministic grid of K members, roughly ``count`` samples."""
-    side = max(2, int(math.isqrt(count)))
-    V = np.linspace(c2, 1.0, side)
-    H = np.linspace(math.sqrt(F * c2), 10 * F, side)
-    VV, HH = np.meshgrid(V, H, indexing="ij")
-    ok, q, disc = _k_membership_float(F, VV, HH)
-    f = np.where(ok, q - np.sqrt(np.maximum(disc, 0.0)), np.inf)
-    out = []
-    for i, j in zip(*np.nonzero(ok)):
-        out.append(KSample(float(VV[i, j]), float(HH[i, j]), float(f[i, j])))
-    return out
+    V, H, f = _k_grid(F, c2, max(2, int(math.isqrt(count))))
+    return [KSample(float(V[i, j]), float(H[i, j]), float(f[i, j]))
+            for i, j in zip(*np.nonzero(np.isfinite(f)))]
 
 
 def delta_refined(F: Factor, dps: int = 50, grid_n: int = 512,
@@ -354,28 +339,21 @@ def delta_refined(F: Factor, dps: int = 50, grid_n: int = 512,
         cf = float(_c_of(Fv))
         c2f = cf * cf
 
-        V = np.linspace(c2f, 1.0, grid_n)
-        H = np.linspace(math.sqrt(Ff * c2f), 10 * Ff, grid_n)
-        VV, HH = np.meshgrid(V, H, indexing="ij")
-        ok, q, disc = _k_membership_float(Ff, VV, HH)
-        if not ok.any():
+        VV, HH, f = _k_grid(Ff, c2f, grid_n)
+        if not np.isfinite(f).any():
             delta1 = mp.mpf(1)
         else:
-            f = np.where(ok, q - np.sqrt(np.maximum(disc, 0.0)), np.inf)
             i, j = np.unravel_index(int(np.argmin(f)), f.shape)
             v_cur, h_cur = mp.mpf(float(VV[i, j])), mp.mpf(float(HH[i, j]))
-            dv = mp.mpf(float(V[1] - V[0])) if grid_n > 1 else mp.mpf(1)
-            dh = mp.mpf(float(H[1] - H[0])) if grid_n > 1 else mp.mpf(1)
+            dv = mp.mpf(float(VV[1, 0] - VV[0, 0])) if grid_n > 1 else mp.mpf(1)
+            dh = mp.mpf(float(HH[0, 1] - HH[0, 0])) if grid_n > 1 else mp.mpf(1)
             c2 = _c_of(Fv) ** 2
 
             def eval_f(v, h):
                 if v < c2 or v > 1 or h < mp.sqrt(Fv * v) or h > 10 * Fv:
                     return mp.inf
-                qq = (h + Fv * v / h) / 4
-                dd = qq * qq - (Fv - 1) * v / 2
-                if dd < 0:
-                    return mp.inf
-                return qq - mp.sqrt(dd)
+                q, disc = _root_parts(Fv, v, h)
+                return q - mp.sqrt(disc) if disc >= 0 else mp.inf
 
             def line_min(fixed, lo, hi, along_v):
                 a, b = lo, hi
@@ -457,7 +435,7 @@ class ConstantsReport:
 
 
 def build_report(F: Factor, *, refined: bool = False, use_integral_n0: bool = False,
-                 check_harmonic: bool = True, dps: int = 50) -> ConstantsReport:
+                 dps: int = 50) -> ConstantsReport:
     """Run the full pipeline for one factor and package the results.
 
     ``use_integral_n0`` selects which N0 feeds the N1/N chain; both N0
@@ -474,7 +452,7 @@ def build_report(F: Factor, *, refined: bool = False, use_integral_n0: bool = Fa
         root_resid = abs(5 * c * c + 3 * c - (Fv - 1))
         if root_resid > _ROOT_TOL:
             raise MoserpackError(f"root identity residual {root_resid}")
-        d_simple = (Fv - 1) / (10 * Fv / (c * c) + mp.mpf(1) / 10)
+        d_simple = _delta(Fv, c * c)
         f_str = mp.nstr(Fv, 30)
         c_str = mp.nstr(c, 30)
         d_str = mp.nstr(d_simple, 30)
@@ -485,7 +463,7 @@ def build_report(F: Factor, *, refined: bool = False, use_integral_n0: bool = Fa
     if n0i > n0s:
         raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
     chosen = n0i if use_integral_n0 else n0s
-    N1, N = derive_N(F, chosen, check_harmonic=check_harmonic)
+    N1, N = derive_N(F, chosen)
     certs = {"N0_simple": True, "N0_integral": True, "N1": True, "N": True}
     return ConstantsReport(
         F=f_str, c=c_str, delta_simple=d_str, delta_refined=d_ref_str,

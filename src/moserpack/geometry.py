@@ -38,8 +38,12 @@ class Rectangle:
     y: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError(f"rectangle sides must be positive, got {self.width} x {self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(
+                f"rectangle sides must be positive and finite, got {self.width} x {self.height}"
+            )
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"rectangle origin must be finite, got ({self.x}, {self.y})")
 
     @property
     def area(self) -> float:
@@ -71,8 +75,10 @@ class Placement:
     y: float
 
     def __post_init__(self) -> None:
-        if self.side < 0:
-            raise ValueError(f"placement side must be >= 0, got {self.side}")
+        if not 0 <= self.side < math.inf:
+            raise ValueError(f"placement side must be finite and >= 0, got {self.side}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"placement corner must be finite, got ({self.x}, {self.y})")
 
     @property
     def x2(self) -> float:
@@ -92,7 +98,7 @@ class Instance:
     """A multiset of square edge lengths, stored sorted non-increasingly.
 
     Construction sorts the sides, so zero sides can only appear as a
-    trailing run.  Negative sides are rejected.  When
+    trailing run.  Negative and non-finite sides are rejected.  When
     ``declared_total_area`` is given it must match the actual total within
     ``AREA_DECL_TOL``.
     """
@@ -104,13 +110,13 @@ class Instance:
 
     def __post_init__(self) -> None:
         sides = tuple(sorted((float(s) for s in self.sides), reverse=True))
-        if sides and sides[-1] < 0:
-            bad = next(s for s in sides if s < 0)
-            raise ValueError(f"instance sides must be >= 0, got {bad}")
+        bad = [s for s in sides if not 0 <= s < math.inf]
+        if bad:
+            raise ValueError(f"instance sides must be finite and >= 0, got {bad[0]}")
         object.__setattr__(self, "sides", sides)
         if self.declared_total_area is not None:
             actual = self.total_area
-            if abs(actual - self.declared_total_area) > self.AREA_DECL_TOL:
+            if not abs(actual - self.declared_total_area) <= self.AREA_DECL_TOL:
                 raise ValueError(
                     f"declared total area {self.declared_total_area} differs from "
                     f"actual {actual} by more than {self.AREA_DECL_TOL}"

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .constants import build_report, compute_c, factor_float, find_small_index
+from .constants import _delta, build_report, compute_c, factor_float, find_small_index
 from .errors import MoserpackError, PackFailure, PreconditionViolated
 from .geometry import Instance, Packing, Placement, Rectangle, packing_to_dict
 from .shelf import PackPrecondition, meir_moser_pack, small_s1_pack
@@ -61,11 +61,10 @@ class PackParams:
             raise ValueError(f"s1 threshold must be positive, got {self.s1_threshold}")
 
     @classmethod
-    def certified(cls, F: object = "novotny", *, use_integral_n0: bool = False,
-                  check_harmonic: bool = True) -> "PackParams":
+    def certified(cls, F: object = "novotny", *,
+                  use_integral_n0: bool = False) -> "PackParams":
         """Parameters recomputed from the constants pipeline (not toy)."""
-        report = build_report(F, use_integral_n0=use_integral_n0,
-                              check_harmonic=check_harmonic)
+        report = build_report(F, use_integral_n0=use_integral_n0)
         n0 = report.N0_integral if use_integral_n0 else report.N0_simple
         return cls(F=factor_float(F), c=float(compute_c(F)), N0=n0,
                    N1=report.N1, N=report.N)
@@ -152,7 +151,7 @@ def glue_pack(inst: Instance, split: int, prefix_packer: PrefixPacker,
         raise PreconditionViolated("prefix area must be positive")
     if V < c * c - _TOL or V > 1 + _TOL:
         raise PreconditionViolated(f"tail area {V} outside [c^2, 1] = [{c * c}, 1]")
-    edge_cap = (F - 1) / (10 * F / V + 0.1)
+    edge_cap = _delta(F, V)
     if tail.max_side > edge_cap + _TOL:
         raise PreconditionViolated(
             f"tail max side {tail.max_side} exceeds edge bound {edge_cap} for V={V}"

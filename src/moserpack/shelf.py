@@ -37,7 +37,6 @@ class PackPrecondition:
 
     * ``"moon-moser"``:     min(a1, a2) >= x and 2 V <= a1 a2
     * ``"meir-moser"``:     min(a1, a2) >= x and V <= x^2 + (a1-x)(a2-x)
-    * ``"circumference"``:  x <= (F - 1) V / C
     * ``"small-s1"``:       x <= 1/10 and V = 1
     """
 
@@ -46,8 +45,6 @@ class PackPrecondition:
     x: float
     a1: float = 0.0
     a2: float = 0.0
-    C: Optional[float] = None
-    F: Optional[float] = None
 
     def holds(self, tol: float = FIT_TOL) -> bool:
         if self.kind == "moon-moser":
@@ -55,10 +52,6 @@ class PackPrecondition:
         if self.kind == "meir-moser":
             bound = self.x * self.x + (self.a1 - self.x) * (self.a2 - self.x)
             return min(self.a1, self.a2) >= self.x - tol and self.V <= bound + tol
-        if self.kind == "circumference":
-            if self.F is None or self.C is None:
-                raise ValueError("circumference precondition needs F and C")
-            return self.x <= (self.F - 1) * self.V / self.C + tol
         if self.kind == "small-s1":
             return self.x <= 0.1 + tol and abs(self.V - 1.0) <= 1e-9
         raise ValueError(f"unknown precondition kind {self.kind!r}")

@@ -12,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 from moserpack import (
@@ -35,6 +36,7 @@ from moserpack import (
     resolve_factor,
     two_square_worst_case,
 )
+from moserpack.constants import _harmonic_lower
 
 F_GRID = [factor_float(NOVOTNY), 1.26, 1.28, 1.30, 1.33, 1.37]
 
@@ -153,19 +155,19 @@ class TestIndexThresholds:
             assert n0_integral(F) <= n0_simple(F)
 
     def test_derive_published(self):
-        N1, N = derive_N(NOVOTNY, 93_752_341, check_harmonic=False)
+        N1, N = derive_N(NOVOTNY, 93_752_341)
         assert (N1, N) == (93_752_341, 692_741_307)
-        N1, N = derive_N(NOVOTNY, 491_225, check_harmonic=False)
+        N1, N = derive_N(NOVOTNY, 491_225)
         assert (N1, N) == (491_225, 3_629_689)
-        N1, N = derive_N(1.37, 11_294_345, check_harmonic=False)
+        N1, N = derive_N(1.37, 11_294_345)
         assert (N1, N) == (11_294_345, 83_454_548)
 
     def test_derive_small_N0_floor_is_geometric(self):
         # with N0 = 1, the (10F + 1/10)^2 term takes over: 12.6^2 = 158.76
-        assert derive_N(1.25, 1, check_harmonic=False) == (158, 1167)
+        assert derive_N(1.25, 1) == (158, 1167)
 
     def test_derive_monotone_on_grid(self):
-        pairs = [derive_N(F, n0_simple(F), check_harmonic=False) for F in F_GRID]
+        pairs = [derive_N(F, n0_simple(F)) for F in F_GRID]
         n1s = [p[0] for p in pairs]
         ns = [p[1] for p in pairs]
         assert n1s == sorted(n1s, reverse=True)
@@ -202,8 +204,15 @@ class TestHarmonic:
 
     def test_window_certificate_for_derived_pair(self):
         # the (N1, N] window always carries at least harmonic mass 1
-        N1, N = derive_N(1.25, 1, check_harmonic=True)
+        N1, N = derive_N(1.25, 1)
         assert harmonic_range_sum(N1 + 1, N) >= 1.0
+
+    @given(st.integers(1, 10**5).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a, 10**5))))
+    def test_log_certificate_below_direct_sum(self, ab):
+        # the closed-form bound derive_N certifies with never exceeds the sum
+        a, b = ab
+        assert _harmonic_lower(a, b) <= harmonic_range_sum(a, b)
 
 
 class TestFindSmallIndex:
@@ -276,7 +285,7 @@ class TestTwoSquareWorstCase:
 
 class TestReport:
     def test_full_chain(self):
-        rep = build_report(NOVOTNY, check_harmonic=False)
+        rep = build_report(NOVOTNY)
         assert rep.N0_simple == 93_752_341
         assert rep.N0_integral == 491_225
         assert rep.N1 == 93_752_341
@@ -284,13 +293,13 @@ class TestReport:
         assert all(rep.floor_certificates.values())
 
     def test_integral_chain(self):
-        rep = build_report(NOVOTNY, use_integral_n0=True, check_harmonic=False)
+        rep = build_report(NOVOTNY, use_integral_n0=True)
         assert rep.use_integral_n0
         assert rep.N1 == 491_225
         assert rep.N == 3_629_689
 
     def test_decimal_strings_parse(self):
-        rep = build_report(1.37, check_harmonic=False)
+        rep = build_report(1.37)
         d = report_to_dict(rep)
         assert d["N0_simple"] == 11_294_345
         assert float(d["c"]) == pytest.approx(float(compute_c(1.37)), rel=1e-15)
@@ -300,7 +309,7 @@ class TestReport:
         assert d["delta_refined"] is None
 
     def test_refined_flag(self):
-        rep = build_report(1.37, refined=True, check_harmonic=False)
+        rep = build_report(1.37, refined=True)
         assert rep.delta_refined is not None
         assert float(rep.delta_refined) >= float(rep.delta_simple)
 

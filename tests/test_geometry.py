@@ -62,6 +62,20 @@ class TestRectangle:
         with pytest.raises(ValueError):
             Rectangle(1.0, -2.0)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            Rectangle(math.inf, 1.0)
+        with pytest.raises(ValueError):
+            Rectangle(1.0, 1.0, x=math.nan)
+
+
+class TestPlacement:
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            Placement(math.nan, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            Placement(0.1, -math.inf, 0.0)
+
 
 class TestInstance:
     def test_sorts_non_increasing(self):
@@ -77,6 +91,14 @@ class TestInstance:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Instance((0.1, -0.1))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            Instance((math.nan, 0.5))
+        with pytest.raises(ValueError):
+            Instance((0.5, math.inf))
+        with pytest.raises(ValueError):
+            Instance((0.5,), declared_total_area=math.nan)
 
     def test_total_area_compensated(self):
         sides = (0.1,) * 100

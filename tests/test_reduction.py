@@ -60,7 +60,7 @@ class TestParams:
             PackParams.toy_params(F=1.3, c=0.1, N0=1, N1=2, N=3, s1_threshold=0.0)
 
     def test_certified_pipeline(self):
-        params = PackParams.certified(check_harmonic=False)
+        params = PackParams.certified()
         assert not params.toy
         assert (params.N0, params.N1, params.N) == (
             93_752_341,
@@ -70,7 +70,7 @@ class TestParams:
         assert params.c == pytest.approx(C_REF)
 
     def test_certified_integral_chain(self):
-        params = PackParams.certified(use_integral_n0=True, check_harmonic=False)
+        params = PackParams.certified(use_integral_n0=True)
         assert (params.N0, params.N1, params.N) == (491_225, 491_225, 3_629_689)
 
     def test_dict_form(self):

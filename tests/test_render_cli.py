@@ -128,6 +128,30 @@ class TestCli:
         assert report["valid"] is False
         assert report["violations"][0]["kind"] in {"overlap", "outside"}
 
+    def test_verify_rejects_nan_token(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text(
+            '{"rect": {"w": 1.0, "h": 1.0}, "placements": ['
+            '{"side": NaN, "x": 0.0, "y": 0.0}, {"side": 0.5, "x": 0.0, "y": 0.0}]}'
+        )
+        assert cli_dispatch(["verify", "--packing", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ValueError"
+
+    def test_usage_error_maps_to_error_json(self, capsys):
+        assert cli_dispatch(["verify"]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)
+        assert err["error"]["type"] == "ValueError"
+        assert "--packing" in err["error"]["message"]
+        assert captured.err == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_dispatch(["verify", "--help"])
+        assert info.value.code == 0
+        assert "--packing" in capsys.readouterr().out
+
     def test_pack_small_s1_with_factor(self, tmp_path):
         inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
         out = tmp_path / "packed.json"
@@ -232,6 +256,28 @@ class TestCli:
         result = json.loads(out.read_text())
         assert result["case"] == "a"
         assert len(result["packing"]["placements"]) == 100
+
+    def test_reduce_output_feeds_verify_and_render(self, tmp_path):
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
+        toy = self.write(
+            tmp_path, "toy.json",
+            {"c": 0.07256326599821739, "N0": 4, "N1": 158, "N": 1167},
+        )
+        result = tmp_path / "result.json"
+        assert cli_dispatch(
+            ["reduce", "--instance", inst, "--F", "novotny",
+             "--toy-params", toy, "-o", str(result)]
+        ) == 0
+        report = tmp_path / "report.json"
+        assert cli_dispatch(
+            ["verify", "--packing", str(result), "-o", str(report)]
+        ) == 0
+        assert json.loads(report.read_text())["valid"] is True
+        svg = tmp_path / "result.svg"
+        assert cli_dispatch(
+            ["render", "--packing", str(result), "--scale", "100", "-o", str(svg)]
+        ) == 0
+        assert len(ET.fromstring(svg.read_text()).findall(f"{SVG_NS}rect")) == 101
 
     def test_render_command(self, tmp_path):
         packing_file = self.write(

@@ -60,6 +60,8 @@ class TestPreconditions:
             PackPrecondition("magic", V=1.0, x=0.1).holds()
 
     def test_circumference_missing_fields(self):
+        # The circumference test lives in circumference_admits; the kind
+        # carries no C/F fields, so asking PackPrecondition for it raises.
         with pytest.raises(ValueError):
             PackPrecondition("circumference", V=1.0, x=0.1).holds()
 
