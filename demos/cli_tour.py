@@ -1,19 +1,22 @@
 """Drive the command line interface end to end.
 
 Every subcommand reads and writes JSON files, so a pack feeds straight into
-verify and render. This script shells out to the installed ``moserpack``
-entry point the same way a user would.
+verify and render. This script runs each command in a fresh interpreter as
+``python -m moserpack.cli``, which is what the installed ``moserpack`` entry
+point calls, so it also works from a source checkout with PYTHONPATH=src.
 """
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 from moserpack import Instance, instance_to_dict
 
 def run(*args):
-    proc = subprocess.run(["moserpack", *args], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "moserpack.cli", *args],
+                          capture_output=True, text=True)
     print(f"$ moserpack {' '.join(args)}  (exit {proc.returncode})")
     if proc.stdout.strip():
         print(proc.stdout.strip()[:400])

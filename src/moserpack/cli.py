@@ -212,7 +212,8 @@ def cli_dispatch(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (MoserpackError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (MoserpackError, ValueError, TypeError, OSError, KeyError,
+            json.JSONDecodeError) as exc:
         sys.stdout.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
             + "\n"

@@ -272,7 +272,10 @@ def region_lexicomin(region: RectilinearRegion) -> Optional[tuple[float, float]]
 
 
 def feasible_midpoint_region(
-    rect: Rectangle, obstacles: Sequence[Placement], s: float
+    rect: Rectangle,
+    obstacles: Sequence[Placement],
+    s: float,
+    start: Optional[RectilinearRegion] = None,
 ) -> RectilinearRegion:
     """Region of valid midpoints for a new square of side ``s``.
 
@@ -282,6 +285,13 @@ def feasible_midpoint_region(
     minus each obstacle inflated by s/2 on all four sides (clipped to the
     enclosing rectangle).  Obstacles with side 0 have empty interiors and
     impose no constraint, so they are skipped rather than inflated.
+
+    ``start``, when given, must be this function's result for the same
+    ``rect`` and ``s`` against some earlier obstacles; the cuts then begin
+    from it instead of from the centered rectangle.  The cuts are made in
+    the same order either way, so ``feasible_midpoint_region(rect, b, s,
+    start=feasible_midpoint_region(rect, a, s))`` has exactly the parts of
+    ``feasible_midpoint_region(rect, a + b, s)``.
     """
     if s < 0:
         raise ValueError(f"square side must be >= 0, got {s}")
@@ -290,27 +300,34 @@ def feasible_midpoint_region(
             f"side {s} exceeds the smaller enclosing edge {rect.min_edge}"
         )
     half = s / 2.0
-    inner = (rect.x + half, rect.y + half, rect.x2 - half, rect.y2 - half)
-    parts: list[_Part] = []
-    if inner[2] > inner[0] and inner[3] > inner[1]:
-        parts.append(inner)
-    region = RectilinearRegion(tuple(parts))
+    if start is not None:
+        parts = list(start.parts)
+    else:
+        inner = (rect.x + half, rect.y + half, rect.x2 - half, rect.y2 - half)
+        parts = [inner] if inner[2] > inner[0] and inner[3] > inner[1] else []
+    rx0, ry0, rx1, ry1 = rect.x, rect.y, rect.x2, rect.y2
     for ob in obstacles:
         if ob.side <= 0:
             continue
-        cut = (
-            max(ob.x - half, rect.x),
-            max(ob.y - half, rect.y),
-            min(ob.x2 + half, rect.x2),
-            min(ob.y2 + half, rect.y2),
-        )
-        if cut[2] <= cut[0] or cut[3] <= cut[1]:
+        cx0 = max(ob.x - half, rx0)
+        cy0 = max(ob.y - half, ry0)
+        cx1 = min(ob.x2 + half, rx1)
+        cy1 = min(ob.y2 + half, ry1)
+        if cx1 <= cx0 or cy1 <= cy0:
             continue
+        cut = (cx0, cy0, cx1, cy1)
         out: list[_Part] = []
-        for part in region.parts:
-            _subtract_part(part, cut, out)
-        region = RectilinearRegion(tuple(out))
-    return region
+        for part in parts:
+            # Most parts miss the cut (touching edges do not count); only
+            # the ones it overlaps are split.
+            if part[2] <= cx0 or cx1 <= part[0] or part[3] <= cy0 or cy1 <= part[1]:
+                out.append(part)
+            else:
+                _subtract_part(part, cut, out)
+        parts = out
+    # Splitting a part of positive area only yields pieces of positive
+    # area, so the parts need no normalization until the end.
+    return RectilinearRegion(tuple(parts))
 
 
 _MAX_REPORTED = 10_000

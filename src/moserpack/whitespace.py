@@ -3,10 +3,12 @@
 Given a base packing of n squares inside a W x H rectangle of area F and
 a tail of squares no larger than c / sqrt(n) with total area at most c^2,
 every tail square (largest first) is centered on the lexicographically
-smallest feasible midpoint.  The feasible-midpoint region is re-derived
-from scratch against all previously placed squares at every step; at this
-scale (up to ~10^4 tail squares) the simplicity beats incremental
-bookkeeping.
+smallest feasible midpoint.  The tail arrives sorted non-increasingly,
+so equal sides form one consecutive run.  Within a run the
+feasible-midpoint region of the previous step is carried forward and only
+the square placed since is cut from it; a new side rebuilds the region
+from all placed squares.  An equal tail therefore costs one cut per step
+instead of one per placed square.
 
 The guarantee that the region never empties comes from an area count: the
 midpoints lost to the boundary frame and to the inflation frames of the
@@ -26,6 +28,7 @@ from .geometry import (
     Instance,
     Packing,
     Placement,
+    RectilinearRegion,
     feasible_midpoint_region,
     region_area,
     region_lexicomin,
@@ -102,16 +105,21 @@ def whitespace_pack(
     """Place every tail square of ``job`` into the base packing's whitespace.
 
     Squares go largest-first onto the lexicographically smallest feasible
-    midpoint, recomputing the feasible region against everything placed so
-    far.  ``on_step(k, side, region_area, bound)`` is invoked once per
-    positive tail square, mostly so tests can watch the region-vs-bound
-    margin.  Raises :class:`EmptyRegionError` if a region comes up empty,
-    which cannot happen while the job invariants hold.
+    midpoint of the region left by everything placed so far.  The region
+    of the previous step is kept as ``(side, placed count, region)``;
+    when the next side equals it, only the placements added since are cut
+    from it, which yields exactly the parts a rebuild would.  Only that
+    one region is kept, never one per side.  ``on_step(k, side,
+    region_area, bound)`` is invoked once per positive tail square with
+    the area of the full region, mostly so tests can watch the
+    region-vs-bound margin.  Raises :class:`EmptyRegionError` if a region
+    comes up empty, which cannot happen while the job invariants hold.
     """
     job.validate()
     rect = job.base.rect
     n = len(job.base.placements)
     placed: list[Placement] = list(job.base.placements)
+    carried: Optional[tuple[float, int, RectilinearRegion]] = None
     zero_anchor: Optional[tuple[float, float]] = None
     for k, s in enumerate(job.tail.sides):
         if s <= 0.0:
@@ -125,7 +133,13 @@ def whitespace_pack(
                 zero_anchor = point
             placed.append(Placement(0.0, zero_anchor[0], zero_anchor[1]))
             continue
-        region = feasible_midpoint_region(rect, placed, s)
+        if carried is not None and carried[0] == s:
+            region = feasible_midpoint_region(
+                rect, placed[carried[1]:], s, start=carried[2]
+            )
+        else:
+            region = feasible_midpoint_region(rect, placed, s)
+        carried = (s, len(placed), region)
         if on_step is not None:
             on_step(k, s, region_area(region), midpoint_area_bound(job.F, n, job.c, s))
         point = region_lexicomin(region)

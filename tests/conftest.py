@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from moserpack import Instance, Placement, Rectangle
+from moserpack import (
+    Instance,
+    Packing,
+    Placement,
+    Rectangle,
+    RectilinearRegion,
+    region_lexicomin,
+    region_subtract,
+)
 
 
 def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_000,
@@ -45,6 +54,57 @@ def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_
         )
         ok &= apart
     return float(ok.mean()) * rect.area
+
+
+class _Cut(NamedTuple):
+    """The four edges :func:`region_subtract` reads from its cut.
+
+    A :class:`Rectangle` would recompute ``x2 = x + width`` and could land
+    one ulp away from the inflated obstacle's own edge, so the oracle
+    passes the edges themselves.
+    """
+
+    x: float
+    y: float
+    x2: float
+    y2: float
+
+
+def reference_midpoint_region(rect: Rectangle, obstacles, s: float) -> RectilinearRegion:
+    """Feasible-midpoint region rebuilt one ``region_subtract`` per obstacle."""
+    half = s / 2.0
+    region = RectilinearRegion(
+        ((rect.x + half, rect.y + half, rect.x2 - half, rect.y2 - half),)
+    )
+    for ob in obstacles:
+        if ob.side <= 0:
+            continue
+        cut = _Cut(max(ob.x - half, rect.x), max(ob.y - half, rect.y),
+                   min(ob.x2 + half, rect.x2), min(ob.y2 + half, rect.y2))
+        if cut.x2 > cut.x and cut.y2 > cut.y:
+            region = region_subtract(region, cut)
+    return region
+
+
+def reference_whitespace_pack(job) -> Packing:
+    """Whitespace packing that rebuilds the region from scratch at every step.
+
+    The same greedy rule as :func:`moserpack.whitespace_pack` (largest
+    first, lexicomin midpoint, zero sides parked on one shared anchor),
+    with none of its region reuse.
+    """
+    rect = job.base.rect
+    placed = list(job.base.placements)
+    zero_anchor = None
+    for s in job.tail.sides:
+        if s <= 0.0:
+            if zero_anchor is None:
+                zero_anchor = region_lexicomin(reference_midpoint_region(rect, placed, 0.0))
+            placed.append(Placement(0.0, zero_anchor[0], zero_anchor[1]))
+            continue
+        point = region_lexicomin(reference_midpoint_region(rect, placed, s))
+        placed.append(Placement(s, point[0] - s / 2.0, point[1] - s / 2.0))
+    return Packing(rect, tuple(placed))
 
 
 def random_midpoint_config(rng: np.random.Generator):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moserpack import (
     EPS_GEOM,
@@ -26,7 +27,7 @@ from moserpack import (
     region_union,
     verify_packing,
 )
-from conftest import grid_region_area, random_midpoint_config
+from conftest import grid_region_area, random_midpoint_config, reference_midpoint_region
 
 
 def reference_packing() -> Packing:
@@ -267,6 +268,34 @@ class TestFeasibleMidpointRegion:
             exact = region_area(region)
             approx = grid_region_area(rect, obstacles, s, samples=1_000_000)
             assert abs(exact - approx) <= 1e-3 * max(exact, rect.area * 1e-3)
+
+
+@st.composite
+def midpoint_configs(draw):
+    """A rectangle, obstacles (some of side 0, some sticking out), a new side."""
+    W = draw(st.floats(0.8, 2.0))
+    H = draw(st.floats(0.8, 2.0))
+    edge = min(W, H)
+    raw = draw(st.lists(
+        st.tuples(st.floats(0.0, 0.35), st.floats(-0.1, 1.0), st.floats(-0.1, 1.0)),
+        max_size=12,
+    ))
+    obstacles = [Placement(f * edge, x * W, y * H) for f, x, y in raw]
+    s = draw(st.floats(0.0, 1.0)) * edge
+    return Rectangle(W, H), obstacles, s
+
+
+class TestIncrementalRegion:
+    @settings(max_examples=150, deadline=None)
+    @given(midpoint_configs())
+    def test_start_region_matches_rebuild_at_every_split(self, config):
+        rect, obstacles, s = config
+        full = feasible_midpoint_region(rect, obstacles, s)
+        assert full.parts == reference_midpoint_region(rect, obstacles, s).parts
+        for m in range(len(obstacles) + 1):
+            start = feasible_midpoint_region(rect, obstacles[:m], s)
+            resumed = feasible_midpoint_region(rect, obstacles[m:], s, start=start)
+            assert resumed.parts == full.parts
 
 
 class TestVerifyPacking:

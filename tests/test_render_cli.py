@@ -138,6 +138,21 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "ValueError"
 
+    def test_verify_non_object_packing_maps_to_error_json(self, tmp_path, capsys):
+        bad = self.write(tmp_path, "list.json", [1, 2])
+        assert cli_dispatch(["verify", "--packing", bad]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "TypeError"
+
+    def test_pack_non_numeric_total_area_maps_to_error_json(self, tmp_path, capsys):
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.5], "total_area": "x"})
+        code = cli_dispatch(
+            ["pack", "--mode", "moon-moser", "--instance", inst, "--rect", "1x1"]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "TypeError"
+
     def test_usage_error_maps_to_error_json(self, capsys):
         assert cli_dispatch(["verify"]) == 1
         captured = capsys.readouterr()

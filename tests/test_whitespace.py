@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import moserpack.whitespace as whitespace_module
 
 from moserpack import (
     Instance,
@@ -23,7 +26,7 @@ from moserpack import (
     verify_packing,
     whitespace_pack,
 )
-from conftest import random_midpoint_config
+from conftest import random_midpoint_config, reference_whitespace_pack
 
 F_REF = (2 + math.sqrt(3)) / 3
 C_REF = float(compute_c(F_REF))
@@ -201,3 +204,68 @@ class TestWhitespacePack:
         bad = WhitespaceJob(base=job.base, tail=job.tail, c=0.01, F=job.F)
         with pytest.raises(PreconditionViolated):
             whitespace_pack(bad)
+
+
+@st.composite
+def mixed_run_jobs(draw):
+    """A random meir-moser base packing plus a tail of equal-side runs.
+
+    Runs of one square are distinct sides; two runs may also share a side
+    and merge once the instance sorts them.  Some tails end in zero sides.
+    """
+    n = draw(st.integers(158, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.5, 1.0, size=n)
+    scale = math.sqrt((1.0 - C_REF * C_REF) / float(np.sum(weights * weights)))
+    W = draw(st.floats(0.8, 1.0)) * math.sqrt(F_REF)
+    rect = Rectangle(W, F_REF / W)
+    try:
+        base = meir_moser_pack(Instance(tuple(float(w) * scale for w in weights)), rect)
+    except PreconditionViolated:
+        assume(False)
+    cap = C_REF / math.sqrt(n)
+    runs = draw(st.lists(st.tuples(st.floats(0.3, 1.0), st.integers(1, 8)),
+                         min_size=1, max_size=10))
+    tail: list[float] = []
+    budget = C_REF * C_REF
+    for frac, count in runs:
+        side = frac * cap
+        for _ in range(count):
+            if side * side > budget or len(tail) >= 30:
+                break
+            tail.append(side)
+            budget -= side * side
+    tail += [0.0] * draw(st.integers(0, 2))
+    return WhitespaceJob(base=base, tail=Instance(tuple(tail)), c=C_REF, F=F_REF)
+
+
+class TestRegionReuse:
+    @settings(max_examples=25, deadline=None)
+    @given(mixed_run_jobs())
+    def test_placements_match_rebuild_oracle(self, job):
+        packing = whitespace_pack(job)
+        assert packing.placements == reference_whitespace_pack(job).placements
+
+    def test_equal_tail_cuts_each_placement_once(self, monkeypatch):
+        """An equal tail of 1000 squares hands O(n) obstacles to the region.
+
+        A per-step rebuild would hand over 158 * 1000 + 1000**2 / 2, about
+        6.6e5; carrying the region costs the base once plus one per step.
+        """
+        n_tail = 1000
+        base = make_job(n_tail=0).base
+        tail = Instance((C_REF / math.sqrt(n_tail),) * n_tail)
+        job = WhitespaceJob(base=base, tail=tail, c=C_REF, F=F_REF)
+        seen: list[int] = []
+        real = whitespace_module.feasible_midpoint_region
+
+        def counting(rect, obstacles, s, start=None):
+            seen.append(len(obstacles))
+            return real(rect, obstacles, s, start=start)
+
+        monkeypatch.setattr(whitespace_module, "feasible_midpoint_region", counting)
+        packing = whitespace_pack(job)
+        assert len(seen) == n_tail
+        assert sum(seen) <= 2 * n_tail
+        assert len(packing.placements) == 158 + n_tail
+        assert verify_packing(packing).valid
