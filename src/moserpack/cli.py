@@ -102,6 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "valid": report.valid,
             "violations": [asdict(v) for v in report.violations],
             "truncated": report.truncated,
+            "pairs_examined": report.pairs_examined,
         },
         args.output,
     )

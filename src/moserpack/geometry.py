@@ -161,9 +161,17 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Outcome of :func:`verify_packing`.
+
+    ``pairs_examined`` counts the candidate pairs the overlap sweep
+    tested; it describes the work done, not the verdict, so report
+    equality ignores it.
+    """
+
     valid: bool
     violations: tuple[Violation, ...] = ()
     truncated: bool = False
+    pairs_examined: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -330,7 +338,10 @@ def feasible_midpoint_region(
     return RectilinearRegion(tuple(parts))
 
 
+#: Most violations a report lists; ``truncated`` says whether more exist.
 _MAX_REPORTED = 10_000
+#: Most candidate pairs the overlap sweep expands at once.
+_PAIR_CHUNK = 1 << 18
 
 
 def verify_packing(packing: Packing, tol: float = EPS_GEOM) -> VerificationReport:
@@ -338,68 +349,100 @@ def verify_packing(packing: Packing, tol: float = EPS_GEOM) -> VerificationRepor
 
     A placement may stick out of the rectangle by at most ``tol`` per
     side, and a pair of placements may share at most ``tol`` of overlap
-    area.  Every offending placement/pair is listed, up to a cap of
-    10000 entries (``truncated`` is set if the cap is hit).
+    area; ``tol`` must be finite and >= 0.  Out-of-bounds placements come
+    first, by index, then overlapping pairs ``(i, j)``, ``i < j``, in
+    lexicographic order, up to a cap of 10000 entries (``truncated`` is
+    set if the cap is hit).
+
+    Overlaps are found by one sort-and-sweep (Bentley & Wood, 1980): with
+    the squares sorted by their lower edge along the axis that yields
+    fewer candidates, each square is paired only with the squares whose
+    lower edge lies strictly inside its span on that axis, and those
+    candidates get the exact overlap test.  ``pairs_examined`` counts them.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     pls = packing.placements
-    n = len(pls)
-    violations: list[Violation] = []
+    x = np.array([p.x for p in pls], dtype=float)
+    y = np.array([p.y for p in pls], dtype=float)
+    side = np.array([p.side for p in pls], dtype=float)
+    x2 = x + side
+    y2 = y + side
+
     r = packing.rect
-    for i, p in enumerate(pls):
-        excess = max(r.x - p.x, r.y - p.y, p.x2 - r.x2, p.y2 - r.y2)
-        if excess > tol:
-            violations.append(Violation("outside", i, None, excess))
+    excess = np.maximum(np.maximum(r.x - x, r.y - y), np.maximum(x2 - r.x2, y2 - r.y2))
+    outside = np.flatnonzero(excess > tol)
+    violations = [Violation("outside", int(i), None, float(excess[i]))
+                  for i in outside[:_MAX_REPORTED]]
 
-    if n >= 2:
-        if n <= 64:
-            for i in range(n):
-                a = pls[i]
-                if a.side <= 0:
-                    continue
-                for j in range(i + 1, n):
-                    b = pls[j]
-                    ox = min(a.x2, b.x2) - max(a.x, b.x)
-                    if ox <= 0:
-                        continue
-                    oy = min(a.y2, b.y2) - max(a.y, b.y)
-                    if oy <= 0:
-                        continue
-                    if ox * oy > tol:
-                        violations.append(Violation("overlap", i, j, ox * oy))
-        else:
-            xs = np.array([p.x for p in pls])
-            ys = np.array([p.y for p in pls])
-            ss = np.array([p.side for p in pls])
-            x2 = xs + ss
-            y2 = ys + ss
-            chunk = max(1, int(4e6 // n))
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                ox = np.minimum(x2[lo:hi, None], x2[None, :]) - np.maximum(
-                    xs[lo:hi, None], xs[None, :]
-                )
-                oy = np.minimum(y2[lo:hi, None], y2[None, :]) - np.maximum(
-                    ys[lo:hi, None], ys[None, :]
-                )
-                np.clip(ox, 0.0, None, out=ox)
-                np.clip(oy, 0.0, None, out=oy)
-                ox *= oy
-                ii, jj = np.nonzero(ox > tol)
-                for a_i, b_j in zip(ii, jj):
-                    gi = lo + int(a_i)
-                    gj = int(b_j)
-                    if gj <= gi:  # report each unordered pair once
-                        continue
-                    violations.append(Violation("overlap", gi, gj, float(ox[a_i, b_j])))
-                    if len(violations) > _MAX_REPORTED:
-                        break
-                if len(violations) > _MAX_REPORTED:
-                    break
+    first, second, area, hits, examined = _overlapping_pairs(
+        x, y, x2, y2, tol, max(_MAX_REPORTED - len(outside), 0)
+    )
+    violations += [Violation("overlap", int(i), int(j), float(a))
+                   for i, j, a in zip(first, second, area)]
+    truncated = len(outside) + hits > _MAX_REPORTED
+    return VerificationReport(not violations, tuple(violations), truncated, examined)
 
-    truncated = len(violations) > _MAX_REPORTED
-    if truncated:
-        violations = violations[:_MAX_REPORTED]
-    return VerificationReport(not violations, tuple(violations), truncated)
+
+def _overlapping_pairs(x, y, x2, y2, tol: float, keep: int):
+    """Pairs ``i < j`` whose squares share more than ``tol`` of area.
+
+    Returns the ``keep`` lexicographically smallest pairs as index arrays
+    ``first`` and ``second`` with their overlap areas, the number of
+    overlapping pairs in all, and the number of candidate pairs examined.
+    Candidates are expanded at most ``_PAIR_CHUNK`` at a time, and only the
+    ``keep`` smallest hits are carried from one chunk to the next, so
+    memory stays bounded however many pairs overlap.
+    """
+    n = len(x)
+    # Sweep along the axis whose spans hold fewer lower edges: a shelf row
+    # is cheap to sweep across, a column of stacked squares along its height.
+    best = None
+    for lo, hi in ((x, x2), (y, y2)):
+        order = np.argsort(lo, kind="stable")
+        # sorted position k pairs with positions k+1 .. ends[k]-1
+        ends = np.searchsorted(lo[order], hi[order], "left")
+        counts = np.maximum(ends - np.arange(1, n + 1), 0)
+        total = int(counts.sum())
+        if best is None or total < best[0]:
+            best = (total, order, counts)
+    examined, order, counts = best
+
+    cum = np.cumsum(counts)
+    keys = np.empty(0, dtype=np.int64)
+    areas = np.empty(0)
+    hits = 0
+    pos = 0
+    while pos < n and examined:
+        base = int(cum[pos - 1]) if pos else 0
+        stop = max(int(np.searchsorted(cum, base + _PAIR_CHUNK, "right")), pos + 1)
+        c = counts[pos:stop]
+        rows = np.arange(pos, stop)
+        m = int(cum[stop - 1]) - base
+        # row k's candidates are sorted positions k + 1, k + 2, ...: candidate
+        # t of the chunk belongs to row k and sits at k + 1 + (t - start[k])
+        start = cum[pos:stop] - c - base
+        i = order[np.repeat(rows, c)]
+        j = order[np.arange(m) + np.repeat(rows + 1 - start, c)]
+        pos = stop
+
+        # A candidate's overlap along the sweep axis is >= 0, so with
+        # tol >= 0 the area test alone rejects pairs apart on the other axis.
+        a = (np.minimum(x2[i], x2[j]) - np.maximum(x[i], x[j])) * (
+            np.minimum(y2[i], y2[j]) - np.maximum(y[i], y[j])
+        )
+        sel = a > tol
+        i, j = i[sel], j[sel]
+        hits += len(i)
+        keys = np.concatenate((keys, np.minimum(i, j) * n + np.maximum(i, j)))
+        areas = np.concatenate((areas, a[sel]))
+        if len(keys) > keep:
+            smallest = np.argpartition(keys, keep)[:keep]
+            keys, areas = keys[smallest], areas[smallest]
+
+    ranked = np.argsort(keys)
+    first, second = np.divmod(keys[ranked], max(n, 1))
+    return first, second, areas[ranked], hits, examined
 
 
 # --- wire formats -----------------------------------------------------------

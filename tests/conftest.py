@@ -13,6 +13,8 @@ from moserpack import (
     Placement,
     Rectangle,
     RectilinearRegion,
+    VerificationReport,
+    Violation,
     region_lexicomin,
     region_subtract,
 )
@@ -105,6 +107,60 @@ def reference_whitespace_pack(job) -> Packing:
         point = region_lexicomin(reference_midpoint_region(rect, placed, s))
         placed.append(Placement(s, point[0] - s / 2.0, point[1] - s / 2.0))
     return Packing(rect, tuple(placed))
+
+
+def reference_verify_packing(packing: Packing, tol: float = 1e-12,
+                             cap: int = 10_000) -> VerificationReport:
+    """Dense O(n^2) verifier: every pair of placements is tested.
+
+    Out-of-bounds placements first, by index, then overlapping pairs in
+    row-major (i, j) order, cut at ``cap`` entries, exactly the report
+    :func:`moserpack.verify_packing` promises.  Rows are tested in blocks
+    of at most about 4e6 pairs, each row against itself and every later
+    placement.
+    """
+    pls = packing.placements
+    n = len(pls)
+    violations: list[Violation] = []
+    r = packing.rect
+    for i, p in enumerate(pls):
+        excess = max(r.x - p.x, r.y - p.y, p.x2 - r.x2, p.y2 - r.y2)
+        if excess > tol:
+            violations.append(Violation("outside", i, None, excess))
+
+    xs = np.array([p.x for p in pls])
+    ys = np.array([p.y for p in pls])
+    ss = np.array([p.side for p in pls])
+    x2 = xs + ss
+    y2 = ys + ss
+    chunk = max(1, int(4e6 // max(n, 1)))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        ox = np.minimum(x2[lo:hi, None], x2[None, lo:]) - np.maximum(
+            xs[lo:hi, None], xs[None, lo:]
+        )
+        oy = np.minimum(y2[lo:hi, None], y2[None, lo:]) - np.maximum(
+            ys[lo:hi, None], ys[None, lo:]
+        )
+        np.clip(ox, 0.0, None, out=ox)
+        np.clip(oy, 0.0, None, out=oy)
+        ox *= oy
+        ii, jj = np.nonzero(ox > tol)
+        for a_i, b_j in zip(ii, jj):
+            if b_j <= a_i:  # the diagonal and below: each unordered pair once
+                continue
+            violations.append(
+                Violation("overlap", lo + int(a_i), lo + int(b_j), float(ox[a_i, b_j]))
+            )
+            if len(violations) > cap:
+                break
+        if len(violations) > cap:
+            break
+
+    truncated = len(violations) > cap
+    if truncated:
+        violations = violations[:cap]
+    return VerificationReport(not violations, tuple(violations), truncated)
 
 
 def random_midpoint_config(rng: np.random.Generator):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,23 +12,38 @@ from hypothesis import given, settings, strategies as st
 from moserpack import (
     EPS_GEOM,
     Instance,
+    PackParams,
     Packing,
     Placement,
     PreconditionViolated,
     Rectangle,
     RectilinearRegion,
+    WhitespaceJob,
+    compute_c,
     feasible_midpoint_region,
+    geometry,
     instance_from_dict,
     instance_to_dict,
+    meir_moser_pack,
+    moon_moser_pack,
     packing_from_dict,
     packing_to_dict,
+    reduce_and_pack,
     region_area,
     region_lexicomin,
     region_subtract,
     region_union,
     verify_packing,
+    whitespace_pack,
 )
-from conftest import grid_region_area, random_midpoint_config, reference_midpoint_region
+from conftest import (
+    grid_region_area,
+    random_meir_moser_case,
+    random_midpoint_config,
+    random_moon_moser_case,
+    reference_midpoint_region,
+    reference_verify_packing,
+)
 
 
 def reference_packing() -> Packing:
@@ -298,6 +314,34 @@ class TestIncrementalRegion:
             assert resumed.parts == full.parts
 
 
+@st.composite
+def verify_cases(draw):
+    """A packing of 0 to 150 placements in a 2 x 2 square, and a tolerance.
+
+    Corners and sides on a 1/8 grid make touching and exactly repeated
+    squares common, grid corners nudged by 1e-13 overlap by less than the
+    larger tolerances, and corners below 0 or sides reaching past 2 stick
+    out.  Hypothesis draws the size, the mix and a seed; numpy draws the
+    coordinates, which keeps a 150-square example cheap.
+    """
+    n = draw(st.one_of(st.integers(0, 12), st.integers(0, 150)))
+    on_grid, nudged, zero = (draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corners = np.where(rng.random((2, n)) < on_grid,
+                       rng.integers(-2, 17, (2, n)) / 8, rng.uniform(-0.25, 2.0, (2, n)))
+    corners += np.where(rng.random((2, n)) < nudged, 1e-13, 0.0)
+    sides = np.where(rng.random(n) < on_grid,
+                     rng.choice([0.125, 0.25, 0.5, 1.0], n), rng.uniform(0.0, 0.6, n))
+    sides[rng.random(n) < zero / 4] = 0.0
+    placements = [Placement(float(s), float(x), float(y))
+                  for s, x, y in zip(sides, corners[0], corners[1])]
+    if n:
+        for src, dst in rng.integers(0, n, (draw(st.integers(0, 10)), 2)):
+            placements[dst] = placements[src]
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    return Packing(Rectangle(2, 2), placements), tol
+
+
 class TestVerifyPacking:
     def test_valid_fixture(self):
         report = verify_packing(reference_packing())
@@ -330,33 +374,157 @@ class TestVerifyPacking:
         assert verify_packing(p).valid
         assert not verify_packing(p, tol=1e-14).valid
 
-    def test_vector_path_matches_scalar_path(self):
-        """Same random layout judged identically above and below the crossover."""
-        rng = np.random.default_rng(303)
-        rect = Rectangle(10, 10)
-        placements = [
-            Placement(float(rng.uniform(0.05, 0.4)), float(rng.uniform(0, 9.5)), float(rng.uniform(0, 9.5)))
-            for _ in range(80)
-        ]
-        full = verify_packing(Packing(rect, placements))
-        head = verify_packing(Packing(rect, placements[:60]))
-        # the 60-square prefix runs the scalar path; rerun those pairs vectorized
-        # by checking consistency of the shared overlap set
-        head_pairs = {(v.index, v.partner) for v in head.violations if v.kind == "overlap"}
-        full_pairs = {
-            (v.index, v.partner)
-            for v in full.violations
-            if v.kind == "overlap" and v.index < 60 and (v.partner or 0) < 60
-        }
-        assert head_pairs == full_pairs
+    def test_tolerance_must_be_finite_and_non_negative(self):
+        p = Packing(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
+        for tol in (math.nan, math.inf, -math.inf, -1e-12):
+            with pytest.raises(ValueError, match="tol"):
+                verify_packing(p, tol=tol)
+        assert verify_packing(p, tol=0.0).violations == verify_packing(p).violations
+
+    @settings(max_examples=200, deadline=None)
+    @given(verify_cases(), st.sampled_from([1, 7, None]), st.sampled_from([5, None]))
+    def test_matches_dense_oracle(self, case, chunk, cap):
+        # Tiny sweep chunks and a small report cap drive the chunk merge and
+        # the truncation at sizes hypothesis can shrink.
+        packing, tol = case
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(geometry, "_PAIR_CHUNK", chunk)
+            if cap is not None:
+                mp.setattr(geometry, "_MAX_REPORTED", cap)
+            got = verify_packing(packing, tol)
+        want = reference_verify_packing(packing, tol, cap=cap or 10_000)
+        assert got.valid == want.valid
+        assert got.violations == want.violations
+        assert got.truncated == want.truncated
 
     def test_violation_cap(self):
         # everything at the origin: quadratic pair count gets truncated
         placements = [Placement(0.5, 0, 0) for _ in range(200)]
-        report = verify_packing(Packing(Rectangle(1, 1), placements))
+        packing = Packing(Rectangle(1, 1), placements)
+        report = verify_packing(packing)
         assert not report.valid
         assert report.truncated
         assert len(report.violations) == 10_000
+        assert report == reference_verify_packing(packing)
+
+    def test_outside_placements_come_before_capped_overlaps(self):
+        # 150 stacked squares sticking out, then 150 stacked inside:
+        # 150 outside entries and 2 x 11,175 overlapping pairs
+        placements = [Placement(0.5, 0.8, 0.0)] * 150 + [Placement(0.5, 0.0, 0.0)] * 150
+        packing = Packing(Rectangle(1, 1), placements)
+        report = verify_packing(packing)
+        assert report.truncated
+        assert [v.kind for v in report.violations[:150]] == ["outside"] * 150
+        assert report == reference_verify_packing(packing)
+
+    def test_cap_counts_outside_placements(self):
+        # six disjoint squares, all sticking out: a cap of 5 truncates
+        packing = Packing(Rectangle(1, 1), [Placement(0.1, 2.0 + k, 0.0) for k in range(6)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_MAX_REPORTED", 5)
+            report = verify_packing(packing)
+        assert report.truncated and len(report.violations) == 5
+        assert report == reference_verify_packing(packing, cap=5)
+
+    def test_stacked_squares_truncate_in_bounded_memory(self):
+        # 3,000 equal squares at one point: 4,498,500 overlapping pairs.
+        # Chunked expansion peaks near 20 MiB; all pairs at once, near 240 MiB.
+        packing = Packing(Rectangle(1, 1), [Placement(0.5, 0.0, 0.0)] * 3000)
+        tracemalloc.start()
+        try:
+            report = verify_packing(packing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == reference_verify_packing(packing)
+        assert report.truncated and len(report.violations) == 10_000
+        assert report.pairs_examined == 3000 * 2999 // 2
+        assert peak < 64 * 2**20
+
+    def test_pairs_examined_counts_candidates(self):
+        overlapping = Packing(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
+        touching = Packing(Rectangle(2, 1), [Placement(1, 0, 0), Placement(1, 1, 0)])
+        assert verify_packing(overlapping).pairs_examined == 1
+        assert verify_packing(touching).pairs_examined == 0
+        assert verify_packing(Packing(Rectangle(1, 1), ())).pairs_examined == 0
+
+    def test_column_is_swept_along_its_height(self):
+        # 1,000 touching squares stacked in one column share their x-span;
+        # sweeping along y finds no candidate pair at all
+        side = 2.0**-6  # dyadic, so every edge sum is exact
+        packing = Packing(Rectangle(side, 1000 * side),
+                          [Placement(side, 0.0, k * side) for k in range(1000)])
+        report = verify_packing(packing)
+        assert report.valid
+        assert report.pairs_examined == 0
+
+    def test_shelf_packing_examines_few_pairs(self):
+        rng = np.random.default_rng(11)
+        inst = Instance(tuple(float(s) for s in rng.uniform(0.005, 0.03, 1000)))
+        edge = math.sqrt(2 * inst.total_area / 0.99)
+        packing = moon_moser_pack(inst, Rectangle(edge, edge))
+        report = verify_packing(packing)
+        assert report.valid
+        assert report.pairs_examined < 1000 * 999 // 2 // 20
+
+
+_F_REF = (2 + math.sqrt(3)) / 3
+_C_REF = float(compute_c(_F_REF))
+
+
+def _toy_params(**kw) -> PackParams:
+    return PackParams.toy_params(F=_F_REF, c=_C_REF, N0=4, N1=158, N=1167, **kw)
+
+
+def _shelf_cases():
+    """Every tenth of the 2 x 10^4 seeded shelf cases, in generation order."""
+    rng = np.random.default_rng(20250815)
+    moon = [random_moon_moser_case(rng) for _ in range(10_000)]
+    meir = [random_meir_moser_case(rng) for _ in range(10_000)]
+    return moon[::10], meir[::10]
+
+
+def _whitespace_fixture() -> Packing:
+    base_side = math.sqrt((1 - _C_REF * _C_REF) / 158)
+    base = meir_moser_pack(Instance((base_side,) * 158),
+                           Rectangle(math.sqrt(_F_REF), _F_REF / math.sqrt(_F_REF)))
+    tail = Instance((_C_REF / math.sqrt(158),) * 158)
+    return whitespace_pack(WhitespaceJob(base, tail, c=_C_REF, F=_F_REF))
+
+
+def _case_b_fixture() -> Packing:
+    tiny = math.sqrt(0.1 / 30_000)
+    return reduce_and_pack(Instance((0.6, 0.6, 0.3, 0.3) + (tiny,) * 30_000),
+                           _toy_params()).packing
+
+
+def _case_c_fixture() -> Packing:
+    big = math.sqrt((1 - 0.99 * _C_REF**2) / 158)
+    small = math.sqrt(0.99 * _C_REF**2 / 160)
+    return reduce_and_pack(Instance((big,) * 158 + (small,) * 160),
+                           _toy_params(s1_threshold=0.07)).packing
+
+
+#: The packings ``test_acceptance.py`` verifies, built the same way; every
+#: tenth randomized shelf case stands in for the 2 x 10^4 it packs.
+_ACCEPTANCE_FIXTURES = {
+    "c4_reference": lambda: [reference_packing()],
+    "c6_moon_moser": lambda: [moon_moser_pack(*case) for case in _shelf_cases()[0]],
+    "c6_meir_moser": lambda: [meir_moser_pack(*case) for case in _shelf_cases()[1]],
+    "c7_whitespace": lambda: [_whitespace_fixture()],
+    "c9_case_a": lambda: [reduce_and_pack(Instance((0.1,) * 100), _toy_params()).packing],
+    "c9_case_b": lambda: [_case_b_fixture()],
+    "c9_case_c": lambda: [_case_c_fixture()],
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ACCEPTANCE_FIXTURES))
+def test_acceptance_fixtures_match_dense_oracle(label):
+    for packing in _ACCEPTANCE_FIXTURES[label]():
+        report = verify_packing(packing)
+        assert report.valid
+        assert report == reference_verify_packing(packing)
 
 
 class TestSerialization:

@@ -128,6 +128,36 @@ class TestCli:
         assert report["valid"] is False
         assert report["violations"][0]["kind"] in {"overlap", "outside"}
 
+    def overlapping_pair(self, tmp_path):
+        return self.write(
+            tmp_path,
+            "pair.json",
+            {
+                "rect": {"w": 2.0, "h": 2.0},
+                "placements": [
+                    {"side": 1.0, "x": 0.0, "y": 0.0},
+                    {"side": 1.0, "x": 0.5, "y": 0.5},
+                ],
+            },
+        )
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12"])
+    def test_verify_rejects_bad_tol(self, tmp_path, capsys, tol):
+        packing = self.overlapping_pair(tmp_path)
+        assert cli_dispatch(["verify", "--packing", packing, f"--tol={tol}"]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ValueError"
+        assert "tol" in err["error"]["message"]
+
+    def test_verify_reports_pairs_examined(self, tmp_path, capsys):
+        assert cli_dispatch(["verify", "--packing", self.overlapping_pair(tmp_path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] is False
+        assert report["pairs_examined"] == 1
+        assert report["violations"] == [
+            {"kind": "overlap", "index": 0, "partner": 1, "measure": 0.25}
+        ]
+
     def test_verify_rejects_nan_token(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text(
