@@ -50,7 +50,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(data: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(data, indent=2) + "\n", out)
+    # Single-line JSON: ``indent`` would force json's pure-Python encoder.
+    _emit(json.dumps(data) + "\n", out)
 
 
 def _parse_rect(spec: str) -> Rectangle:

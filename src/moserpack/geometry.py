@@ -300,6 +300,11 @@ def feasible_midpoint_region(
     the same order either way, so ``feasible_midpoint_region(rect, b, s,
     start=feasible_midpoint_region(rect, a, s))`` has exactly the parts of
     ``feasible_midpoint_region(rect, a + b, s)``.
+
+    Each cut box is computed with the same float expressions as the
+    one-cut-per-obstacle oracle in the tests (``max(x - s/2, rect.x)``,
+    ``min(x + side + s/2, rect.x2)`` and likewise in y), written as plain
+    comparisons, so the parts and their order match it exactly.
     """
     if s < 0:
         raise ValueError(f"square side must be >= 0, got {s}")
@@ -315,12 +320,25 @@ def feasible_midpoint_region(
         parts = [inner] if inner[2] > inner[0] and inner[3] > inner[1] else []
     rx0, ry0, rx1, ry1 = rect.x, rect.y, rect.x2, rect.y2
     for ob in obstacles:
-        if ob.side <= 0:
+        side = ob.side
+        if side <= 0:
             continue
-        cx0 = max(ob.x - half, rx0)
-        cy0 = max(ob.y - half, ry0)
-        cx1 = min(ob.x2 + half, rx1)
-        cy1 = min(ob.y2 + half, ry1)
+        # max()/min() and the x2/y2 properties spelled out as plain
+        # comparisons: the same floats, without a call per bound.
+        x = ob.x
+        y = ob.y
+        cx0 = x - half
+        if cx0 < rx0:
+            cx0 = rx0
+        cx1 = x + side + half
+        if cx1 > rx1:
+            cx1 = rx1
+        cy0 = y - half
+        if cy0 < ry0:
+            cy0 = ry0
+        cy1 = y + side + half
+        if cy1 > ry1:
+            cy1 = ry1
         if cx1 <= cx0 or cy1 <= cy0:
             continue
         cut = (cx0, cy0, cx1, cy1)

@@ -79,19 +79,26 @@ def _shelf_positions(sides: tuple[float, ...], a1: float, a2: float) -> Optional
     ``sides`` must be sorted non-increasingly.  Returns lower-left corners
     in input order, or None when some square does not fit.  Zero-side
     squares are placed nominally at the origin.
+
+    Shelves before ``live`` are dead: they have no room even for the
+    smallest positive side, hence for no later square, so the first-fit
+    scan starts at ``live`` and picks the same shelf a full scan would.
     """
     coords: list[tuple[float, float]] = []
     shelf_y: list[float] = []
     shelf_used: list[float] = []
     top = 0.0
+    room = a1 + FIT_TOL
+    s_min = min((s for s in sides if s > 0.0), default=0.0)
+    live = 0
     for s in sides:
         if s <= 0.0:
             coords.append((0.0, 0.0))
             continue
-        if s > a1 + FIT_TOL:
+        if s > room:
             return None
-        for k in range(len(shelf_y)):
-            if shelf_used[k] + s <= a1 + FIT_TOL:
+        for k in range(live, len(shelf_y)):
+            if shelf_used[k] + s <= room:
                 coords.append((shelf_used[k], shelf_y[k]))
                 shelf_used[k] += s
                 break
@@ -102,6 +109,8 @@ def _shelf_positions(sides: tuple[float, ...], a1: float, a2: float) -> Optional
             shelf_y.append(top)
             shelf_used.append(s)
             top += s
+        while live < len(shelf_used) and shelf_used[live] + s_min > room:
+            live += 1
     return coords
 
 

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from moserpack import (
+    EPS_GEOM,
     Instance,
     Packing,
     Placement,
@@ -107,6 +108,38 @@ def reference_whitespace_pack(job) -> Packing:
         point = region_lexicomin(reference_midpoint_region(rect, placed, s))
         placed.append(Placement(s, point[0] - s / 2.0, point[1] - s / 2.0))
     return Packing(rect, tuple(placed))
+
+
+def reference_shelf_positions(sides, a1: float, a2: float):
+    """First-fit decreasing shelf positions, every open shelf scanned per square.
+
+    The same contract as :func:`moserpack.shelf._shelf_positions`
+    (lower-left corners in input order, or None on a failed fit), without
+    its skipping of shelves too full for any remaining square.
+    """
+    coords = []
+    shelf_y: list[float] = []
+    shelf_used: list[float] = []
+    top = 0.0
+    for s in sides:
+        if s <= 0.0:
+            coords.append((0.0, 0.0))
+            continue
+        if s > a1 + EPS_GEOM:
+            return None
+        for k in range(len(shelf_y)):
+            if shelf_used[k] + s <= a1 + EPS_GEOM:
+                coords.append((shelf_used[k], shelf_y[k]))
+                shelf_used[k] += s
+                break
+        else:
+            if top + s > a2 + EPS_GEOM:
+                return None
+            coords.append((0.0, top))
+            shelf_y.append(top)
+            shelf_used.append(s)
+            top += s
+    return coords
 
 
 def reference_verify_packing(packing: Packing, tol: float = 1e-12,

@@ -288,17 +288,24 @@ class TestFeasibleMidpointRegion:
 
 @st.composite
 def midpoint_configs(draw):
-    """A rectangle, obstacles (some of side 0, some sticking out), a new side."""
+    """A rectangle, obstacles (some of side 0, some sticking out), a new side.
+
+    The rectangle sits at the origin or at a non-zero, possibly negative
+    corner; obstacles may stick out past any of its four edges or lie
+    wholly outside it.
+    """
     W = draw(st.floats(0.8, 2.0))
     H = draw(st.floats(0.8, 2.0))
+    origin = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+    x0, y0 = draw(origin), draw(origin)
     edge = min(W, H)
     raw = draw(st.lists(
-        st.tuples(st.floats(0.0, 0.35), st.floats(-0.1, 1.0), st.floats(-0.1, 1.0)),
+        st.tuples(st.floats(0.0, 0.35), st.floats(-0.3, 1.1), st.floats(-0.3, 1.1)),
         max_size=12,
     ))
-    obstacles = [Placement(f * edge, x * W, y * H) for f, x, y in raw]
+    obstacles = [Placement(f * edge, x0 + x * W, y0 + y * H) for f, x, y in raw]
     s = draw(st.floats(0.0, 1.0)) * edge
-    return Rectangle(W, H), obstacles, s
+    return Rectangle(W, H, x0, y0), obstacles, s
 
 
 class TestIncrementalRegion:

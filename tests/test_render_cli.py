@@ -9,11 +9,15 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from moserpack import (
+    Instance,
+    PackParams,
     Packing,
     Placement,
     Rectangle,
     packing_to_dict,
+    reduce_and_pack,
     render_svg,
+    result_to_dict,
     verify_packing,
 )
 from moserpack.cli import cli_dispatch
@@ -301,6 +305,23 @@ class TestCli:
         result = json.loads(out.read_text())
         assert result["case"] == "a"
         assert len(result["packing"]["placements"]) == 100
+
+    def test_reduce_output_is_single_line_result_dict(self, tmp_path):
+        sides = [math.sqrt((1 - k / 400) / 200.5) for k in range(400)]
+        inst = self.write(tmp_path, "inst.json", {"sides": sides})
+        raw = {"c": 0.07256326599821739, "N0": 4, "N1": 158, "N": 1167}
+        toy = self.write(tmp_path, "toy.json", raw)
+        out = tmp_path / "result.json"
+        assert cli_dispatch(
+            ["reduce", "--instance", inst, "--F", "novotny",
+             "--toy-params", toy, "-o", str(out)]
+        ) == 0
+        params = PackParams.toy_params(F=(2 + math.sqrt(3)) / 3, **raw)
+        expected = result_to_dict(reduce_and_pack(Instance(tuple(sides)), params))
+        assert expected["case"] == "a"
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == expected
 
     def test_reduce_output_feeds_verify_and_render(self, tmp_path):
         inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})

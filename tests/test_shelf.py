@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import moserpack.shelf as shelf_module
 
 from moserpack import (
     Instance,
@@ -14,12 +17,19 @@ from moserpack import (
     PreconditionViolated,
     Rectangle,
     circumference_admits,
+    PackParams,
+    compute_c,
     meir_moser_pack,
     moon_moser_pack,
+    reduce_and_pack,
     small_s1_pack,
     verify_packing,
 )
-from conftest import random_meir_moser_case, random_moon_moser_case
+from conftest import (
+    random_meir_moser_case,
+    random_moon_moser_case,
+    reference_shelf_positions,
+)
 
 
 def assert_packs(packing, inst):
@@ -204,3 +214,54 @@ class TestShelfStructure:
                 Instance((0.6, 0.6, 0.6)), Rectangle(0.7, 1.0), require_precondition=False
             )
         assert "0.7" in str(err.value)
+
+
+@pytest.fixture
+def full_scan_checked(monkeypatch):
+    """Check every shelf-engine call against the full-scan oracle.
+
+    Yields the list of calls made, True for each that placed every square.
+    """
+    calls: list[bool] = []
+    real = shelf_module._shelf_positions
+
+    def checked(sides, a1, a2):
+        coords = real(sides, a1, a2)
+        assert coords == reference_shelf_positions(sides, a1, a2)
+        calls.append(coords is not None)
+        return coords
+
+    monkeypatch.setattr(shelf_module, "_shelf_positions", checked)
+    return calls
+
+
+class TestDeadShelfSkip:
+    """Starting the first-fit scan after the dead shelves picks the same shelves."""
+
+    def test_acceptance_generators_match_full_scan(self, full_scan_checked):
+        rng = np.random.default_rng(20250815)  # the seed of test_c6
+        for _ in range(10_000):
+            moon_moser_pack(*random_moon_moser_case(rng))
+        for _ in range(10_000):
+            meir_moser_pack(*random_meir_moser_case(rng))
+        assert full_scan_checked == [True] * 20_000
+
+    def test_case_b_matches_full_scan(self, full_scan_checked):
+        F = (2 + math.sqrt(3)) / 3
+        toy = PackParams.toy_params(F=F, c=float(compute_c(F)), N0=4, N1=158, N=1167)
+        tiny = math.sqrt(0.1 / 30_000)
+        result = reduce_and_pack(Instance((0.6, 0.6, 0.3, 0.3) + (tiny,) * 30_000), toy)
+        assert result.case == "b"
+        assert True in full_scan_checked and False in full_scan_checked
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.3, 0.5, 0.7]),
+                 max_size=60),
+        st.floats(0.7, 1.3),
+        st.floats(0.7, 3.0),
+    )
+    def test_random_sorted_sides_match_full_scan(self, sides, a1, a2):
+        sides = tuple(sorted(sides, reverse=True))
+        got = shelf_module._shelf_positions(sides, a1, a2)
+        assert got == reference_shelf_positions(sides, a1, a2)

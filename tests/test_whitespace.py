@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -269,3 +271,38 @@ class TestRegionReuse:
         assert sum(seen) <= 2 * n_tail
         assert len(packing.placements) == 158 + n_tail
         assert verify_packing(packing).valid
+
+
+def placement_digest(packing: Packing) -> str:
+    """sha256 of every placement's (side, x, y) as little-endian doubles."""
+    h = hashlib.sha256()
+    for p in packing.placements:
+        h.update(struct.pack("<3d", p.side, p.x, p.y))
+    return h.hexdigest()
+
+
+class TestGoldenPlacements:
+    """Pinned placements: a region change that moves any square fails here.
+
+    The hashes were taken from the implementation that cut one obstacle
+    at a time with ``max``/``min`` clipping.
+    """
+
+    def test_equal_tail(self):
+        packing = whitespace_pack(make_job(n_tail=60))
+        assert len(packing.placements) == 158 + 60
+        assert placement_digest(packing) == (
+            "effe37faa9cd1119a9c41ae5d70965533f846fb9d6ccee9a0413698343d98e9b"
+        )
+
+    def test_distinct_tail_sides(self):
+        rng = np.random.default_rng(5)
+        cap = C_REF / math.sqrt(158)
+        tail = Instance(tuple(float(s) for s in rng.uniform(0.3, 1.0, 60) * cap))
+        assert len(set(tail.sides)) == 60
+        job = WhitespaceJob(base=make_job(n_tail=0).base, tail=tail, c=C_REF, F=F_REF)
+        packing = whitespace_pack(job)
+        assert len(packing.placements) == 158 + 60
+        assert placement_digest(packing) == (
+            "d7903924d34a816f53d1bcd0eebb72835f0609fd638375982785f131c4bc8b52"
+        )
