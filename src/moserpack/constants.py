@@ -18,8 +18,8 @@ floor is evaluated in outward-rounded interval arithmetic (``iv``, e^2 from
 ``iv.exp``) starting at 50 decimal digits and doubling up to 200 until the
 enclosure no longer straddles an integer;
 :class:`~moserpack.errors.FloorUncertified` is raised past that point.
-The integral form is additionally cross-checked against adaptive
-quadrature before flooring.  The window (N1, N] is certified to carry
+The integral form is floored from its antiderivative in closed form; no
+numerical quadrature runs.  The window (N1, N] is certified to carry
 harmonic mass at least 1 by the closed-form bound
 sum_{i=a}^{b} 1/i >= ln((b + 1)/a), also evaluated in ``iv``.
 """
@@ -33,9 +33,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from mpmath import iv, mp, mpf
-from scipy.integrate import quad
 
-from .errors import FloorUncertified, MoserpackError, QuadratureDisagreement
+from .errors import FloorUncertified, MoserpackError
 from .geometry import Instance
 
 Factor = Union[str, float, int, mpf]
@@ -167,13 +166,13 @@ def n0_simple(F: Factor) -> int:
     return max(1, _certified_floor(make, "n0_simple"))
 
 
-def n0_integral(F: Factor, quad_rel_tol: float = 1e-6) -> int:
+def n0_integral(F: Factor) -> int:
     """1 + floor of the integral of delta(V)^-2 over [c^2, 1].
 
     The integrand expands to ((10F/V)^2 + 2F/V + 1/100) / (F-1)^2, whose
-    antiderivative is (-100 F^2 / V + 2 F log V + V/100) / (F-1)^2.  The
-    closed form (interval arithmetic) and adaptive quadrature (float) must
-    agree to ``quad_rel_tol`` relative before the floor is taken.
+    antiderivative is (-100 F^2 / V + 2 F log V + V/100) / (F-1)^2.  That
+    closed form, evaluated in interval arithmetic, is the certificate: the
+    floor is taken from its enclosure.
     """
 
     def make():
@@ -181,16 +180,6 @@ def n0_integral(F: Factor, quad_rel_tol: float = 1e-6) -> int:
         a = _c_of(Fi) ** 2
         return (100 * Fi ** 2 * (1 / a - 1) + 2 * Fi * iv.log(1 / a) + (1 - a) / 100) / (Fi - 1) ** 2
 
-    with _workdps(50):
-        closed = make()
-        mid = float((mp.mpf(closed.a) + mp.mpf(closed.b)) / 2)
-        Ff = float(resolve_factor(F))
-        cf = float(_c_of(resolve_factor(F)))
-    q, _err = quad(lambda V: _delta(Ff, V) ** -2, cf * cf, 1.0, limit=200)
-    if abs(q - mid) > quad_rel_tol * abs(mid):
-        raise QuadratureDisagreement(
-            f"closed form {mid} vs quadrature {q} beyond {quad_rel_tol} relative"
-        )
     return 1 + _certified_floor(make, "n0_integral")
 
 
@@ -206,13 +195,6 @@ def harmonic_range_sum(lo: int, hi: int) -> float:
         parts.append(float(np.reciprocal(np.arange(i, j + 1, dtype=np.float64)).sum()))
         i = j + 1
     return math.fsum(parts)
-
-
-def harmonic_bounds(n: int) -> tuple[float, float, float]:
-    """(ln(n+1), H_n, ln(n) + 1): the harmonic number with its log bounds."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return (math.log(n + 1), harmonic_range_sum(1, n), math.log(n) + 1.0)
 
 
 def _harmonic_lower(a: int, b: int) -> mpf:

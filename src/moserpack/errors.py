@@ -35,7 +35,3 @@ class FloorUncertified(MoserpackError):
     The floor of the enclosed value is therefore ambiguous even at the
     maximum working precision, and no integer result is reported.
     """
-
-
-class QuadratureDisagreement(MoserpackError):
-    """Closed-form and quadrature evaluations of an integral diverged."""

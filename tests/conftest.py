@@ -16,6 +16,7 @@ from moserpack import (
     RectilinearRegion,
     VerificationReport,
     Violation,
+    harmonic_range_sum,
     region_lexicomin,
     region_subtract,
 )
@@ -194,6 +195,13 @@ def reference_verify_packing(packing: Packing, tol: float = 1e-12,
     if truncated:
         violations = violations[:cap]
     return VerificationReport(not violations, tuple(violations), truncated)
+
+
+def harmonic_bounds(n: int) -> tuple[float, float, float]:
+    """(ln(n+1), H_n, ln(n) + 1): the harmonic number with its log bounds."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return (math.log(n + 1), harmonic_range_sum(1, n), math.log(n) + 1.0)
 
 
 def random_midpoint_config(rng: np.random.Generator):

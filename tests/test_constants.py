@@ -7,12 +7,14 @@ mpmath's digamma-based harmonic numbers instead of direct summation.
 
 from __future__ import annotations
 
+import json
 import math
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from moserpack import (
@@ -27,7 +29,6 @@ from moserpack import (
     derive_N,
     factor_float,
     find_small_index,
-    harmonic_bounds,
     harmonic_range_sum,
     k_sample_grid,
     n0_integral,
@@ -36,7 +37,10 @@ from moserpack import (
     resolve_factor,
     two_square_worst_case,
 )
+from moserpack.cli import cli_dispatch
 from moserpack.constants import _harmonic_lower
+
+from conftest import harmonic_bounds
 
 F_GRID = [factor_float(NOVOTNY), 1.26, 1.28, 1.30, 1.33, 1.37]
 
@@ -45,6 +49,35 @@ def oracle_c(F: float, dps: int = 60):
     """Root of 5c^2 + 3c - (F - 1) by Newton iteration, not the radical."""
     with mp.workdps(dps):
         return mpmath.findroot(lambda c: 5 * c * c + 3 * c - (mp.mpf(F) - 1), 0.07)
+
+
+def oracle_n0_integral(F, dps: int = 60) -> int:
+    """1 + floor of mpmath.quad of delta(V)^-2 over [c^2, 1], not the antiderivative.
+
+    The integrand peaks at V = c^2, which is as small as 1e-19 for the
+    factors drawn below, so the interval is split at every power of ten in
+    between.  The quadrature's error estimate must leave the floor
+    unambiguous.
+    """
+    with mp.workdps(dps):
+        Fv = mp.mpf(F)
+        a = oracle_c(F, dps) ** 2
+        integrand = lambda V: ((10 * Fv / V + mp.mpf(1) / 10) / (Fv - 1)) ** 2
+        decades = int(mp.ceil(-mp.log10(a)))
+        points = [a] + [mp.mpf(10) ** -k for k in range(decades - 1, 0, -1)] + [mp.mpf(1)]
+        q, err = mpmath.quad(integrand, points, error=True)
+        assert mp.floor(q - err) == mp.floor(q + err), (F, q, err)
+        return 1 + int(mp.floor(q))
+
+
+# Factors in (1, 3]: decimal strings 1 + m 10^-e close to 1, decimals with up
+# to six places, and floats.  F - 1 stays at least 1e-9, where the oracle's
+# 60 digits still resolve the floor of an integral of size about 1e39.
+FACTORS = st.one_of(
+    st.builds(lambda e, m: f"1.{m:0{e}d}", st.integers(3, 9), st.integers(1, 999)),
+    st.decimals(Decimal("1.000001"), Decimal(3), places=6).map(str),
+    st.floats(1 + 1e-9, 3.0),
+)
 
 
 class TestFactor:
@@ -149,6 +182,16 @@ class TestIndexThresholds:
                 q = mpmath.quad(integrand, [c * c, 1])
                 want = 1 + int(mp.floor(q))
             assert n0_integral(F) == want
+
+    def test_integral_near_one(self):
+        # scipy.integrate.quad returns a negative value for this positive
+        # integrand at F = 1.001, so a float cross-check cannot gate the floor
+        assert n0_integral("1.001") == 902_802_554_844_838
+
+    @settings(max_examples=30, deadline=None)
+    @given(FACTORS)
+    def test_integral_floor_matches_mp_quadrature(self, F):
+        assert n0_integral(F) == oracle_n0_integral(F)
 
     def test_integral_never_exceeds_simple(self):
         for F in F_GRID:
@@ -308,6 +351,17 @@ class TestReport:
         )
         assert d["delta_refined"] is None
 
+    @pytest.mark.parametrize("F", ["1.0000001", "1.001", "1.002"])
+    def test_factors_near_one(self, F):
+        rep = build_report(F)
+        assert rep.N0_integral == n0_integral(F) <= rep.N0_simple
+        assert all(rep.floor_certificates.values())
+
+    def test_cli_factor_near_one(self, capsys):
+        assert cli_dispatch(["constants", "--F", "1.001"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["N0_integral"] == 902_802_554_844_838
+
     def test_refined_flag(self):
         rep = build_report(1.37, refined=True)
         assert rep.delta_refined is not None
@@ -326,7 +380,6 @@ class TestErrorHierarchy:
             FloorUncertified,
             PackFailure,
             PreconditionViolated,
-            QuadratureDisagreement,
         )
 
         for exc in (
@@ -334,6 +387,5 @@ class TestErrorHierarchy:
             FloorUncertified,
             PackFailure,
             PreconditionViolated,
-            QuadratureDisagreement,
         ):
             assert issubclass(exc, MoserpackError)

@@ -1,0 +1,81 @@
+"""The runtime imports numpy and mpmath only: scipy is a test-time dependency.
+
+Each check runs in a fresh interpreter, so modules that other tests (or
+hypothesis) already imported into this process cannot hide an import.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import moserpack
+
+SRC = str(Path(moserpack.__file__).resolve().parents[1])
+
+BLOCKED_SCIPY_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+
+import moserpack
+import moserpack.cli
+from moserpack.cli import cli_dispatch
+
+plain = moserpack.build_report("novotny")
+integral = moserpack.build_report("novotny", use_integral_n0=True)
+
+with tempfile.TemporaryDirectory() as tmp:
+    inst = Path(tmp, "inst.json")
+    inst.write_text(json.dumps({"sides": [0.1] * 100}))
+    result, report = Path(tmp, "result.json"), Path(tmp, "report.json")
+    codes = [
+        cli_dispatch(["reduce", "--instance", str(inst), "--F", "novotny",
+                      "-o", str(result)]),
+        cli_dispatch(["verify", "--packing", str(result), "-o", str(report)]),
+    ]
+    reduced = json.loads(result.read_text())
+    verified = json.loads(report.read_text())
+
+print(json.dumps({
+    "plain": [plain.N0_simple, plain.N0_integral, plain.N1, plain.N],
+    "integral": [integral.N1, integral.N],
+    "codes": codes,
+    "case": reduced["case"],
+    "placements": len(reduced["packing"]["placements"]),
+    "valid": verified["valid"],
+}))
+"""
+
+PLAIN_IMPORT = """
+import sys
+import moserpack
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def run_fresh(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_pipeline_and_cli_run_with_scipy_blocked():
+    out = json.loads(run_fresh(BLOCKED_SCIPY_RUN))
+    assert out["plain"] == [93_752_341, 491_225, 93_752_341, 692_741_307]
+    assert out["integral"] == [491_225, 3_629_689]
+    assert out["codes"] == [0, 0]
+    assert out["case"] == "a"
+    assert out["placements"] == 100
+    assert out["valid"] is True
+
+
+def test_plain_import_loads_no_scipy_module():
+    assert run_fresh(PLAIN_IMPORT).strip() == "[]"
