@@ -5,12 +5,15 @@ For an area factor F > 1 the chain of constants is
     c      positive root of 5 c^2 + 3 c = F - 1,
            i.e. sqrt((3/10)^2 + (F - 1)/5) - 3/10
     delta  (F - 1) / (10 F / c^2 + 1/10)          (worst admissible edge)
+    delta1 min(f(c^2, 10 F), c^2 / 10)             (refined edge, F <= 9)
     N0     max(1, floor(1 / delta^2))             (simple form)
     N0'    1 + floor( integral of delta(V)^-2 dV over [c^2, 1] )
     N1     floor(max(N0, (10 F + 1/10)^2, 100 c^2))
     N      floor(e^2 * N1)
 
-with delta(V) = (F - 1) / (10 F / V + 1/10).
+with delta(V) = (F - 1) / (10 F / V + 1/10) and f(V, H) the smaller root of
+x^2 + (H - x)(F V / H - x) = V, minimized over its domain K at the corner
+(c^2, 10 F); see :func:`delta_refined`.
 
 Each formula is written once and evaluates in either mpmath context:
 ``mp`` for reported values, ``iv`` for certificates.  Everything feeding a
@@ -267,108 +270,40 @@ def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]
 # --- refined edge bound over the compact K ----------------------------------
 
 
-@dataclass(frozen=True)
-class KSample:
-    """A point of the feasibility set K with its threshold value f(V, H)."""
-
-    V: float
-    H: float
-    fval: float
-
-
-def _root_parts(F, V, H):
-    """(q, disc) with q - sqrt(disc) the smaller root of x^2 + (H - x)(F V / H - x) = V.
-
-    Works for float, array and mpf operands alike.
-    """
-    q = (H + F * V / H) / 4
-    return q, q * q - (F - 1) * V / 2
-
-
-def _k_grid(F: float, c2: float, side: int):
-    """(V, H, f) on a side x side grid of [c^2, 1] x [sqrt(F c^2), 10 F].
-
-    f is the threshold f(V, H) at members of K and inf elsewhere.
-    """
-    V, H = np.meshgrid(np.linspace(c2, 1.0, side),
-                       np.linspace(math.sqrt(F * c2), 10 * F, side), indexing="ij")
-    q, disc = _root_parts(F, V, H)
-    ok = (V >= 0) & (H >= np.sqrt(F * V)) & (H <= 10 * F) & (disc >= 0)
-    return V, H, np.where(ok, q - np.sqrt(np.maximum(disc, 0.0)), np.inf)
-
-
-def k_sample_grid(F: float, count: int, c2: float) -> list[KSample]:
-    """Deterministic grid of K members, roughly ``count`` samples."""
-    V, H, f = _k_grid(F, c2, max(2, int(math.isqrt(count))))
-    return [KSample(float(V[i, j]), float(H[i, j]), float(f[i, j]))
-            for i, j in zip(*np.nonzero(np.isfinite(f)))]
-
-
-def delta_refined(F: Factor, dps: int = 50, grid_n: int = 512,
-                  verify_samples: int = 10_000) -> mpf:
-    """min(delta_1, c^2 / 10) where delta_1 minimizes f over K.
+def delta_refined(F: Factor, dps: int = 50) -> mpf:
+    """min(delta_1, c^2 / 10) where delta_1 minimizes f over K, in closed form.
 
     K is the compact set c^2 <= V <= 1, sqrt(F V) <= H <= 10 F with
     non-negative discriminant, and f(V, H) is the smaller root of
-    x^2 + (H - x)(F V / H - x) = V.  The minimizing cell is located on a
-    ``grid_n`` x ``grid_n`` float grid, sharpened by coordinate descent in
-    extended precision, rounded down, and finally re-checked as a valid
-    threshold on a ``verify_samples`` grid over K.
+    x^2 + (H - x)(F V / H - x) = V.  With q = (H + F V / H)/4 and
+    a = (F - 1) V / 2 that root is f = q - sqrt(q^2 - a) = a / (q + sqrt(q^2 - a)).
+    The minimum sits at the corner (c^2, 10 F):
+
+    1. For fixed V, f decreases in q, since df/dq = 1 - q / sqrt(q^2 - a) < 0.
+    2. q increases in H for H >= sqrt(F V), so the minimum over H is on the
+       top edge H = 10 F, where q >= 5 F / 2 makes q^2 > a.
+    3. Along H = 10 F, q = (10 F + V / 10)/4, so with ' for d/dV,
+       q' = 1/40, a' = (F - 1)/2 and df/dV = (a'/2 - q' f) / sqrt(q^2 - a):
+       df/dV > 0 iff f < 10 (F - 1).
+    4. That holds because f <= a / q <= (F - 1) / (5 F) for V <= 1, so the
+       minimum over V is at V = c^2: delta_1 = f(c^2, 10 F).
+
+    At the same corner delta_simple = a / (2 q) <= f, so delta_simple never
+    exceeds the result.  f is evaluated in its cancellation-free form in
+    outward-rounded interval arithmetic and the lower endpoint is returned.
+    K is empty when c > 1, i.e. F > 9, and :class:`MoserpackError` is raised.
     """
     with _workdps(dps):
-        Fv = resolve_factor(F)
-        Ff = float(Fv)
-        cf = float(_c_of(Fv))
-        c2f = cf * cf
-
-        VV, HH, f = _k_grid(Ff, c2f, grid_n)
-        if not np.isfinite(f).any():
-            delta1 = mp.mpf(1)
-        else:
-            i, j = np.unravel_index(int(np.argmin(f)), f.shape)
-            v_cur, h_cur = mp.mpf(float(VV[i, j])), mp.mpf(float(HH[i, j]))
-            dv = mp.mpf(float(VV[1, 0] - VV[0, 0])) if grid_n > 1 else mp.mpf(1)
-            dh = mp.mpf(float(HH[0, 1] - HH[0, 0])) if grid_n > 1 else mp.mpf(1)
-            c2 = _c_of(Fv) ** 2
-
-            def eval_f(v, h):
-                if v < c2 or v > 1 or h < mp.sqrt(Fv * v) or h > 10 * Fv:
-                    return mp.inf
-                q, disc = _root_parts(Fv, v, h)
-                return q - mp.sqrt(disc) if disc >= 0 else mp.inf
-
-            def line_min(fixed, lo, hi, along_v):
-                a, b = lo, hi
-                for _ in range(200):
-                    m1 = a + (b - a) / 3
-                    m2 = b - (b - a) / 3
-                    f1 = eval_f(m1, fixed) if along_v else eval_f(fixed, m1)
-                    f2 = eval_f(m2, fixed) if along_v else eval_f(fixed, m2)
-                    if f1 <= f2:
-                        b = m2
-                    else:
-                        a = m1
-                return (a + b) / 2
-
-            for _ in range(6):
-                v_cur = line_min(h_cur, max(c2, v_cur - dv), min(mp.mpf(1), v_cur + dv), True)
-                h_cur = line_min(v_cur, max(mp.sqrt(Fv * v_cur), h_cur - dh), min(10 * Fv, h_cur + dh), False)
-            delta1 = eval_f(v_cur, h_cur)
-            # round down so the reported threshold stays on the safe side
-            delta1 = delta1 * (1 - mpf(10) ** (-(dps - 20)))
-
-        result = min(delta1, _c_of(Fv) ** 2 / 10)
-
-        # re-check the threshold on a verification grid over K
-        x = float(result)
-        for smp in k_sample_grid(Ff, verify_samples, c2f):
-            w = Ff * smp.V / smp.H
-            g = x * x + (smp.H - x) * (w - x) - smp.V
-            if g < -1e-12:
-                raise MoserpackError(
-                    f"refined threshold {x} fails at V={smp.V}, H={smp.H}: {g}"
-                )
-        return result
+        Fi = _factor(F, iv)
+        c2 = _c_of(Fi) ** 2
+        c2_lo = mp.mpf(c2.a)
+        if c2_lo > 1:
+            raise MoserpackError(f"K is empty for F = {F!r} > 9: c^2 >= {mp.nstr(c2_lo, 15)} > 1")
+        cap = c2 / 10
+        q = (10 * Fi + cap) / 4
+        a = (Fi - 1) * c2 / 2
+        f = a / (q + iv.sqrt(q * q - a))
+        return min(mp.mpf(f.a), mp.mpf(cap.a))
 
 
 # --- two-square lower bound --------------------------------------------------

@@ -29,6 +29,10 @@ from .shelf import PackPrecondition, meir_moser_pack, small_s1_pack
 from .whitespace import WhitespaceJob, whitespace_pack
 
 _TOL = 1e-12
+#: Aspect ratios the default prefix packer tries between square and flattest.
+_ASPECT_STEPS = 96
+#: Largest case-c prefix the driver will materialize as an instance.
+_MAX_PREFIX = 1_000_000
 
 PrefixPacker = Callable[[Instance, float], Packing]
 
@@ -84,7 +88,7 @@ class ReduceResult:
     split_index: Optional[int] = None
 
 
-def default_prefix_packer(inst: Instance, F: float, *, aspect_steps: int = 96) -> Packing:
+def default_prefix_packer(inst: Instance, F: float) -> Packing:
     """Pack ``inst`` into some rectangle of area F * total_area.
 
     Strategy: if the meir-moser inequality holds on the squarest rectangle
@@ -104,8 +108,8 @@ def default_prefix_packer(inst: Instance, F: float, *, aspect_steps: int = 96) -
     square = Rectangle(hi, hi)
     if PackPrecondition("meir-moser", A, x, hi, hi).holds():
         return meir_moser_pack(inst, square)
-    for k in range(aspect_steps):
-        a1 = hi + (lo - hi) * k / (aspect_steps - 1)
+    for k in range(_ASPECT_STEPS):
+        a1 = hi + (lo - hi) * k / (_ASPECT_STEPS - 1)
         try:
             return meir_moser_pack(inst, Rectangle(a1, T / a1),
                                    require_precondition=False)
@@ -175,8 +179,7 @@ def glue_pack(inst: Instance, split: int, prefix_packer: PrefixPacker,
 
 
 def reduce_and_pack(inst: Instance, params: PackParams,
-                    prefix_packer: PrefixPacker = default_prefix_packer,
-                    max_prefix: int = 1_000_000) -> ReduceResult:
+                    prefix_packer: PrefixPacker = default_prefix_packer) -> ReduceResult:
     """Dispatch a total-area-1 instance to exactly one packing route."""
     if abs(inst.total_area - 1.0) > _TOL:
         raise PreconditionViolated(f"total area {inst.total_area} != 1")
@@ -198,10 +201,10 @@ def reduce_and_pack(inst: Instance, params: PackParams,
             "no small-edge index in (N1, N] although the late area is below c^2; "
             "the supplied parameters are inconsistent"
         )
-    if n > max_prefix:
+    if n > _MAX_PREFIX:
         raise MoserpackError(
             f"case c prefix needs {n} squares, beyond the desk-scale cap "
-            f"{max_prefix}; supply toy parameters for small demonstrations"
+            f"{_MAX_PREFIX}; supply toy parameters for small demonstrations"
         )
     prefix_sides = sides[:n] + (0.0,) * (n - len(sides[:n]))
     prefix = Instance(prefix_sides)

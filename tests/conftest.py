@@ -204,6 +204,34 @@ def harmonic_bounds(n: int) -> tuple[float, float, float]:
     return (math.log(n + 1), harmonic_range_sum(1, n), math.log(n) + 1.0)
 
 
+class KSample(NamedTuple):
+    """A point of the feasibility set K with its threshold value f(V, H)."""
+
+    V: float
+    H: float
+    fval: float
+
+
+def k_sample_grid(F: float, count: int, c2: float) -> list[KSample]:
+    """Members of K on a float grid of [c^2, 1] x [sqrt(F c^2), 10 F].
+
+    About ``count`` grid points, of which those in K are kept: c^2 <= V <= 1,
+    sqrt(F V) <= H <= 10 F and a non-negative discriminant, with f(V, H) the
+    smaller root q - sqrt(q^2 - (F - 1) V / 2), q = (H + F V / H)/4.  An
+    oracle for the closed form of :func:`moserpack.delta_refined` that
+    assumes nothing about where the minimum lies.
+    """
+    side = max(2, int(math.isqrt(count)))
+    V, H = np.meshgrid(np.linspace(c2, 1.0, side),
+                       np.linspace(math.sqrt(F * c2), 10 * F, side), indexing="ij")
+    q = (H + F * V / H) / 4
+    disc = q * q - (F - 1) * V / 2
+    ok = (V >= 0) & (H >= np.sqrt(F * V)) & (H <= 10 * F) & (disc >= 0)
+    f = q - np.sqrt(np.maximum(disc, 0.0))
+    return [KSample(float(V[i, j]), float(H[i, j]), float(f[i, j]))
+            for i, j in zip(*np.nonzero(ok))]
+
+
 def random_midpoint_config(rng: np.random.Generator):
     """A random rectangle, obstacle set, and new-square side."""
     W = float(rng.uniform(0.8, 2.0))

@@ -30,7 +30,6 @@ from moserpack import (
     factor_float,
     find_small_index,
     harmonic_range_sum,
-    k_sample_grid,
     n0_integral,
     n0_simple,
     report_to_dict,
@@ -40,7 +39,7 @@ from moserpack import (
 from moserpack.cli import cli_dispatch
 from moserpack.constants import _harmonic_lower
 
-from conftest import harmonic_bounds
+from conftest import harmonic_bounds, k_sample_grid
 
 F_GRID = [factor_float(NOVOTNY), 1.26, 1.28, 1.30, 1.33, 1.37]
 
@@ -78,6 +77,44 @@ FACTORS = st.one_of(
     st.decimals(Decimal("1.000001"), Decimal(3), places=6).map(str),
     st.floats(1 + 1e-9, 3.0),
 )
+
+
+# Factors in (1, 9), where K is non-empty: decimal strings 1 + m 10^-e, decimals
+# with up to six places, and floats.
+K_FACTORS = st.one_of(
+    st.builds(lambda e, m: f"1.{m:0{e}d}", st.integers(3, 9), st.integers(1, 999)),
+    st.decimals(Decimal("1.000001"), Decimal("8.999999"), places=6).map(str),
+    st.floats(1 + 1e-9, 9.0, exclude_max=True),
+)
+
+
+def oracle_f(F, V, H):
+    """f(V, H) = a / (q + sqrt(q^2 - a)), the smaller root in cancellation-free form."""
+    Fv = mp.mpf(F)
+    q = (H + Fv * V / H) / 4
+    a = (Fv - 1) * V / 2
+    return a / (q + mp.sqrt(max(q * q - a, 0)))
+
+
+def oracle_c2(F):
+    """c^2 from the radical rewritten without cancellation: c = (F-1)/5 / (sqrt(...) + 3/10)."""
+    x = (mp.mpf(F) - 1) / 5
+    return (x / (mp.sqrt(mp.mpf("0.09") + x) + mp.mpf("0.3"))) ** 2
+
+
+def point_of_K(F, c2, u, w):
+    """The point of K at fractions (u, w) of its V range and of its H range at that V.
+
+    H runs from the larger of sqrt(F V) and the larger root of
+    H^2 - 4 sqrt(a) H + F V, below which the discriminant is negative, up to 10 F.
+    """
+    Fv = mp.mpf(F)
+    V = c2 + mp.mpf(u) * (1 - c2)
+    a = (Fv - 1) * V / 2
+    h_lo = mp.sqrt(Fv * V)
+    if 4 * a > Fv * V:
+        h_lo = max(h_lo, 2 * mp.sqrt(a) + mp.sqrt(4 * a - Fv * V))
+    return V, h_lo + mp.mpf(w) * (10 * Fv - h_lo)
 
 
 class TestFactor:
@@ -309,6 +346,42 @@ class TestRefinedDelta:
         assert samples
         refined = float(delta_refined(F))
         assert refined <= min(s.fval for s in samples) + 1e-12
+
+    def test_near_one_is_the_corner_value(self):
+        # q - sqrt(q^2 - a) cancels in floats this close to F = 1; a float search misses the minimum
+        got = delta_refined("1.0000001")
+        with mp.workdps(60):
+            want = mp.mpf("1.1111108765432504678e-23")
+            corner = oracle_f("1.0000001", oracle_c2("1.0000001"), 10 * mp.mpf("1.0000001"))
+            assert abs(corner - want) < want * mp.mpf(10) ** -19
+            assert got <= corner
+        assert float(got) == pytest.approx(float(want), rel=1e-9, abs=0)
+
+    def test_near_one_report(self):
+        rep = build_report("1.0000001", refined=True)
+        assert rep.delta_refined == mp.nstr(delta_refined("1.0000001"), 30)
+        assert float(rep.delta_refined) == pytest.approx(1.1111108765432504678e-23, rel=1e-9, abs=0)
+
+    def test_near_one_cli(self, capsys):
+        assert cli_dispatch(["constants", "--F", "1.0000001", "--refined"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert float(report["delta_refined"]) == pytest.approx(1.1111108765432504678e-23, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("F", ["9.5", "10"])
+    def test_empty_K_raises(self, F):
+        # c > 1 beyond F = 9, so no tail area V lies in [c^2, 1]
+        with pytest.raises(MoserpackError, match="K is empty"):
+            delta_refined(F)
+
+    @settings(max_examples=60, deadline=None)
+    @given(K_FACTORS, st.floats(0, 1), st.floats(0, 1))
+    def test_below_f_at_points_of_K(self, F, u, w):
+        simple, refined = delta_simple(F), delta_refined(F)
+        with mp.workdps(60):
+            c2 = oracle_c2(F)
+            V, H = point_of_K(F, c2, u, w)
+            bound = min(oracle_f(F, V, H), c2 / 10)
+        assert simple <= refined <= bound
 
     def test_grid_samples_live_in_K(self):
         F = 1.3
