@@ -117,12 +117,12 @@ def delta_simple(F: Factor, dps: int = 50) -> mpf:
         return _delta(Fv, c * c)
 
 
-def delta_of_V(F: Factor, V: float, dps: int = 50) -> mpf:
+def delta_of_V(F: Factor, V: float) -> mpf:
     """Per-area edge bound delta(V) = (F - 1) / (10 F / V + 1/10).
 
     The tail area V must lie in [c^2, 1].
     """
-    with _workdps(dps):
+    with _workdps(50):
         Fv = resolve_factor(F)
         c = _c_of(Fv)
         Vv = mp.mpf(V)
@@ -270,7 +270,7 @@ def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]
 # --- refined edge bound over the compact K ----------------------------------
 
 
-def delta_refined(F: Factor, dps: int = 50) -> mpf:
+def delta_refined(F: Factor) -> mpf:
     """min(delta_1, c^2 / 10) where delta_1 minimizes f over K, in closed form.
 
     K is the compact set c^2 <= V <= 1, sqrt(F V) <= H <= 10 F with
@@ -293,7 +293,7 @@ def delta_refined(F: Factor, dps: int = 50) -> mpf:
     outward-rounded interval arithmetic and the lower endpoint is returned.
     K is empty when c > 1, i.e. F > 9, and :class:`MoserpackError` is raised.
     """
-    with _workdps(dps):
+    with _workdps(50):
         Fi = _factor(F, iv)
         c2 = _c_of(Fi) ** 2
         c2_lo = mp.mpf(c2.a)
@@ -313,23 +313,14 @@ def two_square_worst_case() -> tuple[float, float]:
     """Worst pair of squares with total area 1 for a snug rectangle.
 
     For s1 in (1/sqrt(2), 1) the two squares s1 >= s2 = sqrt(1 - s1^2)
-    must stand side by side, needing area s1 (s1 + s2).  Ternary search
-    returns (argmax, max); the max is (1 + sqrt(2))/2 at s1 = cos(pi/8).
+    must stand side by side, needing area g = s1 (s1 + s2).  Returns
+    (argmax, max) = (cos(pi/8), (1 + sqrt(2))/2) in closed form: with
+    s1 = cos t for t in (0, pi/4), s2 = sin t and
+    g = cos^2 t + cos t sin t = (1 + cos 2t + sin 2t)/2
+      = (1 + sqrt(2) sin(2t + pi/4))/2,
+    which is largest, at (1 + sqrt(2))/2, where 2t + pi/4 = pi/2, i.e. t = pi/8.
     """
-    a, b = 1 / math.sqrt(2), 1.0
-
-    def g(s: float) -> float:
-        return s * (s + math.sqrt(max(0.0, 1.0 - s * s)))
-
-    for _ in range(200):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        if g(m1) <= g(m2):
-            a = m1
-        else:
-            b = m2
-    s = (a + b) / 2
-    return s, g(s)
+    return math.cos(math.pi / 8), (1 + math.sqrt(2)) / 2
 
 
 # --- report ------------------------------------------------------------------
@@ -351,15 +342,15 @@ class ConstantsReport:
     floor_certificates: dict
 
 
-def build_report(F: Factor, *, refined: bool = False, use_integral_n0: bool = False,
-                 dps: int = 50) -> ConstantsReport:
+def build_report(F: Factor, *, refined: bool = False,
+                 use_integral_n0: bool = False) -> ConstantsReport:
     """Run the full pipeline for one factor and package the results.
 
     ``use_integral_n0`` selects which N0 feeds the N1/N chain; both N0
     forms are always computed and reported.  Root and sanity identities
     are re-checked before the report is returned.
     """
-    with _workdps(dps):
+    with _workdps(50):
         Fv = resolve_factor(F)
         c = _c_of(Fv)
         if not (0 < c < 1):
@@ -374,7 +365,7 @@ def build_report(F: Factor, *, refined: bool = False, use_integral_n0: bool = Fa
         c_str = mp.nstr(c, 30)
         d_str = mp.nstr(d_simple, 30)
 
-    d_ref_str = mp.nstr(delta_refined(F, dps=dps), 30) if refined else None
+    d_ref_str = mp.nstr(delta_refined(F), 30) if refined else None
     n0s = n0_simple(F)
     n0i = n0_integral(F)
     if n0i > n0s:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class Rectangle:
     @property
     def min_edge(self) -> float:
         return min(self.width, self.height)
-
-    @property
-    def max_edge(self) -> float:
-        return max(self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -179,9 +175,9 @@ class RectilinearRegion:
     """A finite union of pairwise interior-disjoint axis-parallel rectangles.
 
     Parts are (x0, y0, x1, y1) tuples.  Normalization drops zero-area
-    parts; disjointness is maintained by construction through
-    :func:`region_subtract` / :func:`region_union` and is only checked
-    explicitly in :meth:`from_rectangles`.
+    parts; disjointness is not checked: :func:`feasible_midpoint_region`
+    maintains it by construction, splitting each part it cuts into
+    disjoint pieces.
     """
 
     parts: tuple[_Part, ...] = field(default_factory=tuple)
@@ -189,24 +185,6 @@ class RectilinearRegion:
     def __post_init__(self) -> None:
         kept = tuple(p for p in self.parts if p[2] > p[0] and p[3] > p[1])
         object.__setattr__(self, "parts", kept)
-
-    @classmethod
-    def from_rectangles(cls, rects: Iterable[Rectangle]) -> "RectilinearRegion":
-        """Build a region as the union of possibly-overlapping rectangles."""
-        region = cls()
-        for r in rects:
-            region = region_union(region, r)
-        return region
-
-    @property
-    def rectangles(self) -> tuple[Rectangle, ...]:
-        return tuple(
-            Rectangle(x1 - x0, y1 - y0, x0, y0) for (x0, y0, x1, y1) in self.parts
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
 
 
 def _subtract_part(part: _Part, cut: _Part, out: list) -> None:
@@ -228,33 +206,6 @@ def _subtract_part(part: _Part, cut: _Part, out: list) -> None:
         out.append((mx0, y0, mx1, cy0))
     if cy1 < y1:
         out.append((mx0, cy1, mx1, y1))
-
-
-def region_subtract(region: RectilinearRegion, cut: Rectangle) -> RectilinearRegion:
-    """Closure of ``region`` minus the interior of ``cut``.
-
-    Zero-area residue (boundary segments of a fully covered part) is
-    dropped by normalization, so the returned area always equals
-    ``area(region) - area(region ∩ cut)``.
-    """
-    c = (cut.x, cut.y, cut.x2, cut.y2)
-    out: list[_Part] = []
-    for part in region.parts:
-        _subtract_part(part, c, out)
-    return RectilinearRegion(tuple(out))
-
-
-def region_union(region: RectilinearRegion, rect: Rectangle) -> RectilinearRegion:
-    """Union of ``region`` with one more rectangle, kept interior-disjoint."""
-    pieces: list[_Part] = [(rect.x, rect.y, rect.x2, rect.y2)]
-    for part in region.parts:
-        nxt: list[_Part] = []
-        for piece in pieces:
-            _subtract_part(piece, part, nxt)
-        pieces = nxt
-        if not pieces:
-            break
-    return RectilinearRegion(region.parts + tuple(pieces))
 
 
 def region_area(region: RectilinearRegion) -> float:

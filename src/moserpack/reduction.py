@@ -10,22 +10,22 @@ The driver picks exactly one of three routes:
   the first n squares form a base packing of an area-F rectangle and the
   rest is whitespace-packed into it.
 
-Prefix packings are produced by a pluggable strategy; the default tries
-the meir-moser criterion on the squarest admissible rectangle and falls
-back to raw shelf attempts over narrower aspects.  Every route
-re-validates its own preconditions before any placement work.
+Prefix packings come from :func:`default_prefix_packer`, which tries the
+meir-moser criterion on the squarest admissible rectangle and falls back
+to raw shelf attempts over narrower aspects.  Every route re-validates
+its own preconditions before any placement work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .constants import _delta, build_report, compute_c, factor_float, find_small_index
 from .errors import MoserpackError, PackFailure, PreconditionViolated
 from .geometry import Instance, Packing, Placement, Rectangle, packing_to_dict
-from .shelf import PackPrecondition, meir_moser_pack, small_s1_pack
+from .shelf import meir_moser_holds, meir_moser_pack, small_s1_pack
 from .whitespace import WhitespaceJob, whitespace_pack
 
 _TOL = 1e-12
@@ -33,8 +33,6 @@ _TOL = 1e-12
 _ASPECT_STEPS = 96
 #: Largest case-c prefix the driver will materialize as an instance.
 _MAX_PREFIX = 1_000_000
-
-PrefixPacker = Callable[[Instance, float], Packing]
 
 
 @dataclass(frozen=True)
@@ -55,14 +53,16 @@ class PackParams:
     toy: bool = False
 
     def __post_init__(self) -> None:
-        if self.F <= 1:
-            raise ValueError(f"area factor must exceed 1, got {self.F}")
+        if not 1 < self.F < math.inf:
+            raise ValueError(f"area factor must be finite and exceed 1, got {self.F}")
         if not (0 < self.c < 1):
             raise ValueError(f"c must lie in (0, 1), got {self.c}")
         if not (1 <= self.N0 <= self.N1 <= self.N):
             raise ValueError(f"need 1 <= N0 <= N1 <= N, got {self.N0}, {self.N1}, {self.N}")
-        if self.s1_threshold <= 0:
-            raise ValueError(f"s1 threshold must be positive, got {self.s1_threshold}")
+        if not 0 < self.s1_threshold < math.inf:
+            raise ValueError(
+                f"s1 threshold must be positive and finite, got {self.s1_threshold}"
+            )
 
     @classmethod
     def certified(cls, F: object = "novotny", *,
@@ -106,7 +106,7 @@ def default_prefix_packer(inst: Instance, F: float) -> Packing:
     if lo > hi:
         lo = x
     square = Rectangle(hi, hi)
-    if PackPrecondition("meir-moser", A, x, hi, hi).holds():
+    if meir_moser_holds(A, x, hi, hi):
         return meir_moser_pack(inst, square)
     for k in range(_ASPECT_STEPS):
         a1 = hi + (lo - hi) * k / (_ASPECT_STEPS - 1)
@@ -134,8 +134,7 @@ def _transpose_to_height(p: Packing) -> tuple[Packing, float, float]:
     return Packing(Rectangle(r.width, r.height), tuple(shifted)), r.height, r.width
 
 
-def glue_pack(inst: Instance, split: int, prefix_packer: PrefixPacker,
-              params: PackParams) -> Packing:
+def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
     """Pack a prefix and a small-edge tail into two glued rectangles.
 
     The prefix goes into R' of area F * prefix_area with smaller edge W'
@@ -161,7 +160,7 @@ def glue_pack(inst: Instance, split: int, prefix_packer: PrefixPacker,
             f"tail max side {tail.max_side} exceeds edge bound {edge_cap} for V={V}"
         )
 
-    rp = prefix_packer(prefix, F)
+    rp = default_prefix_packer(prefix, F)
     rp, W, Hp = _transpose_to_height(rp)
     lo_w = max(prefix.max_side, 0.1)
     if W < lo_w - _TOL or W > math.sqrt(F * P) + _TOL:
@@ -178,8 +177,7 @@ def glue_pack(inst: Instance, split: int, prefix_packer: PrefixPacker,
     return Packing(merged, rp.placements + tp.placements)
 
 
-def reduce_and_pack(inst: Instance, params: PackParams,
-                    prefix_packer: PrefixPacker = default_prefix_packer) -> ReduceResult:
+def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
     """Dispatch a total-area-1 instance to exactly one packing route."""
     if abs(inst.total_area - 1.0) > _TOL:
         raise PreconditionViolated(f"total area {inst.total_area} != 1")
@@ -192,7 +190,7 @@ def reduce_and_pack(inst: Instance, params: PackParams,
 
     late_area = math.fsum(s * s for s in sides[params.N1:])
     if late_area >= params.c * params.c:
-        packing = glue_pack(inst, params.N0, prefix_packer, params)
+        packing = glue_pack(inst, params.N0, params)
         return ReduceResult("b", packing, params, split_index=params.N0)
 
     n = find_small_index(inst, params.c, params.N1, params.N)
@@ -209,7 +207,7 @@ def reduce_and_pack(inst: Instance, params: PackParams,
     prefix_sides = sides[:n] + (0.0,) * (n - len(sides[:n]))
     prefix = Instance(prefix_sides)
     tail = Instance(sides[n:])
-    base = prefix_packer(prefix, params.F / prefix.total_area)
+    base = default_prefix_packer(prefix, params.F / prefix.total_area)
     if base.rect.min_edge < max(sides[0], 0.1) - _TOL:
         raise PackFailure(
             f"prefix packing smaller edge {base.rect.min_edge} below "

@@ -7,6 +7,7 @@ round-trips exactly and keeps output byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,8 +61,8 @@ def render_svg(packing: Packing, scale: float, tail_from: Optional[int] = None) 
     Placements with index >= ``tail_from`` are classed ``tail`` (useful to
     highlight whitespace-packed squares); all others are ``prefix``.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     r = packing.rect
     W = r.width * scale
     H = r.height * scale

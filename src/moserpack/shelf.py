@@ -14,12 +14,13 @@ normalized so a1 <= a2, shelves span the shorter edge a1 and stack along
 a2, each shelf is as tall as its first square, and every square goes into
 the first shelf with room (a new shelf opens only when none has).
 Coordinates are mapped back to the caller's orientation afterwards.
+The two area criteria are the predicates :func:`moon_moser_holds` and
+:func:`meir_moser_holds`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PackFailure, PreconditionViolated
@@ -29,32 +30,15 @@ from .geometry import EPS_GEOM, Instance, Packing, Placement, Rectangle
 FIT_TOL = EPS_GEOM
 
 
-@dataclass(frozen=True)
-class PackPrecondition:
-    """One of the packability inequalities, evaluated on concrete numbers.
+def moon_moser_holds(V: float, x: float, a1: float, a2: float) -> bool:
+    """True when min(a1, a2) >= x and 2 V <= a1 a2, both up to ``FIT_TOL``."""
+    return min(a1, a2) >= x - FIT_TOL and 2 * V <= a1 * a2 + FIT_TOL
 
-    ``kind`` selects the inequality:
 
-    * ``"moon-moser"``:     min(a1, a2) >= x and 2 V <= a1 a2
-    * ``"meir-moser"``:     min(a1, a2) >= x and V <= x^2 + (a1-x)(a2-x)
-    * ``"small-s1"``:       x <= 1/10 and V = 1
-    """
-
-    kind: str
-    V: float
-    x: float
-    a1: float = 0.0
-    a2: float = 0.0
-
-    def holds(self, tol: float = FIT_TOL) -> bool:
-        if self.kind == "moon-moser":
-            return min(self.a1, self.a2) >= self.x - tol and 2 * self.V <= self.a1 * self.a2 + tol
-        if self.kind == "meir-moser":
-            bound = self.x * self.x + (self.a1 - self.x) * (self.a2 - self.x)
-            return min(self.a1, self.a2) >= self.x - tol and self.V <= bound + tol
-        if self.kind == "small-s1":
-            return self.x <= 0.1 + tol and abs(self.V - 1.0) <= 1e-9
-        raise ValueError(f"unknown precondition kind {self.kind!r}")
+def meir_moser_holds(V: float, x: float, a1: float, a2: float) -> bool:
+    """True when min(a1, a2) >= x and V <= x^2 + (a1 - x)(a2 - x), up to ``FIT_TOL``."""
+    bound = x * x + (a1 - x) * (a2 - x)
+    return min(a1, a2) >= x - FIT_TOL and V <= bound + FIT_TOL
 
 
 def circumference_admits(F: float, V: float, C: float, x: float) -> bool:
@@ -131,16 +115,6 @@ def _run_shelves(inst: Instance, rect: Rectangle) -> Packing:
     return Packing(rect, tuple(placements))
 
 
-def _checked_pack(inst: Instance, rect: Rectangle, pre: PackPrecondition,
-                  require_precondition: bool) -> Packing:
-    if require_precondition and not pre.holds():
-        raise PreconditionViolated(
-            f"{pre.kind} inequality fails for V={pre.V}, x={pre.x}, "
-            f"rect {rect.width} x {rect.height}"
-        )
-    return _run_shelves(inst, rect)
-
-
 def moon_moser_pack(inst: Instance, rect: Rectangle, *,
                     require_precondition: bool = True) -> Packing:
     """Pack squares whose doubled total area fits the rectangle.
@@ -149,17 +123,25 @@ def moon_moser_pack(inst: Instance, rect: Rectangle, *,
     ``require_precondition=False`` the attempt runs regardless and an
     unplaceable square raises :class:`PackFailure` instead.
     """
-    pre = PackPrecondition("moon-moser", inst.total_area, inst.max_side,
-                           rect.width, rect.height)
-    return _checked_pack(inst, rect, pre, require_precondition)
+    V, x = inst.total_area, inst.max_side
+    if require_precondition and not moon_moser_holds(V, x, rect.width, rect.height):
+        raise PreconditionViolated(
+            f"moon-moser inequality fails for V={V}, x={x}, "
+            f"rect {rect.width} x {rect.height}"
+        )
+    return _run_shelves(inst, rect)
 
 
 def meir_moser_pack(inst: Instance, rect: Rectangle, *,
                     require_precondition: bool = True) -> Packing:
     """Pack squares under the V <= x^2 + (a1 - x)(a2 - x) criterion."""
-    pre = PackPrecondition("meir-moser", inst.total_area, inst.max_side,
-                           rect.width, rect.height)
-    return _checked_pack(inst, rect, pre, require_precondition)
+    V, x = inst.total_area, inst.max_side
+    if require_precondition and not meir_moser_holds(V, x, rect.width, rect.height):
+        raise PreconditionViolated(
+            f"meir-moser inequality fails for V={V}, x={x}, "
+            f"rect {rect.width} x {rect.height}"
+        )
+    return _run_shelves(inst, rect)
 
 
 def small_s1_pack(inst: Instance, F: float) -> Packing:
@@ -173,8 +155,7 @@ def small_s1_pack(inst: Instance, F: float) -> Packing:
         raise PreconditionViolated(f"area factor {F} below (2 + sqrt(3))/3")
     V = inst.total_area
     s1 = inst.max_side
-    pre = PackPrecondition("small-s1", V, s1)
-    if not pre.holds():
+    if not (s1 <= 0.1 + FIT_TOL and abs(V - 1.0) <= 1e-9):
         raise PreconditionViolated(
             f"small-s1 needs total area 1 and max edge <= 1/10, got V={V}, s1={s1}"
         )

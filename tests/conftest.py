@@ -18,8 +18,23 @@ from moserpack import (
     Violation,
     harmonic_range_sum,
     region_lexicomin,
-    region_subtract,
 )
+from moserpack.geometry import _subtract_part
+
+
+def region_subtract(region: RectilinearRegion, cut) -> RectilinearRegion:
+    """Closure of ``region`` minus the interior of ``cut``.
+
+    ``cut`` is anything with ``x``, ``y``, ``x2`` and ``y2`` edges.
+    Zero-area residue (boundary segments of a fully covered part) is
+    dropped by normalization, so the returned area always equals
+    ``area(region) - area(region ∩ cut)``.
+    """
+    c = (cut.x, cut.y, cut.x2, cut.y2)
+    out: list = []
+    for part in region.parts:
+        _subtract_part(part, c, out)
+    return RectilinearRegion(tuple(out))
 
 
 def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_000,
@@ -60,7 +75,7 @@ def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_
     return float(ok.mean()) * rect.area
 
 
-class _Cut(NamedTuple):
+class Cut(NamedTuple):
     """The four edges :func:`region_subtract` reads from its cut.
 
     A :class:`Rectangle` would recompute ``x2 = x + width`` and could land
@@ -83,8 +98,8 @@ def reference_midpoint_region(rect: Rectangle, obstacles, s: float) -> Rectiline
     for ob in obstacles:
         if ob.side <= 0:
             continue
-        cut = _Cut(max(ob.x - half, rect.x), max(ob.y - half, rect.y),
-                   min(ob.x2 + half, rect.x2), min(ob.y2 + half, rect.y2))
+        cut = Cut(max(ob.x - half, rect.x), max(ob.y - half, rect.y),
+                  min(ob.x2 + half, rect.x2), min(ob.y2 + half, rect.y2))
         if cut.x2 > cut.x and cut.y2 > cut.y:
             region = region_subtract(region, cut)
     return region
@@ -195,6 +210,28 @@ def reference_verify_packing(packing: Packing, tol: float = 1e-12,
     if truncated:
         violations = violations[:cap]
     return VerificationReport(not violations, tuple(violations), truncated)
+
+
+def two_square_ternary_search(steps: int = 200) -> tuple[float, float]:
+    """(argmax, max) of g(s) = s (s + sqrt(1 - s^2)) on [1/sqrt(2), 1] by ternary search.
+
+    Assumes only that g is unimodal there; an oracle for the closed form
+    of :func:`moserpack.two_square_worst_case`.
+    """
+    a, b = 1 / math.sqrt(2), 1.0
+
+    def g(s: float) -> float:
+        return s * (s + math.sqrt(max(0.0, 1.0 - s * s)))
+
+    for _ in range(steps):
+        m1 = a + (b - a) / 3
+        m2 = b - (b - a) / 3
+        if g(m1) <= g(m2):
+            a = m1
+        else:
+            b = m2
+    s = (a + b) / 2
+    return s, g(s)
 
 
 def harmonic_bounds(n: int) -> tuple[float, float, float]:

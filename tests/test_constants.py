@@ -39,7 +39,7 @@ from moserpack import (
 from moserpack.cli import cli_dispatch
 from moserpack.constants import _harmonic_lower
 
-from conftest import harmonic_bounds, k_sample_grid
+from conftest import harmonic_bounds, k_sample_grid, two_square_ternary_search
 
 F_GRID = [factor_float(NOVOTNY), 1.26, 1.28, 1.30, 1.33, 1.37]
 
@@ -328,7 +328,7 @@ class TestFindSmallIndex:
 class TestRefinedDelta:
     def test_published_value(self):
         got = float(delta_refined(NOVOTNY))
-        assert got == pytest.approx(1.0327998094908113e-4, rel=1e-9)
+        assert got == pytest.approx(1.0327998094908113e-4, rel=1e-9, abs=0)
 
     def test_dominates_simple_bound(self):
         for F in [factor_float(NOVOTNY), 1.3, 1.37]:
@@ -397,6 +397,12 @@ class TestTwoSquareWorstCase:
         s, area = two_square_worst_case()
         assert s == pytest.approx(math.cos(math.pi / 8), abs=1e-6)
         assert area == pytest.approx((1 + math.sqrt(2)) / 2, abs=1e-9)
+
+    def test_closed_form_matches_search(self):
+        s, area = two_square_worst_case()
+        _, searched = two_square_ternary_search()
+        assert area == pytest.approx(searched, abs=1e-12)
+        assert s == pytest.approx(math.cos(math.pi / 8), abs=1e-15)
 
 
 class TestReport:

@@ -59,6 +59,16 @@ class TestParams:
         with pytest.raises(ValueError):
             PackParams.toy_params(F=1.3, c=0.1, N0=1, N1=2, N=3, s1_threshold=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_factor(self, bad):
+        with pytest.raises(ValueError, match="area factor"):
+            PackParams(F=bad, c=0.1, N0=1, N1=2, N=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_s1_threshold(self, bad):
+        with pytest.raises(ValueError, match="s1 threshold"):
+            PackParams(F=1.3, c=0.1, N0=1, N1=2, N=3, s1_threshold=bad)
+
     def test_certified_pipeline(self):
         params = PackParams.certified()
         assert not params.toy
@@ -114,7 +124,7 @@ class TestGlue:
         m = 5243
         side = math.sqrt(0.5 / m)
         inst = Instance((1 / math.sqrt(2),) + (side,) * m)
-        packing = glue_pack(inst, 1, default_prefix_packer, TOY)
+        packing = glue_pack(inst, 1, TOY)
         assert len(packing.placements) == m + 1
         assert packing.rect.area == pytest.approx(F_REF, abs=1e-12)
         assert verify_packing(packing).valid
@@ -123,7 +133,7 @@ class TestGlue:
         m = 5243
         side = math.sqrt(0.5 / m)
         inst = Instance((1 / math.sqrt(2),) + (side,) * m)
-        packing = glue_pack(inst, 1, default_prefix_packer, TOY)
+        packing = glue_pack(inst, 1, TOY)
         # the merged rectangle's height is the shared edge W'
         W = packing.rect.height
         assert W <= math.sqrt(F_REF * 0.5) + 1e-12
@@ -133,17 +143,17 @@ class TestGlue:
     def test_split_out_of_range(self):
         inst = Instance((0.8, 0.6))
         with pytest.raises(PreconditionViolated, match="split"):
-            glue_pack(inst, 2, default_prefix_packer, TOY)
+            glue_pack(inst, 2, TOY)
 
     def test_tail_area_too_small(self):
         inst = Instance((math.sqrt(0.996), math.sqrt(0.004)))
         with pytest.raises(PreconditionViolated, match="tail area"):
-            glue_pack(inst, 1, default_prefix_packer, TOY)
+            glue_pack(inst, 1, TOY)
 
     def test_tail_edge_above_bound(self):
         inst = Instance((math.sqrt(0.98), math.sqrt(0.02)))
         with pytest.raises(PreconditionViolated, match="edge bound"):
-            glue_pack(inst, 1, default_prefix_packer, TOY)
+            glue_pack(inst, 1, TOY)
 
 
 class TestDispatch:

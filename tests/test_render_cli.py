@@ -306,6 +306,24 @@ class TestCli:
         assert result["case"] == "a"
         assert len(result["packing"]["placements"]) == 100
 
+    def test_reduce_rejects_nan_threshold(self, tmp_path, capsys):
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
+        toy = self.write(
+            tmp_path, "toy.json",
+            {"c": 0.07256326599821739, "N0": 4, "N1": 158, "N": 1167,
+             "s1_threshold": math.nan},
+        )
+        out = tmp_path / "result.json"
+        code = cli_dispatch(
+            ["reduce", "--instance", inst, "--F", "novotny",
+             "--toy-params", toy, "-o", str(out)]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ValueError"
+        assert "s1 threshold" in err["error"]["message"]
+        assert not out.exists()
+
     def test_reduce_output_is_single_line_result_dict(self, tmp_path):
         sides = [math.sqrt((1 - k / 400) / 200.5) for k in range(400)]
         inst = self.write(tmp_path, "inst.json", {"sides": sides})
@@ -368,6 +386,21 @@ class TestCli:
         cli_dispatch(["render", "--packing", packing_file, "--scale", "300", "-o", str(a)])
         cli_dispatch(["render", "--packing", packing_file, "--scale", "300", "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_render_rejects_non_finite_scale(self, tmp_path, capsys, scale):
+        packing_file = self.write(
+            tmp_path, "packing.json", packing_to_dict(sample_packing())
+        )
+        out = tmp_path / "out.svg"
+        code = cli_dispatch(
+            ["render", "--packing", packing_file, "--scale", scale, "-o", str(out)]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ValueError"
+        assert "scale" in err["error"]["message"]
+        assert not out.exists()
 
     def test_packed_output_survives_verification_round_trip(self, tmp_path):
         from moserpack import packing_from_dict

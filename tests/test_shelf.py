@@ -13,7 +13,6 @@ import moserpack.shelf as shelf_module
 from moserpack import (
     Instance,
     PackFailure,
-    PackPrecondition,
     PreconditionViolated,
     Rectangle,
     circumference_admits,
@@ -25,6 +24,7 @@ from moserpack import (
     small_s1_pack,
     verify_packing,
 )
+from moserpack.shelf import meir_moser_holds, moon_moser_holds
 from conftest import (
     random_meir_moser_case,
     random_moon_moser_case,
@@ -41,16 +41,15 @@ def assert_packs(packing, inst):
 class TestPreconditions:
     def test_moon_moser_boundary(self):
         # 2V == a1 a2 exactly
-        pre = PackPrecondition("moon-moser", V=1.0, x=1.0, a1=1.0, a2=2.0)
-        assert pre.holds()
-        assert not PackPrecondition("moon-moser", V=1.0, x=1.0, a1=1.0, a2=1.99).holds()
+        assert moon_moser_holds(V=1.0, x=1.0, a1=1.0, a2=2.0)
+        assert not moon_moser_holds(V=1.0, x=1.0, a1=1.0, a2=1.99)
 
     def test_moon_moser_needs_edge_room(self):
-        assert not PackPrecondition("moon-moser", V=1.0, x=1.5, a1=1.0, a2=4.0).holds()
+        assert not moon_moser_holds(V=1.0, x=1.5, a1=1.0, a2=4.0)
 
     def test_meir_moser_tight_square(self):
         # single square filling the rectangle: V = x^2, bound met with equality
-        assert PackPrecondition("meir-moser", V=0.25, x=0.5, a1=0.5, a2=0.5).holds()
+        assert meir_moser_holds(V=0.25, x=0.5, a1=0.5, a2=0.5)
 
     def test_circumference_threshold(self):
         # F = 1.25, V = 1, C = 3 puts the cutoff at 1/12
@@ -64,16 +63,6 @@ class TestPreconditions:
             circumference_admits(1.25, 0.0, 3.0, 0.1)
         with pytest.raises(ValueError):
             circumference_admits(1.25, 1.0, 3.0, -0.1)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PackPrecondition("magic", V=1.0, x=0.1).holds()
-
-    def test_circumference_missing_fields(self):
-        # The circumference test lives in circumference_admits; the kind
-        # carries no C/F fields, so asking PackPrecondition for it raises.
-        with pytest.raises(ValueError):
-            PackPrecondition("circumference", V=1.0, x=0.1).holds()
 
 
 class TestMoonMoser:
