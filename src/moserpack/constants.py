@@ -34,7 +34,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-import numpy as np
 from mpmath import iv, mp, mpf
 
 from .errors import FloorUncertified, MoserpackError
@@ -126,7 +125,7 @@ def delta_of_V(F: Factor, V: float) -> mpf:
         Fv = resolve_factor(F)
         c = _c_of(Fv)
         Vv = mp.mpf(V)
-        if Vv < c * c - _ROOT_TOL or Vv > 1 + _ROOT_TOL:
+        if not c * c - _ROOT_TOL <= Vv <= 1 + _ROOT_TOL:
             raise ValueError(f"V={V} outside [c^2, 1] = [{float(c * c)}, 1]")
         return _delta(Fv, Vv)
 
@@ -190,6 +189,8 @@ def harmonic_range_sum(lo: int, hi: int) -> float:
     """Direct summation of 1/i for i in [lo, hi], compensated across chunks."""
     if hi < lo:
         return 0.0
+    import numpy as np
+
     parts = []
     chunk = 8_000_000
     i = lo
@@ -249,14 +250,17 @@ def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]
     Returns None when no such index exists (possible only if the instance
     carries at least N positive-or-zero sides all at or above the bound).
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     if not 0 <= N1 < N:
         raise ValueError(f"need 0 <= N1 < N, got N1={N1}, N={N}")
     sides = inst.sides
     m = len(sides)
     hi = min(N, m)
     if N1 + 1 <= hi:
+        # imported on use, so that `import moserpack` loads no numpy
+        import numpy as np
+
         idx = np.arange(N1 + 1, hi + 1, dtype=np.float64)
         vals = np.asarray(sides[N1:hi], dtype=np.float64)
         hits = np.nonzero(vals < c / np.sqrt(idx))[0]

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import PreconditionViolated
 
 #: Global absolute geometric tolerance.
@@ -331,6 +329,10 @@ def verify_packing(packing: Packing, tol: float = EPS_GEOM) -> VerificationRepor
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    # numpy is imported where it is used, so that `import moserpack` and
+    # the constants path never pay for loading it.
+    import numpy as np
+
     pls = packing.placements
     x = np.array([p.x for p in pls], dtype=float)
     y = np.array([p.y for p in pls], dtype=float)
@@ -363,6 +365,8 @@ def _overlapping_pairs(x, y, x2, y2, tol: float, keep: int):
     ``keep`` smallest hits are carried from one chunk to the next, so
     memory stays bounded however many pairs overlap.
     """
+    import numpy as np
+
     n = len(x)
     # Sweep along the axis whose spans hold fewer lower edges: a shelf row
     # is cheap to sweep across, a column of stacked squares along its height.

@@ -48,12 +48,12 @@ def circumference_admits(F: float, V: float, C: float, x: float) -> bool:
     satisfies the meir-moser inequality on every rectangle of area F V
     whose half-circumference a1 + a2 is at most C (with both edges >= x).
     """
-    if F <= 1:
-        raise ValueError(f"area factor must exceed 1, got F={F}")
-    if V <= 0 or C <= 0:
-        raise ValueError(f"V and C must be positive, got V={V}, C={C}")
-    if x < 0:
-        raise ValueError(f"max edge must be >= 0, got x={x}")
+    if not 1 < F < math.inf:
+        raise ValueError(f"area factor must be finite and exceed 1, got F={F}")
+    if not (0 < V < math.inf and 0 < C < math.inf):
+        raise ValueError(f"V and C must be positive and finite, got V={V}, C={C}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"max edge must be finite and >= 0, got x={x}")
     return x <= (F - 1) * V / C
 
 

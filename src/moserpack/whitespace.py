@@ -93,8 +93,10 @@ def midpoint_area_bound(F: float, n: int, c: float, s_k: float) -> float:
     """
     if n < 1:
         raise ValueError(f"base count must be >= 1, got {n}")
-    if s_k < 0:
-        raise ValueError(f"side must be >= 0, got {s_k}")
+    if not (math.isfinite(F) and math.isfinite(c)):
+        raise ValueError(f"F and c must be finite, got F={F}, c={c}")
+    if not 0 <= s_k < math.inf:
+        raise ValueError(f"side must be finite and >= 0, got {s_k}")
     return F - 1 - 4 * c * c - 3 * math.sqrt(n) * s_k - n * s_k * s_k
 
 

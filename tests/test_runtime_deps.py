@@ -1,7 +1,10 @@
-"""The runtime imports numpy and mpmath only: scipy is a test-time dependency.
+"""The runtime imports mpmath, and numpy only on first use: scipy is a test-time dependency.
 
-Each check runs in a fresh interpreter, so modules that other tests (or
-hypothesis) already imported into this process cannot hide an import.
+`import moserpack` and the constants path load no numpy module; numpy is
+imported on the first call of `verify_packing`, `find_small_index` or
+`harmonic_range_sum`.  Each check runs in a fresh interpreter, so modules
+that other tests (or hypothesis) already imported into this process cannot
+hide an import.
 """
 
 from __future__ import annotations
@@ -51,6 +54,33 @@ print(json.dumps({
 }))
 """
 
+NUMPY_ON_FIRST_USE = """
+import contextlib, io, json, sys
+
+import moserpack
+import moserpack.cli
+from moserpack import Packing, Placement, Rectangle, verify_packing
+from moserpack.cli import cli_dispatch
+
+plain = moserpack.build_report("novotny")
+integral = moserpack.build_report("novotny", use_integral_n0=True)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli_dispatch(["constants", "--F", "novotny"])
+numpy_before = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+
+rect = Rectangle(1.0, 1.0)
+disjoint = Packing(rect, (Placement(0.5, 0.0, 0.0), Placement(0.5, 0.5, 0.0)))
+overlapping = Packing(rect, (Placement(0.5, 0.0, 0.0), Placement(0.5, 0.25, 0.0)))
+
+print(json.dumps({
+    "numpy_before": numpy_before,
+    "N": [plain.N, integral.N, json.loads(out.getvalue())["N"]],
+    "code": code,
+    "valid": [verify_packing(disjoint).valid, verify_packing(overlapping).valid],
+    "numpy_after": "numpy" in sys.modules,
+}))
+"""
+
 PLAIN_IMPORT = """
 import sys
 import moserpack
@@ -79,3 +109,12 @@ def test_pipeline_and_cli_run_with_scipy_blocked():
 
 def test_plain_import_loads_no_scipy_module():
     assert run_fresh(PLAIN_IMPORT).strip() == "[]"
+
+
+def test_import_and_constants_load_no_numpy_until_the_verifier_runs():
+    out = json.loads(run_fresh(NUMPY_ON_FIRST_USE))
+    assert out["numpy_before"] == []
+    assert out["N"] == [692_741_307, 3_629_689, 692_741_307]
+    assert out["code"] == 0
+    assert out["valid"] == [True, False]
+    assert out["numpy_after"] is True
