@@ -63,14 +63,20 @@ def _factor(F: Factor, ctx):
     """A factor spec in ``ctx``: an mpf under ``mp``, an enclosure under ``iv``.
 
     Accepts the symbolic name ``"novotny"`` for (2 + sqrt(3))/3, a decimal
-    string, or a number.  The factor must exceed 1.
+    string, or a number.  The factor must be finite and exceed 1.
     """
     if isinstance(F, str) and F.strip().lower() == NOVOTNY:
         val = (2 + ctx.sqrt(3)) / 3
     else:
-        val = ctx.mpf(F)
-    if not mp.mpf(val.b if ctx is iv else val) > 1:
-        raise ValueError(f"area factor must exceed 1, got {F!r}")
+        try:
+            val = ctx.mpf(F)
+        except ValueError:
+            raise ValueError(f"area factor must be finite and exceed 1 ({NOVOTNY!r} "
+                             f"or a decimal number), got {F!r}") from None
+    # iv turns a NaN into [-inf, +inf], so the upper end decides in both contexts.
+    top = mp.mpf(val.b if ctx is iv else val)
+    if not (mp.isfinite(top) and top > 1):
+        raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
     return val
 
 

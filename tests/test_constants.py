@@ -134,6 +134,23 @@ class TestFactor:
         with pytest.raises(ValueError):
             resolve_factor(0.5)
 
+    @pytest.mark.parametrize("F", ["inf", "Infinity", math.inf, "nan"], ids=repr)
+    @pytest.mark.parametrize("func", [
+        compute_c, factor_float, delta_simple, lambda F: delta_of_V(F, 0.5),
+        n0_simple, build_report,
+    ], ids=["compute_c", "factor_float", "delta_simple", "delta_of_V", "n0_simple",
+            "build_report"])
+    def test_non_finite_factor_rejected(self, func, F):
+        # n0_simple reads the factor only in interval arithmetic, the rest in mp
+        with pytest.raises(ValueError, match="area factor must be finite and exceed 1"):
+            func(F)
+
+    def test_cli_reports_non_finite_factor(self, capsys):
+        assert cli_dispatch(["constants", "--F", "inf"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert "area factor must be finite and exceed 1" in error["message"]
+
 
 class TestC:
     def test_published_value(self):

@@ -343,6 +343,53 @@ def verify_cases(draw):
     return Packing(Rectangle(2, 2), placements), tol
 
 
+@st.composite
+def strip_cases(draw):
+    """A packing of 0 to 80 placements shaped to stress the sweep's strips.
+
+    - ``big``: one square of side 0.5 to 2 among tiny ones, so that it
+      spans many strips;
+    - ``grid``: sides and corners on a dyadic grid whose step is the mean
+      side, so that strip boundaries fall exactly on edges, with corners
+      nudged by one ulp, by 1e-13 or by half a step to straddle them;
+    - ``zero``: half or all of the sides zero;
+    - ``huge``: corners and sides up to 1e300, 1e307 or 1.5e308; at the
+      last, spans and upper edges overflow to inf.
+    """
+    n = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(["big", "grid", "zero", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "big":
+        corners = rng.uniform(-0.1, 2.0, (2, n))
+        sides = rng.uniform(0.0, 0.05, n)
+        if n:
+            sides[0] = rng.uniform(0.5, 2.0)
+    elif kind == "grid":
+        step = float(rng.choice([1 / 16, 1 / 8, 1 / 4]))
+        corners = rng.integers(-1, int(2 / step) + 1, (2, n)) * step
+        corners += rng.choice([0.0, 0.0, 1e-13, -1e-13, step / 2], (2, n))
+        ulp = rng.integers(-1, 2, (2, n))
+        corners = np.where(ulp, np.nextafter(corners, np.where(ulp > 0, np.inf, -np.inf)),
+                           corners)
+        odd = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+        sides = np.where(odd, rng.choice([0.0, step / 2, 2 * step], n), step)
+    elif kind == "zero":
+        corners = rng.integers(0, 9, (2, n)) / 4
+        sides = np.where(rng.random(n) < draw(st.sampled_from([0.5, 1.0])), 0.0,
+                         rng.choice([0.25, 0.5], n))
+    else:
+        scale = draw(st.sampled_from([1e300, 1e307, 1.5e308]))
+        corners = rng.uniform(-1.0, 1.0, (2, n)) * scale
+        sides = rng.uniform(0.0, 1.0, n) * scale
+    placements = [Placement(float(s), float(x), float(y))
+                  for s, x, y in zip(sides, corners[0], corners[1])]
+    if n:
+        for src, dst in rng.integers(0, n, (draw(st.integers(0, 10)), 2)):
+            placements[dst] = placements[src]
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    return Packing(Rectangle(2, 2), placements), tol
+
+
 class TestVerifyPacking:
     def test_valid_fixture(self):
         report = verify_packing(reference_packing())
@@ -398,6 +445,44 @@ class TestVerifyPacking:
         assert got.valid == want.valid
         assert got.violations == want.violations
         assert got.truncated == want.truncated
+
+    @settings(max_examples=200, deadline=None)
+    @given(strip_cases(), st.sampled_from([1, 7, None]), st.sampled_from([5, None]))
+    def test_strips_match_dense_oracle(self, case, chunk, cap):
+        # With no threshold the sweep tries strips on any packing that has
+        # a candidate pair, and keeps them whenever they leave fewer.
+        packing, tol = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_STRIP_MIN_PAIRS", 0)
+            if chunk is not None:
+                mp.setattr(geometry, "_PAIR_CHUNK", chunk)
+            if cap is not None:
+                mp.setattr(geometry, "_MAX_REPORTED", cap)
+            got = verify_packing(packing, tol)
+        want = reference_verify_packing(packing, tol, cap=cap or 10_000)
+        assert got.valid == want.valid
+        assert got.violations == want.violations
+        assert got.truncated == want.truncated
+
+    def test_lower_edge_rounded_onto_a_strip_boundary(self):
+        # Strips across y of height 0.25 from y = -0.25.  The second row
+        # sits one ulp below y = 0.25 and overlaps the first by 2^-55, but
+        # its lower edge minus -0.25 rounds up to the boundary 0.5, where
+        # the first row's upper edges end exactly: the pairs meet only
+        # because each square keeps a copy in the strip of its upper edge.
+        below = math.nextafter(0.25, 0.0)
+        placements = ([Placement(0.25, 0.25 * k, 0.0) for k in range(4)]
+                      + [Placement(0.25, 0.1 + 0.25 * k, below) for k in range(4)]
+                      + [Placement(0.25, 0.05 + 0.25 * k, 1.0) for k in range(4)]
+                      + [Placement(0.25, 1.5, -0.25)])
+        packing = Packing(Rectangle(2, 2, y=-0.25), placements)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_STRIP_MIN_PAIRS", 0)
+            report = verify_packing(packing, tol=0.0)
+        assert report == reference_verify_packing(packing, tol=0.0)
+        assert len(report.violations) == 7
+        # the strips leave 7 of the plain sweep's 21 candidate pairs
+        assert report.pairs_examined == 7
 
     def test_violation_cap(self):
         # everything at the origin: quadratic pair count gets truncated
@@ -526,6 +611,29 @@ def test_acceptance_fixtures_match_dense_oracle(label):
         report = verify_packing(packing)
         assert report.valid
         assert report == reference_verify_packing(packing)
+
+
+def _case_b_shaped(tail: int) -> Packing:
+    """Prefix (0.5, 0.5, 0.25, 0.25) plus ``tail`` equal squares of total area 0.375."""
+    side = math.sqrt(0.375 / tail)
+    result = reduce_and_pack(Instance((0.5, 0.5, 0.25, 0.25) + (side,) * tail), _toy_params())
+    assert result.case == "b"
+    return result.packing
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _case_b_shaped(8_000), id="tail-8000"),
+    pytest.param(lambda: _case_b_shaped(32_000), id="tail-32000"),
+    pytest.param(_case_b_fixture, id="c9_case_b"),
+])
+def test_shelf_rows_examine_at_most_2n_pairs(build):
+    # Each shelf row shares one lower edge, so sweeping along either axis
+    # alone examines about n * (row length) / 2 pairs: 360,010 for the
+    # 8,004 squares of the first packing and 1,140,043 for c9's case b.
+    packing = build()
+    report = verify_packing(packing)
+    assert report.valid
+    assert report.pairs_examined <= 2 * len(packing.placements)
 
 
 class TestSerialization:
