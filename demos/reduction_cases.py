@@ -34,8 +34,8 @@ show("all-small      ", Instance((0.07,) * 204 + (math.sqrt(1 - 204 * 0.07**2),)
 m = 5300
 show("late-area      ", Instance((0.5, 0.5) + (math.sqrt(0.5 / m),) * m))
 
-# case c: a small square early lets the prefix be zero-padded and the rest
-# packed into leftover whitespace
+# case c: square 159 is already small, so the first 159 squares are packed
+# as a prefix and the other 159 go into its leftover whitespace
 head = (math.sqrt((1 - 0.99 * c * c) / 158),) * 158
 tiny = (math.sqrt(0.99 * c * c / 160),) * 160
 show("early-small    ", Instance(head + tiny))

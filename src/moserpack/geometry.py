@@ -353,18 +353,20 @@ def verify_packing(packing: Packing, tol: float = EPS_GEOM) -> VerificationRepor
     x = np.array([p.x for p in pls], dtype=float)
     y = np.array([p.y for p in pls], dtype=float)
     side = np.array([p.side for p in pls], dtype=float)
-    x2 = x + side
-    y2 = y + side
-
     r = packing.rect
-    excess = np.maximum(np.maximum(r.x - x, r.y - y), np.maximum(x2 - r.x2, y2 - r.y2))
-    outside = np.flatnonzero(excess > tol)
+    # Finite placements near 1e308 may have upper edges, spans and overlap
+    # areas that round to inf.  Those infinities compare correctly, so
+    # overflow is expected here; invalid operations still warn.
+    with np.errstate(over="ignore"):
+        x2 = x + side
+        y2 = y + side
+        excess = np.maximum(np.maximum(r.x - x, r.y - y), np.maximum(x2 - r.x2, y2 - r.y2))
+        outside = np.flatnonzero(excess > tol)
+        first, second, area, hits, examined = _overlapping_pairs(
+            x, y, x2, y2, tol, max(_MAX_REPORTED - len(outside), 0)
+        )
     violations = [Violation("outside", int(i), None, float(excess[i]))
                   for i in outside[:_MAX_REPORTED]]
-
-    first, second, area, hits, examined = _overlapping_pairs(
-        x, y, x2, y2, tol, max(_MAX_REPORTED - len(outside), 0)
-    )
     violations += [Violation("overlap", int(i), int(j), float(a))
                    for i, j, a in zip(first, second, area)]
     truncated = len(outside) + hits > _MAX_REPORTED

@@ -8,7 +8,8 @@ The driver picks exactly one of three routes:
   split at N0 and the two parts are packed and glued edge to edge.
 * case "c": otherwise some index n in (N1, N] has edge below c / sqrt(n);
   the first n squares form a base packing of an area-F rectangle and the
-  rest is whitespace-packed into it.
+  rest is whitespace-packed into it.  An instance of at most n squares is
+  its own prefix, so its base packing is the result.
 
 Prefix packings come from :func:`default_prefix_packer`, which tries the
 meir-moser criterion on the squarest admissible rectangle and falls back
@@ -31,8 +32,6 @@ from .whitespace import WhitespaceJob, whitespace_pack
 _TOL = 1e-12
 #: Aspect ratios the default prefix packer tries between square and flattest.
 _ASPECT_STEPS = 96
-#: Largest case-c prefix the driver will materialize as an instance.
-_MAX_PREFIX = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,11 @@ def _transpose_to_height(p: Packing) -> tuple[Packing, float, float]:
     with (W, H) = (smaller, larger) edge.
     """
     r = p.rect
-    shifted = [Placement(q.side, q.x - r.x, q.y - r.y) for q in p.placements]
     if r.width <= r.height:
-        flipped = tuple(Placement(q.side, q.y, q.x) for q in shifted)
+        flipped = tuple(Placement(q.side, q.y - r.y, q.x - r.x) for q in p.placements)
         return Packing(Rectangle(r.height, r.width), flipped), r.width, r.height
-    return Packing(Rectangle(r.width, r.height), tuple(shifted)), r.height, r.width
+    shifted = tuple(Placement(q.side, q.x - r.x, q.y - r.y) for q in p.placements)
+    return Packing(Rectangle(r.width, r.height), shifted), r.height, r.width
 
 
 def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
@@ -181,8 +180,6 @@ def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
     """Dispatch a total-area-1 instance to exactly one packing route."""
     if abs(inst.total_area - 1.0) > _TOL:
         raise PreconditionViolated(f"total area {inst.total_area} != 1")
-    if not inst.sides:
-        raise PreconditionViolated("empty instance")
     sides = inst.sides
 
     if sides[0] <= params.s1_threshold + 1e-15:
@@ -199,21 +196,16 @@ def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
             "no small-edge index in (N1, N] although the late area is below c^2; "
             "the supplied parameters are inconsistent"
         )
-    if n > _MAX_PREFIX:
-        raise MoserpackError(
-            f"case c prefix needs {n} squares, beyond the desk-scale cap "
-            f"{_MAX_PREFIX}; supply toy parameters for small demonstrations"
-        )
-    prefix_sides = sides[:n] + (0.0,) * (n - len(sides[:n]))
-    prefix = Instance(prefix_sides)
-    tail = Instance(sides[n:])
+    prefix = Instance(sides[:n])
     base = default_prefix_packer(prefix, params.F / prefix.total_area)
     if base.rect.min_edge < max(sides[0], 0.1) - _TOL:
         raise PackFailure(
             f"prefix packing smaller edge {base.rect.min_edge} below "
             f"max(s1, 1/10) = {max(sides[0], 0.1)}"
         )
-    job = WhitespaceJob(base, tail, params.c, params.F)
+    if n >= len(sides):
+        return ReduceResult("c", base, params, split_index=n)
+    job = WhitespaceJob(base, Instance(sides[n:]), params.c, params.F)
     return ReduceResult("c", whitespace_pack(job), params, split_index=n)
 
 

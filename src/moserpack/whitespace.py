@@ -122,18 +122,11 @@ def whitespace_pack(
     n = len(job.base.placements)
     placed: list[Placement] = list(job.base.placements)
     carried: Optional[tuple[float, int, RectilinearRegion]] = None
-    zero_anchor: Optional[tuple[float, float]] = None
     for k, s in enumerate(job.tail.sides):
         if s <= 0.0:
-            # Zero squares influence nothing; park them (once) on the
-            # lexicomin of the remaining whitespace.
-            if zero_anchor is None:
-                region = feasible_midpoint_region(rect, placed, 0.0)
-                point = region_lexicomin(region)
-                if point is None:
-                    raise EmptyRegionError("no whitespace left for zero-side squares")
-                zero_anchor = point
-            placed.append(Placement(0.0, zero_anchor[0], zero_anchor[1]))
+            # Zero squares influence nothing; park them on the rectangle's
+            # lower-left corner, as the shelf engine does.
+            placed.append(Placement(0.0, rect.x, rect.y))
             continue
         if carried is not None and carried[0] == s:
             region = feasible_midpoint_region(

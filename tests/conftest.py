@@ -10,14 +10,22 @@ import numpy as np
 from moserpack import (
     EPS_GEOM,
     Instance,
+    PackFailure,
+    PackParams,
     Packing,
     Placement,
     Rectangle,
     RectilinearRegion,
+    ReduceResult,
     VerificationReport,
     Violation,
+    WhitespaceJob,
+    default_prefix_packer,
+    find_small_index,
     harmonic_range_sum,
+    reduce_and_pack,
     region_lexicomin,
+    whitespace_pack,
 )
 from moserpack.geometry import _subtract_part
 
@@ -109,21 +117,40 @@ def reference_whitespace_pack(job) -> Packing:
     """Whitespace packing that rebuilds the region from scratch at every step.
 
     The same greedy rule as :func:`moserpack.whitespace_pack` (largest
-    first, lexicomin midpoint, zero sides parked on one shared anchor),
-    with none of its region reuse.
+    first, lexicomin midpoint, zero sides parked on the rectangle's
+    lower-left corner), with none of its region reuse.
     """
     rect = job.base.rect
     placed = list(job.base.placements)
-    zero_anchor = None
     for s in job.tail.sides:
         if s <= 0.0:
-            if zero_anchor is None:
-                zero_anchor = region_lexicomin(reference_midpoint_region(rect, placed, 0.0))
-            placed.append(Placement(0.0, zero_anchor[0], zero_anchor[1]))
+            placed.append(Placement(0.0, rect.x, rect.y))
             continue
         point = region_lexicomin(reference_midpoint_region(rect, placed, s))
         placed.append(Placement(s, point[0] - s / 2.0, point[1] - s / 2.0))
     return Packing(rect, tuple(placed))
+
+
+def padded_reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
+    """The driver as it was when case c padded a short prefix with zero sides.
+
+    Cases a and b go to :func:`moserpack.reduce_and_pack`.  In case c an
+    instance of m < n squares becomes a prefix of n squares, the last
+    n - m of side zero, and its packing goes through :func:`whitespace_pack`
+    with whatever tail is left.  An oracle for the unpadded driver, whose
+    packing must equal this one with the zero-side placements dropped.
+    """
+    sides = inst.sides
+    late_area = math.fsum(s * s for s in sides[params.N1:])
+    if sides[0] <= params.s1_threshold + 1e-15 or late_area >= params.c * params.c:
+        return reduce_and_pack(inst, params)
+    n = find_small_index(inst, params.c, params.N1, params.N)
+    prefix = Instance(sides[:n] + (0.0,) * (n - len(sides[:n])))
+    base = default_prefix_packer(prefix, params.F / prefix.total_area)
+    if base.rect.min_edge < max(sides[0], 0.1) - 1e-12:
+        raise PackFailure(f"prefix packing smaller edge {base.rect.min_edge} too small")
+    job = WhitespaceJob(base, Instance(sides[n:]), params.c, params.F)
+    return ReduceResult("c", whitespace_pack(job), params, split_index=n)
 
 
 def reference_shelf_positions(sides, a1: float, a2: float):
@@ -158,6 +185,9 @@ def reference_shelf_positions(sides, a1: float, a2: float):
     return coords
 
 
+# Near 1e308 edges and overlaps overflow to inf, and a pair apart on one
+# axis then scores 0 * inf = nan, which is no overlap either.
+@np.errstate(over="ignore", invalid="ignore")
 def reference_verify_packing(packing: Packing, tol: float = 1e-12,
                              cap: int = 10_000) -> VerificationReport:
     """Dense O(n^2) verifier: every pair of placements is tested.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moserpack import (
     Instance,
@@ -22,6 +23,8 @@ from moserpack import (
     result_to_dict,
     verify_packing,
 )
+
+from conftest import padded_reduce_and_pack
 
 F_REF = (2 + math.sqrt(3)) / 3
 C_REF = float(compute_c(F_REF))
@@ -186,15 +189,46 @@ class TestDispatch:
         assert len(result.packing.placements) == 318
         assert verify_packing(result.packing).valid
 
-    def test_case_c_pads_short_instances(self):
-        # all area in the first squares, nothing small: the prefix is padded
-        # with zero sides up to the index bound and the tail is empty
+    def test_case_c_short_instance_is_its_own_prefix(self):
+        # all area in the first squares, nothing small: the index bound
+        # lies past the instance, which is packed as it is, tail empty
         inst = Instance((0.8, 0.6))
         result = reduce_and_pack(inst, TOY)
         assert result.case == "c"
         assert result.split_index == 159
-        assert len(result.packing.placements) == 159
+        assert len(result.packing.placements) == 2
         assert verify_packing(result.packing).valid
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["simple", "integral"])
+    def test_certified_params_pack_short_instances(self, integral):
+        params = PackParams.certified(use_integral_n0=integral)
+        result = reduce_and_pack(Instance((0.8, 0.6)), params)
+        assert result.case == "c"
+        assert result.split_index == params.N1 + 1
+        assert sorted(p.side for p in result.packing.placements) == [0.6, 0.8]
+        assert verify_packing(result.packing).valid
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=33))
+    def test_short_instances_match_padded_driver(self, raw):
+        # The driver once padded a short case-c prefix with zero sides; the
+        # packing it gives now is that one without the zero-side placements.
+        scale = math.sqrt(math.fsum(s * s for s in raw))
+        inst = Instance(tuple(s / scale for s in raw))
+        assert inst.max_side > TOY.s1_threshold
+        try:
+            want = padded_reduce_and_pack(inst, TOY)
+        except PackFailure:
+            with pytest.raises(PackFailure):
+                reduce_and_pack(inst, TOY)
+            return
+        got = reduce_and_pack(inst, TOY)
+        assert (got.case, got.split_index) == ("c", want.split_index)
+        assert got.packing.rect == want.packing.rect
+        assert got.packing.placements == tuple(
+            p for p in want.packing.placements if p.side > 0.0
+        )
+        assert verify_packing(got.packing).valid
 
     def test_total_area_enforced(self):
         with pytest.raises(PreconditionViolated, match="total area"):
@@ -211,11 +245,14 @@ class TestDispatch:
         with pytest.raises(MoserpackError, match="inconsistent"):
             reduce_and_pack(inst, params)
 
-    def test_desk_scale_cap(self):
+    def test_index_past_a_million_squares(self):
+        # n = N1 + 1 = 2,000,001 squares: the prefix is the instance itself
         params = PackParams.toy_params(F=F_REF, c=C_REF, N0=1,
                                        N1=2_000_000, N=3_000_000)
-        with pytest.raises(MoserpackError, match="desk-scale cap"):
-            reduce_and_pack(Instance((0.8, 0.6)), params)
+        result = reduce_and_pack(Instance((0.8, 0.6)), params)
+        assert result.split_index == 2_000_001
+        assert len(result.packing.placements) == 2
+        assert verify_packing(result.packing).valid
 
     def test_result_dict_shape(self):
         result = reduce_and_pack(case_a_instance(), TOY)

@@ -181,6 +181,8 @@ class TestWhitespacePack:
         assert verify_packing(packing).valid
         zeros = [p for p in packing.placements if p.side == 0.0]
         assert len(zeros) == 2
+        r = packing.rect
+        assert all((p.x, p.y) == (r.x, r.y) for p in zeros)
 
     def test_empty_tail(self):
         job0 = make_job(n_tail=0)
