@@ -11,18 +11,10 @@ from .constants import (
     ConstantsReport,
     build_report,
     compute_c,
-    delta_of_V,
     delta_refined,
     delta_simple,
-    derive_N,
     factor_float,
-    find_small_index,
-    harmonic_range_sum,
-    n0_integral,
-    n0_simple,
     report_to_dict,
-    resolve_factor,
-    two_square_worst_case,
 )
 from .errors import (
     EmptyRegionError,
@@ -32,32 +24,19 @@ from .errors import (
     PreconditionViolated,
 )
 from .geometry import (
-    EPS_GEOM,
     Instance,
     Packing,
     Placement,
     Rectangle,
-    RectilinearRegion,
     VerificationReport,
     Violation,
-    feasible_midpoint_region,
     instance_from_dict,
     instance_to_dict,
     packing_from_dict,
     packing_to_dict,
-    region_area,
-    region_lexicomin,
     verify_packing,
 )
-from .reduction import (
-    PackParams,
-    ReduceResult,
-    default_prefix_packer,
-    glue_pack,
-    params_to_dict,
-    reduce_and_pack,
-    result_to_dict,
-)
+from .reduction import PackParams, ReduceResult, reduce_and_pack, result_to_dict
 from .render import SvgDocument, SvgRect, render_svg
 from .shelf import (
     circumference_admits,
@@ -73,7 +52,6 @@ __all__ = [
     "NOVOTNY",
     "ConstantsReport",
     "EmptyRegionError",
-    "EPS_GEOM",
     "FloorUncertified",
     "Instance",
     "MoserpackError",
@@ -83,7 +61,6 @@ __all__ = [
     "Placement",
     "PreconditionViolated",
     "Rectangle",
-    "RectilinearRegion",
     "ReduceResult",
     "SvgDocument",
     "SvgRect",
@@ -93,35 +70,21 @@ __all__ = [
     "build_report",
     "circumference_admits",
     "compute_c",
-    "default_prefix_packer",
-    "delta_of_V",
     "delta_refined",
     "delta_simple",
-    "derive_N",
     "factor_float",
-    "feasible_midpoint_region",
-    "find_small_index",
-    "glue_pack",
-    "harmonic_range_sum",
     "instance_from_dict",
     "instance_to_dict",
     "meir_moser_pack",
     "midpoint_area_bound",
     "moon_moser_pack",
-    "n0_integral",
-    "n0_simple",
     "packing_from_dict",
     "packing_to_dict",
     "reduce_and_pack",
-    "params_to_dict",
-    "region_area",
-    "region_lexicomin",
     "render_svg",
     "report_to_dict",
-    "resolve_factor",
     "result_to_dict",
     "small_s1_pack",
-    "two_square_worst_case",
     "verify_packing",
     "whitespace_pack",
 ]

@@ -17,6 +17,7 @@ from typing import Optional
 from .constants import build_report, factor_float, report_to_dict
 from .errors import MoserpackError
 from .geometry import (
+    EPS_GEOM,
     Packing,
     Rectangle,
     instance_from_dict,
@@ -98,15 +99,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     packing = _read_packing(args.packing)
     report = verify_packing(packing, tol=args.tol)
-    _emit_json(
-        {
-            "valid": report.valid,
-            "violations": [asdict(v) for v in report.violations],
-            "truncated": report.truncated,
-            "pairs_examined": report.pairs_examined,
-        },
-        args.output,
-    )
+    _emit_json(asdict(report), args.output)
     return 0 if report.valid else 1
 
 
@@ -179,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a packing file")
     p.add_argument("--packing", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=EPS_GEOM)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_verify)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
 from mpmath import iv, mp, mpf
@@ -80,15 +80,10 @@ def _factor(F: Factor, ctx):
     return val
 
 
-def resolve_factor(F: Factor) -> mpf:
-    """Evaluate a factor spec at the current working precision."""
-    return _factor(F, mp)
-
-
 def factor_float(F: Factor) -> float:
     """Float64 value of a factor spec (accepts ``"novotny"``)."""
     with _workdps(50):
-        return float(resolve_factor(F))
+        return float(_factor(F, mp))
 
 
 def _ctx(x):
@@ -111,13 +106,13 @@ def _delta(F, V):
 def compute_c(F: Factor, dps: int = 50) -> mpf:
     """The constant c: positive root of 5 c^2 + 3 c = F - 1."""
     with _workdps(dps):
-        return _c_of(resolve_factor(F))
+        return _c_of(_factor(F, mp))
 
 
 def delta_simple(F: Factor, dps: int = 50) -> mpf:
     """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10)."""
     with _workdps(dps):
-        Fv = resolve_factor(F)
+        Fv = _factor(F, mp)
         c = _c_of(Fv)
         return _delta(Fv, c * c)
 
@@ -128,7 +123,7 @@ def delta_of_V(F: Factor, V: float) -> mpf:
     The tail area V must lie in [c^2, 1].
     """
     with _workdps(50):
-        Fv = resolve_factor(F)
+        Fv = _factor(F, mp)
         c = _c_of(Fv)
         Vv = mp.mpf(V)
         if not c * c - _ROOT_TOL <= Vv <= 1 + _ROOT_TOL:
@@ -361,7 +356,7 @@ def build_report(F: Factor, *, refined: bool = False,
     are re-checked before the report is returned.
     """
     with _workdps(50):
-        Fv = resolve_factor(F)
+        Fv = _factor(F, mp)
         c = _c_of(Fv)
         if not (0 < c < 1):
             raise MoserpackError(f"c = {c} outside (0, 1)")
@@ -391,15 +386,4 @@ def build_report(F: Factor, *, refined: bool = False,
 
 
 def report_to_dict(report: ConstantsReport) -> dict:
-    return {
-        "F": report.F,
-        "c": report.c,
-        "delta_simple": report.delta_simple,
-        "delta_refined": report.delta_refined,
-        "N0_simple": report.N0_simple,
-        "N0_integral": report.N0_integral,
-        "N1": report.N1,
-        "N": report.N,
-        "use_integral_n0": report.use_integral_n0,
-        "floor_certificates": dict(report.floor_certificates),
-    }
+    return asdict(report)

@@ -466,11 +466,13 @@ def _overlapping_pairs(x, y, x2, y2, tol: float, keep: int):
             own = np.maximum(lowest_strip[i], lowest_strip[j]) == strip[row]
             i, j = i[own], j[own]
         examined += len(i)
-        # A candidate's overlap along the sweep axis is >= 0, so with
-        # tol >= 0 the area test alone rejects pairs apart on the other axis.
-        a = (np.minimum(x2[i], x2[j]) - np.maximum(x[i], x[j])) * (
-            np.minimum(y2[i], y2[j]) - np.maximum(y[i], y[j])
-        )
+        # A pair apart or touching on either axis shares no area and, with
+        # tol >= 0, never counts.  Its overlap on the other axis may have
+        # overflowed to inf, so the product is formed only where both
+        # overlaps are positive: 0 * inf would be nan.
+        ox = np.minimum(x2[i], x2[j]) - np.maximum(x[i], x[j])
+        oy = np.minimum(y2[i], y2[j]) - np.maximum(y[i], y[j])
+        a = np.multiply(ox, oy, out=np.zeros_like(ox), where=(ox > 0) & (oy > 0))
         sel = a > tol
         i, j = i[sel], j[sel]
         hits += len(i)

@@ -20,16 +20,15 @@ its own preconditions before any placement work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .constants import _delta, build_report, compute_c, factor_float, find_small_index
 from .errors import MoserpackError, PackFailure, PreconditionViolated
-from .geometry import Instance, Packing, Placement, Rectangle, packing_to_dict
+from .geometry import EPS_GEOM, Instance, Packing, Placement, Rectangle, packing_to_dict
 from .shelf import meir_moser_holds, meir_moser_pack, small_s1_pack
 from .whitespace import WhitespaceJob, whitespace_pack
 
-_TOL = 1e-12
 #: Aspect ratios the default prefix packer tries between square and flattest.
 _ASPECT_STEPS = 96
 
@@ -151,10 +150,10 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
     F, c = params.F, params.c
     if P <= 0:
         raise PreconditionViolated("prefix area must be positive")
-    if V < c * c - _TOL or V > 1 + _TOL:
+    if V < c * c - EPS_GEOM or V > 1 + EPS_GEOM:
         raise PreconditionViolated(f"tail area {V} outside [c^2, 1] = [{c * c}, 1]")
     edge_cap = _delta(F, V)
-    if tail.max_side > edge_cap + _TOL:
+    if tail.max_side > edge_cap + EPS_GEOM:
         raise PreconditionViolated(
             f"tail max side {tail.max_side} exceeds edge bound {edge_cap} for V={V}"
         )
@@ -162,7 +161,7 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
     rp = default_prefix_packer(prefix, F)
     rp, W, Hp = _transpose_to_height(rp)
     lo_w = max(prefix.max_side, 0.1)
-    if W < lo_w - _TOL or W > math.sqrt(F * P) + _TOL:
+    if W < lo_w - EPS_GEOM or W > math.sqrt(F * P) + EPS_GEOM:
         raise PackFailure(
             f"prefix packer smaller edge {W} outside [{lo_w}, {math.sqrt(F * P)}]"
         )
@@ -178,7 +177,7 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
 
 def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
     """Dispatch a total-area-1 instance to exactly one packing route."""
-    if abs(inst.total_area - 1.0) > _TOL:
+    if abs(inst.total_area - 1.0) > EPS_GEOM:
         raise PreconditionViolated(f"total area {inst.total_area} != 1")
     sides = inst.sides
 
@@ -198,7 +197,7 @@ def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
         )
     prefix = Instance(sides[:n])
     base = default_prefix_packer(prefix, params.F / prefix.total_area)
-    if base.rect.min_edge < max(sides[0], 0.1) - _TOL:
+    if base.rect.min_edge < max(sides[0], 0.1) - EPS_GEOM:
         raise PackFailure(
             f"prefix packing smaller edge {base.rect.min_edge} below "
             f"max(s1, 1/10) = {max(sides[0], 0.1)}"
@@ -212,23 +211,11 @@ def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
 # --- wire format -------------------------------------------------------------
 
 
-def params_to_dict(params: PackParams) -> dict:
-    return {
-        "F": params.F,
-        "c": params.c,
-        "N0": params.N0,
-        "N1": params.N1,
-        "N": params.N,
-        "s1_threshold": params.s1_threshold,
-        "toy": params.toy,
-    }
-
-
 def result_to_dict(result: ReduceResult) -> dict:
     out = {
         "case": result.case,
         "packing": packing_to_dict(result.packing),
-        "params": params_to_dict(result.params),
+        "params": asdict(result.params),
     }
     if result.split_index is not None:
         out["split_index"] = result.split_index

@@ -26,19 +26,16 @@ from typing import Optional
 from .errors import PackFailure, PreconditionViolated
 from .geometry import EPS_GEOM, Instance, Packing, Placement, Rectangle
 
-#: Slack used when evaluating precondition inequalities and shelf fits.
-FIT_TOL = EPS_GEOM
-
 
 def moon_moser_holds(V: float, x: float, a1: float, a2: float) -> bool:
-    """True when min(a1, a2) >= x and 2 V <= a1 a2, both up to ``FIT_TOL``."""
-    return min(a1, a2) >= x - FIT_TOL and 2 * V <= a1 * a2 + FIT_TOL
+    """True when min(a1, a2) >= x and 2 V <= a1 a2, both up to ``EPS_GEOM``."""
+    return min(a1, a2) >= x - EPS_GEOM and 2 * V <= a1 * a2 + EPS_GEOM
 
 
 def meir_moser_holds(V: float, x: float, a1: float, a2: float) -> bool:
-    """True when min(a1, a2) >= x and V <= x^2 + (a1 - x)(a2 - x), up to ``FIT_TOL``."""
+    """True when min(a1, a2) >= x and V <= x^2 + (a1 - x)(a2 - x), up to ``EPS_GEOM``."""
     bound = x * x + (a1 - x) * (a2 - x)
-    return min(a1, a2) >= x - FIT_TOL and V <= bound + FIT_TOL
+    return min(a1, a2) >= x - EPS_GEOM and V <= bound + EPS_GEOM
 
 
 def circumference_admits(F: float, V: float, C: float, x: float) -> bool:
@@ -72,7 +69,7 @@ def _shelf_positions(sides: tuple[float, ...], a1: float, a2: float) -> Optional
     shelf_y: list[float] = []
     shelf_used: list[float] = []
     top = 0.0
-    room = a1 + FIT_TOL
+    room = a1 + EPS_GEOM
     s_min = min((s for s in sides if s > 0.0), default=0.0)
     live = 0
     for s in sides:
@@ -87,7 +84,7 @@ def _shelf_positions(sides: tuple[float, ...], a1: float, a2: float) -> Optional
                 shelf_used[k] += s
                 break
         else:
-            if top + s > a2 + FIT_TOL:
+            if top + s > a2 + EPS_GEOM:
                 return None
             coords.append((0.0, top))
             shelf_y.append(top)
@@ -151,11 +148,11 @@ def small_s1_pack(inst: Instance, F: float) -> Packing:
     makes the meir-moser inequality hold on the square:
     s1^2 + (sqrt(F) - s1)^2 > 1 whenever s1 <= 1/10.
     """
-    if F < (2 + math.sqrt(3)) / 3 - 1e-12:
+    if F < (2 + math.sqrt(3)) / 3 - EPS_GEOM:
         raise PreconditionViolated(f"area factor {F} below (2 + sqrt(3))/3")
     V = inst.total_area
     s1 = inst.max_side
-    if not (s1 <= 0.1 + FIT_TOL and abs(V - 1.0) <= 1e-9):
+    if not (s1 <= 0.1 + EPS_GEOM and abs(V - 1.0) <= 1e-9):
         raise PreconditionViolated(
             f"small-s1 needs total area 1 and max edge <= 1/10, got V={V}, s1={s1}"
         )

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from .errors import EmptyRegionError, PreconditionViolated
 from .geometry import (
+    EPS_GEOM,
     Instance,
     Packing,
     Placement,
@@ -34,8 +35,6 @@ from .geometry import (
     region_lexicomin,
 )
 
-_VAL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WhitespaceJob:
@@ -43,7 +42,7 @@ class WhitespaceJob:
 
     Invariants (checked by :meth:`validate`):
 
-    * the base rectangle has 1/10 <= W <= H and W * H = F within 1e-12,
+    * the base rectangle has 1/10 <= W <= H and W * H = F within ``EPS_GEOM``,
     * base total placed area is at most 1,
     * n = number of base placements satisfies n >= max((10F + 1/10)^2, 100 c^2),
     * tail max side <= c / sqrt(n) and tail total area <= c^2.
@@ -62,11 +61,11 @@ class WhitespaceJob:
             problems.append(f"area factor must exceed 1, got {self.F}")
         r = self.base.rect
         W, H = sorted((r.width, r.height))
-        if W < 0.1 - _VAL_TOL:
+        if W < 0.1 - EPS_GEOM:
             problems.append(f"smaller base edge {W} below 1/10")
-        if abs(W * H - self.F) > _VAL_TOL:
+        if abs(W * H - self.F) > EPS_GEOM:
             problems.append(f"base rectangle area {W * H} != F = {self.F}")
-        if self.base.total_placed_area > 1.0 + _VAL_TOL:
+        if self.base.total_placed_area > 1.0 + EPS_GEOM:
             problems.append(f"base placed area {self.base.total_placed_area} exceeds 1")
         n = len(self.base.placements)
         n_floor = max((10 * self.F + 0.1) ** 2, 100 * self.c * self.c)
@@ -74,9 +73,9 @@ class WhitespaceJob:
             problems.append(f"base count {n} below required {n_floor}")
         if self.tail.sides:
             cap = self.c / math.sqrt(n)
-            if self.tail.max_side > cap + _VAL_TOL:
+            if self.tail.max_side > cap + EPS_GEOM:
                 problems.append(f"tail max side {self.tail.max_side} exceeds c/sqrt(n) = {cap}")
-            if self.tail.total_area > self.c * self.c + _VAL_TOL:
+            if self.tail.total_area > self.c * self.c + EPS_GEOM:
                 problems.append(
                     f"tail area {self.tail.total_area} exceeds c^2 = {self.c * self.c}"
                 )

@@ -8,26 +8,22 @@ from typing import NamedTuple
 import numpy as np
 
 from moserpack import (
-    EPS_GEOM,
     Instance,
     PackFailure,
     PackParams,
     Packing,
     Placement,
     Rectangle,
-    RectilinearRegion,
     ReduceResult,
     VerificationReport,
     Violation,
     WhitespaceJob,
-    default_prefix_packer,
-    find_small_index,
-    harmonic_range_sum,
     reduce_and_pack,
-    region_lexicomin,
     whitespace_pack,
 )
-from moserpack.geometry import _subtract_part
+from moserpack.constants import find_small_index, harmonic_range_sum
+from moserpack.geometry import EPS_GEOM, RectilinearRegion, _subtract_part, region_lexicomin
+from moserpack.reduction import default_prefix_packer
 
 
 def region_subtract(region: RectilinearRegion, cut) -> RectilinearRegion:
@@ -246,7 +242,7 @@ def two_square_ternary_search(steps: int = 200) -> tuple[float, float]:
     """(argmax, max) of g(s) = s (s + sqrt(1 - s^2)) on [1/sqrt(2), 1] by ternary search.
 
     Assumes only that g is unimodal there; an oracle for the closed form
-    of :func:`moserpack.two_square_worst_case`.
+    of :func:`moserpack.constants.two_square_worst_case`.
     """
     a, b = 1 / math.sqrt(2), 1.0
 

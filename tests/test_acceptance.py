@@ -23,17 +23,15 @@ from moserpack import (
     build_report,
     compute_c,
     delta_simple,
-    feasible_midpoint_region,
-    harmonic_range_sum,
     meir_moser_pack,
     midpoint_area_bound,
     moon_moser_pack,
     reduce_and_pack,
-    region_area,
-    two_square_worst_case,
     verify_packing,
     whitespace_pack,
 )
+from moserpack.constants import harmonic_range_sum, two_square_worst_case
+from moserpack.geometry import feasible_midpoint_region, region_area
 from conftest import (
     grid_region_area,
     random_meir_moser_case,

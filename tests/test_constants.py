@@ -23,20 +23,21 @@ from moserpack import (
     MoserpackError,
     build_report,
     compute_c,
-    delta_of_V,
     delta_refined,
     delta_simple,
-    derive_N,
     factor_float,
+    report_to_dict,
+)
+from moserpack.cli import cli_dispatch
+from moserpack.constants import (
+    delta_of_V,
+    derive_N,
     find_small_index,
     harmonic_range_sum,
     n0_integral,
     n0_simple,
-    report_to_dict,
-    resolve_factor,
     two_square_worst_case,
 )
-from moserpack.cli import cli_dispatch
 from moserpack.constants import _harmonic_lower
 
 from conftest import harmonic_bounds, k_sample_grid, two_square_ternary_search
@@ -126,13 +127,13 @@ class TestFactor:
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            resolve_factor("euler")
+            factor_float("euler")
 
     def test_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
-            resolve_factor(1.0)
+            factor_float(1.0)
         with pytest.raises(ValueError):
-            resolve_factor(0.5)
+            factor_float(0.5)
 
     @pytest.mark.parametrize("F", ["inf", "Infinity", math.inf, "nan"], ids=repr)
     @pytest.mark.parametrize("func", [

@@ -11,17 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moserpack import (
-    EPS_GEOM,
     Instance,
     PackParams,
     Packing,
     Placement,
     PreconditionViolated,
     Rectangle,
-    RectilinearRegion,
     WhitespaceJob,
     compute_c,
-    feasible_midpoint_region,
     geometry,
     instance_from_dict,
     instance_to_dict,
@@ -30,10 +27,15 @@ from moserpack import (
     packing_from_dict,
     packing_to_dict,
     reduce_and_pack,
-    region_area,
-    region_lexicomin,
     verify_packing,
     whitespace_pack,
+)
+from moserpack.geometry import (
+    EPS_GEOM,
+    RectilinearRegion,
+    feasible_midpoint_region,
+    region_area,
+    region_lexicomin,
 )
 from conftest import (
     Cut,
@@ -467,6 +469,24 @@ class TestVerifyPacking:
         assert got.valid == want.valid
         assert got.violations == want.violations
         assert got.truncated == want.truncated
+
+    def test_touching_pair_with_overflowing_overlap(self):
+        # The point square 3 lies on square 0's left edge, so the pair is a
+        # candidate with overlap 0 in x, while its overlap in y,
+        # -8e307 - 1.2e308, overflows to -inf: the area 0 * -inf is nan,
+        # which numpy warns about.  The pair shares no area.
+        packing = Packing(Rectangle(1, 1), [
+            Placement(1.2e308, -1.6e308, 1.2e308),
+            Placement(1.2e308, 1.2e308, -1.6e308),
+            Placement(0.0, 1.2e308, -8e307),
+            Placement(0.0, -1.6e308, -8e307),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = verify_packing(packing)
+        want = reference_verify_packing(packing)
+        assert got == want
+        assert [v.kind for v in got.violations] == ["outside"] * 4
 
     def test_lower_edge_rounded_onto_a_strip_boundary(self):
         # Strips across y of height 0.25 from y = -0.25.  The second row

@@ -1,21 +1,19 @@
 """The package's public names: ``__all__`` lists each export once, each resolves,
-and the public float helpers reject non-finite input."""
+README's Public API section lists exactly these names, and the public float
+helpers reject non-finite input."""
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import moserpack
-from moserpack import (
-    Instance,
-    circumference_admits,
-    delta_of_V,
-    find_small_index,
-    midpoint_area_bound,
-)
+from moserpack import Instance, circumference_admits, midpoint_area_bound
+from moserpack.constants import delta_of_V, find_small_index
 
 
 def test_star_import_resolves_every_export_once():
@@ -26,6 +24,20 @@ def test_star_import_resolves_every_export_once():
     exec("from moserpack import *", namespace)
     assert [n for n in names if n not in namespace] == []
     assert all(namespace[n] is getattr(moserpack, n) for n in names)
+
+
+def readme_public_api() -> list[str]:
+    """Each bare `identifier` in README's "Public API" section; dotted paths
+    such as `moserpack.geometry` are not names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"`([A-Za-z_]\w*)`", section)
+
+
+def test_all_matches_readme_public_api():
+    documented = readme_public_api()
+    assert len(documented) == 38
+    assert sorted(documented) == sorted(moserpack.__all__)
 
 
 #: A valid call of each helper; every float argument in turn is made non-finite.

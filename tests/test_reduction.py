@@ -16,13 +16,11 @@ from moserpack import (
     Packing,
     PreconditionViolated,
     compute_c,
-    default_prefix_packer,
-    glue_pack,
-    params_to_dict,
     reduce_and_pack,
     result_to_dict,
     verify_packing,
 )
+from moserpack.reduction import default_prefix_packer, glue_pack
 
 from conftest import padded_reduce_and_pack
 
@@ -87,7 +85,7 @@ class TestParams:
         assert (params.N0, params.N1, params.N) == (491_225, 491_225, 3_629_689)
 
     def test_dict_form(self):
-        d = params_to_dict(TOY)
+        d = result_to_dict(reduce_and_pack(case_a_instance(), TOY))["params"]
         assert d["toy"] is True
         assert d["N1"] == 158
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -414,3 +415,41 @@ class TestCli:
         assert code == 0
         packing = packing_from_dict(json.loads(out.read_text()))
         assert verify_packing(packing).valid
+
+
+class TestCliGoldenJson:
+    """sha256 of the exact bytes each command writes, computed before the
+    dict builders became ``dataclasses.asdict``."""
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "e3d72d8b7ad27c7a12c01de45c4e517bf016e3a1e718cfc1016eb0d2777ae0a8"),
+        (["--refined"], "d7c25029888e7447312de886c1f00f018b611d650c627fee2f0d859aee2d2c65"),
+        (["--integral-n0"], "90cc9618470d74b222df0ad9e8aa95f907978751e7faf54b50ba28fecd78b988"),
+    ], ids=["plain", "refined", "integral-n0"])
+    def test_constants(self, tmp_path, flags, digest):
+        out = tmp_path / "report.json"
+        assert cli_dispatch(["constants", "--F", "novotny", *flags, "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_reduce_then_verify_valid(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"sides": [0.1] * 100}))
+        result = tmp_path / "result.json"
+        assert cli_dispatch(["reduce", "--instance", str(inst), "--F", "novotny",
+                             "-o", str(result)]) == 0
+        assert hashlib.sha256(result.read_bytes()).hexdigest() == (
+            "c892d70d1bb8d5cc9308c182ef625f6d4fa40f8b7f6bf25ed13ec3a8e022a211")
+        verdict = tmp_path / "verdict.json"
+        assert cli_dispatch(["verify", "--packing", str(result), "-o", str(verdict)]) == 0
+        assert hashlib.sha256(verdict.read_bytes()).hexdigest() == (
+            "8ec2cbe0454457a3e0abb356872e6c1fe37e82a8616c0fe180a52168d1e2b23f")
+
+    def test_verify_invalid(self, tmp_path):
+        # square 1 sticks out by 0.3 and overlaps square 0 by 0.3 x 0.3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rect": {"w": 1.0, "h": 1.0}, "placements": [
+            {"side": 0.8, "x": 0.0, "y": 0.0}, {"side": 0.8, "x": 0.5, "y": 0.5}]}))
+        verdict = tmp_path / "verdict.json"
+        assert cli_dispatch(["verify", "--packing", str(bad), "-o", str(verdict)]) == 1
+        assert hashlib.sha256(verdict.read_bytes()).hexdigest() == (
+            "64d9b05ee0e7710739f22ad2ef800fbd9195bb70f162585a559fb627758b6d68")

@@ -20,14 +20,12 @@ from moserpack import (
     Rectangle,
     WhitespaceJob,
     compute_c,
-    feasible_midpoint_region,
     meir_moser_pack,
     midpoint_area_bound,
-    region_area,
-    region_lexicomin,
     verify_packing,
     whitespace_pack,
 )
+from moserpack.geometry import feasible_midpoint_region, region_area, region_lexicomin
 from conftest import random_midpoint_config, reference_whitespace_pack
 
 F_REF = (2 + math.sqrt(3)) / 3
