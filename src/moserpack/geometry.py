@@ -170,44 +170,49 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class RectilinearRegion:
-    """A finite union of pairwise interior-disjoint axis-parallel rectangles.
+    """A finite union of axis-parallel rectangles, which may overlap.
 
     Parts are (x0, y0, x1, y1) tuples.  Normalization drops zero-area
-    parts; disjointness is not checked: :func:`feasible_midpoint_region`
-    maintains it by construction, splitting each part it cuts into
-    disjoint pieces.
+    parts.  A region from :func:`feasible_midpoint_region` keeps in
+    ``free`` the free rectangles its parts were shrunk from; equality
+    compares the parts only.
     """
 
     parts: tuple[_Part, ...] = field(default_factory=tuple)
+    free: tuple[_Part, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         kept = tuple(p for p in self.parts if p[2] > p[0] and p[3] > p[1])
         object.__setattr__(self, "parts", kept)
 
 
-def _subtract_part(part: _Part, cut: _Part, out: list) -> None:
-    """Append ``part`` minus the interior of ``cut`` onto ``out``."""
-    x0, y0, x1, y1 = part
-    cx0, cy0, cx1, cy1 = cut
-    # Touching edges do not count as overlap.
-    if x1 <= cx0 or cx1 <= x0 or y1 <= cy0 or cy1 <= y0:
-        out.append(part)
-        return
-    # Vertical slabs left and right of the cut, then the middle strips.
-    if cx0 > x0:
-        out.append((x0, y0, cx0, y1))
-    if cx1 < x1:
-        out.append((cx1, y0, x1, y1))
-    mx0 = x0 if cx0 < x0 else cx0
-    mx1 = x1 if cx1 > x1 else cx1
-    if cy0 > y0:
-        out.append((mx0, y0, mx1, cy0))
-    if cy1 < y1:
-        out.append((mx0, cy1, mx1, y1))
-
-
 def region_area(region: RectilinearRegion) -> float:
-    return math.fsum((x1 - x0) * (y1 - y0) for (x0, y0, x1, y1) in region.parts)
+    """Area of the union of the parts.
+
+    An x-slab sweep (Bentley, 1977): between two consecutive part edges in
+    x, the covered height is the union of the y-spans of the parts that
+    span the slab, so overlapping parts count once.
+    """
+    parts = sorted(region.parts)
+    xs = sorted({p[0] for p in parts} | {p[2] for p in parts})
+    active: list[_Part] = []
+    terms = []
+    i = 0
+    for xa, xb in zip(xs, xs[1:]):
+        while i < len(parts) and parts[i][0] <= xa:
+            active.append(parts[i])
+            i += 1
+        # every right edge is in xs, so a part still open at xa spans the slab
+        active = [p for p in active if p[2] > xa]
+        # spans by bottom edge: each adds what it reaches above the last top
+        covered = []
+        top = -math.inf
+        for y0, y1 in sorted((p[1], p[3]) for p in active):
+            if y1 > top:
+                covered.append(y1 - (y0 if y0 > top else top))
+                top = y1
+        terms.append((xb - xa) * math.fsum(covered))
+    return math.fsum(terms)
 
 
 def region_lexicomin(region: RectilinearRegion) -> Optional[tuple[float, float]]:
@@ -217,43 +222,121 @@ def region_lexicomin(region: RectilinearRegion) -> Optional[tuple[float, float]]
     within ``EPS_GEOM`` are treated as tied in x and the smallest bottom
     edge among them wins; the returned point is always an exact part
     corner, hence exactly inside the region.
+
+    The point depends only on the union, not on how the parts cover it,
+    so overlapping and disjoint covers of one set give the same point.
+    With x* the leftmost x of the union and band the points with x <=
+    x* + EPS_GEOM: a part in the band holds its lower-left corner, and a
+    point of the union in the band lies in a part whose corner is below
+    and left of it, so the smallest bottom edge y* in the band is the
+    lowest y of the union's band.  Likewise the smallest left edge among
+    the band's parts with bottom y* is the leftmost x of the union on the
+    line y = y* within the band.
     """
-    if not region.parts:
+    parts = region.parts
+    if not parts:
         return None
-    min_x = min(p[0] for p in region.parts)
-    best = min(
-        (p for p in region.parts if p[0] <= min_x + EPS_GEOM),
-        key=lambda p: (p[1], p[0]),
-    )
-    return (best[0], best[1])
+    band = min([p[0] for p in parts]) + EPS_GEOM
+    y, x = min([(p[1], p[0]) for p in parts if p[0] <= band])
+    return (x, y)
+
+
+def split_free_rectangles(
+    free: Sequence[_Part], square: Placement, min_edge: float = 0.0
+) -> list[_Part]:
+    """The free rectangles left once ``square`` is placed (MaxRects).
+
+    Each free rectangle that ``square`` overlaps (touching edges do not
+    count) splits into up to four full-extent pieces: left of, right of,
+    below and above the square.  A piece that lies inside a free rectangle
+    the square misses, or inside another piece, is dropped; of equal
+    pieces one is kept.  Pieces with an edge shorter than ``min_edge`` are
+    dropped too.  Every empty rectangle inside a free rectangle before the
+    split lies inside a piece or an untouched free rectangle after it,
+    since it lies wholly to one side of the square; so when ``free`` holds
+    a container for every empty rectangle, so does the result, for every
+    one with both edges at least ``min_edge`` (Jylänki, "A Thousand Ways
+    to Pack the Bin", 2010).
+
+    The square's edges are ``square.x`` and ``square.x + square.side``
+    (likewise in y), the floats the midpoint shrink adds s/2 to.
+    """
+    side = square.side
+    if side <= 0:
+        return list(free)
+    x0 = square.x
+    y0 = square.y
+    x1 = x0 + side
+    y1 = y0 + side
+    missed: list[_Part] = []
+    pieces: list[_Part] = []
+    hits = 0
+    for f in free:
+        fx0, fy0, fx1, fy1 = f
+        if fx1 <= x0 or x1 <= fx0 or fy1 <= y0 or y1 <= fy0:
+            missed.append(f)
+            continue
+        hits += 1
+        if x0 > fx0:
+            pieces.append((fx0, fy0, x0, fy1))
+        if x1 < fx1:
+            pieces.append((x1, fy0, fx1, fy1))
+        if y0 > fy0:
+            pieces.append((fx0, fy0, fx1, y0))
+        if y1 < fy1:
+            pieces.append((fx0, y1, fx1, fy1))
+    kept: list[_Part] = []
+    for i, p in enumerate(pieces):
+        a0, b0, a1, b1 = p
+        if a1 - a0 < min_edge or b1 - b0 < min_edge:
+            continue
+        for c0, d0, c1, d1 in missed:
+            if c0 <= a0 and d0 <= b0 and a1 <= c1 and b1 <= d1:
+                break
+        else:
+            # The pieces of one free rectangle never hold one another, so
+            # with one rectangle hit there is nothing more to compare.
+            if hits > 1 and any(
+                q[0] <= a0 and q[1] <= b0 and a1 <= q[2] and b1 <= q[3]
+                and (q != p or j < i)
+                for j, q in enumerate(pieces) if j != i
+            ):
+                continue
+            kept.append(p)
+    missed += kept
+    return missed
 
 
 def feasible_midpoint_region(
     rect: Rectangle,
     obstacles: Sequence[Placement],
     s: float,
-    start: Optional[RectilinearRegion] = None,
+    start: Optional[Sequence[_Part]] = None,
 ) -> RectilinearRegion:
     """Region of valid midpoints for a new square of side ``s``.
 
     A point p is in the result exactly when the square of side ``s``
     centered at p lies inside ``rect`` and is interior-disjoint from every
-    obstacle.  Geometrically this is the centered (W-s) x (H-s) rectangle
-    minus each obstacle inflated by s/2 on all four sides (clipped to the
-    enclosing rectangle).  Obstacles with side 0 have empty interiors and
-    impose no constraint, so they are skipped rather than inflated.
+    obstacle, up to sets of zero area.  The free rectangles of ``rect``
+    minus the obstacles are found by one :func:`split_free_rectangles` per
+    obstacle, starting from ``rect`` itself; the region is their union
+    shrunk by s/2 on all four sides, keeping the parts of positive width
+    and height.  Obstacles with side 0 have empty interiors and are
+    skipped.  The parts may overlap.
 
-    ``start``, when given, must be this function's result for the same
-    ``rect`` and ``s`` against some earlier obstacles; the cuts then begin
-    from it instead of from the centered rectangle.  The cuts are made in
-    the same order either way, so ``feasible_midpoint_region(rect, b, s,
-    start=feasible_midpoint_region(rect, a, s))`` has exactly the parts of
-    ``feasible_midpoint_region(rect, a + b, s)``.
+    The free rectangles do not depend on ``s``, and the result keeps them
+    as ``free``.  ``start``, when given, holds free rectangles of the same
+    ``rect`` from an earlier call for any side (or those of them with both
+    edges at least ``s``), and the splits begin from them: the region of
+    ``feasible_midpoint_region(rect, b, s, start=feasible_midpoint_region(
+    rect, a, t).free)`` is that of ``feasible_midpoint_region(rect, a + b,
+    s)``.
 
-    Each cut box is computed with the same float expressions as the
-    one-cut-per-obstacle oracle in the tests (``max(x - s/2, rect.x)``,
-    ``min(x + side + s/2, rect.x2)`` and likewise in y), written as plain
-    comparisons, so the parts and their order match it exactly.
+    Each part edge is one of ``rect.x + s/2``, ``rect.x2 - s/2``,
+    ``ob.x - s/2`` and ``(ob.x + ob.side) + s/2`` (likewise in y), the
+    same floats as the edges of the one-cut-per-obstacle oracle in the
+    tests, so the two regions are the same set and have the same
+    :func:`region_lexicomin`.
     """
     if s < 0:
         raise ValueError(f"square side must be >= 0, got {s}")
@@ -261,48 +344,21 @@ def feasible_midpoint_region(
         raise PreconditionViolated(
             f"side {s} exceeds the smaller enclosing edge {rect.min_edge}"
         )
-    half = s / 2.0
-    if start is not None:
-        parts = list(start.parts)
-    else:
-        inner = (rect.x + half, rect.y + half, rect.x2 - half, rect.y2 - half)
-        parts = [inner] if inner[2] > inner[0] and inner[3] > inner[1] else []
-    rx0, ry0, rx1, ry1 = rect.x, rect.y, rect.x2, rect.y2
+    free = [(rect.x, rect.y, rect.x2, rect.y2)] if start is None else start
     for ob in obstacles:
-        side = ob.side
-        if side <= 0:
-            continue
-        # max()/min() and the x2/y2 properties spelled out as plain
-        # comparisons: the same floats, without a call per bound.
-        x = ob.x
-        y = ob.y
-        cx0 = x - half
-        if cx0 < rx0:
-            cx0 = rx0
-        cx1 = x + side + half
-        if cx1 > rx1:
-            cx1 = rx1
-        cy0 = y - half
-        if cy0 < ry0:
-            cy0 = ry0
-        cy1 = y + side + half
-        if cy1 > ry1:
-            cy1 = ry1
-        if cx1 <= cx0 or cy1 <= cy0:
-            continue
-        cut = (cx0, cy0, cx1, cy1)
-        out: list[_Part] = []
-        for part in parts:
-            # Most parts miss the cut (touching edges do not count); only
-            # the ones it overlaps are split.
-            if part[2] <= cx0 or cx1 <= part[0] or part[3] <= cy0 or cy1 <= part[1]:
-                out.append(part)
-            else:
-                _subtract_part(part, cut, out)
-        parts = out
-    # Splitting a part of positive area only yields pieces of positive
-    # area, so the parts need no normalization until the end.
-    return RectilinearRegion(tuple(parts))
+        if ob.side > 0:
+            free = split_free_rectangles(free, ob)
+    half = s / 2.0
+    parts = []
+    for x0, y0, x1, y1 in free:
+        px0 = x0 + half
+        px1 = x1 - half
+        if px1 > px0:
+            py0 = y0 + half
+            py1 = y1 - half
+            if py1 > py0:
+                parts.append((px0, py0, px1, py1))
+    return RectilinearRegion(tuple(parts), tuple(free))
 
 
 #: Most violations a report lists; ``truncated`` says whether more exist.

@@ -3,12 +3,13 @@
 Given a base packing of n squares inside a W x H rectangle of area F and
 a tail of squares no larger than c / sqrt(n) with total area at most c^2,
 every tail square (largest first) is centered on the lexicographically
-smallest feasible midpoint.  The tail arrives sorted non-increasingly,
-so equal sides form one consecutive run.  Within a run the
-feasible-midpoint region of the previous step is carried forward and only
-the square placed since is cut from it; a new side rebuilds the region
-from all placed squares.  An equal tail therefore costs one cut per step
-instead of one per placed square.
+smallest feasible midpoint.  The maximal empty rectangles of the base
+rectangle minus the placed squares do not depend on the side, so they are
+kept from step to step: each placed square splits them once, and each
+step shrinks them by half its side to get its feasible-midpoint region
+(MaxRects, Jylänki 2010; bottom-left, Chazelle 1983).  A tail of n
+distinct sides therefore costs one split per step, not a rebuild from all
+placed squares per side.
 
 The guarantee that the region never empties comes from an area count: the
 midpoints lost to the boundary frame and to the inflation frames of the
@@ -29,10 +30,10 @@ from .geometry import (
     Instance,
     Packing,
     Placement,
-    RectilinearRegion,
     feasible_midpoint_region,
     region_area,
     region_lexicomin,
+    split_free_rectangles,
 )
 
 
@@ -106,34 +107,32 @@ def whitespace_pack(
     """Place every tail square of ``job`` into the base packing's whitespace.
 
     Squares go largest-first onto the lexicographically smallest feasible
-    midpoint of the region left by everything placed so far.  The region
-    of the previous step is kept as ``(side, placed count, region)``;
-    when the next side equals it, only the placements added since are cut
-    from it, which yields exactly the parts a rebuild would.  Only that
-    one region is kept, never one per side.  ``on_step(k, side,
-    region_area, bound)`` is invoked once per positive tail square with
-    the area of the full region, mostly so tests can watch the
-    region-vs-bound margin.  Raises :class:`EmptyRegionError` if a region
-    comes up empty, which cannot happen while the job invariants hold.
+    midpoint of the region left by everything placed so far.  The first
+    positive square hands the base placements to
+    :func:`feasible_midpoint_region`; every later one starts from the free
+    rectangles of the step before, split by the square placed there.
+    Sides are non-increasing, so a free rectangle with an edge shorter
+    than the smallest positive tail side can hold no later square, and the
+    splits drop it.  ``on_step(k, side, region_area, bound)`` is invoked
+    once per positive tail square with the area of the full region, mostly
+    so tests can watch the region-vs-bound margin.  Raises
+    :class:`EmptyRegionError` if a region comes up empty, which cannot
+    happen while the job invariants hold.
     """
     job.validate()
     rect = job.base.rect
     n = len(job.base.placements)
     placed: list[Placement] = list(job.base.placements)
-    carried: Optional[tuple[float, int, RectilinearRegion]] = None
+    smallest = min((s for s in job.tail.sides if s > 0.0), default=0.0)
+    obstacles: tuple[Placement, ...] = job.base.placements
+    free = None
     for k, s in enumerate(job.tail.sides):
         if s <= 0.0:
             # Zero squares influence nothing; park them on the rectangle's
             # lower-left corner, as the shelf engine does.
             placed.append(Placement(0.0, rect.x, rect.y))
             continue
-        if carried is not None and carried[0] == s:
-            region = feasible_midpoint_region(
-                rect, placed[carried[1]:], s, start=carried[2]
-            )
-        else:
-            region = feasible_midpoint_region(rect, placed, s)
-        carried = (s, len(placed), region)
+        region = feasible_midpoint_region(rect, obstacles, s, start=free)
         if on_step is not None:
             on_step(k, s, region_area(region), midpoint_area_bound(job.F, n, job.c, s))
         point = region_lexicomin(region)
@@ -141,5 +140,8 @@ def whitespace_pack(
             raise EmptyRegionError(
                 f"feasible-midpoint region empty at tail square {k} (side {s})"
             )
-        placed.append(Placement(s, point[0] - s / 2.0, point[1] - s / 2.0))
+        square = Placement(s, point[0] - s / 2.0, point[1] - s / 2.0)
+        placed.append(square)
+        free = split_free_rectangles(region.free, square, smallest)
+        obstacles = ()
     return Packing(rect, tuple(placed))

@@ -22,8 +22,29 @@ from moserpack import (
     whitespace_pack,
 )
 from moserpack.constants import find_small_index, harmonic_range_sum
-from moserpack.geometry import EPS_GEOM, RectilinearRegion, _subtract_part, region_lexicomin
+from moserpack.geometry import EPS_GEOM, RectilinearRegion, region_lexicomin
 from moserpack.reduction import default_prefix_packer
+
+
+def _subtract_part(part, cut, out: list) -> None:
+    """Append ``part`` minus the interior of ``cut`` onto ``out``, as disjoint pieces."""
+    x0, y0, x1, y1 = part
+    cx0, cy0, cx1, cy1 = cut
+    # Touching edges do not count as overlap.
+    if x1 <= cx0 or cx1 <= x0 or y1 <= cy0 or cy1 <= y0:
+        out.append(part)
+        return
+    # Vertical slabs left and right of the cut, then the middle strips.
+    if cx0 > x0:
+        out.append((x0, y0, cx0, y1))
+    if cx1 < x1:
+        out.append((cx1, y0, x1, y1))
+    mx0 = x0 if cx0 < x0 else cx0
+    mx1 = x1 if cx1 > x1 else cx1
+    if cy0 > y0:
+        out.append((mx0, y0, mx1, cy0))
+    if cy1 < y1:
+        out.append((mx0, cy1, mx1, y1))
 
 
 def region_subtract(region: RectilinearRegion, cut) -> RectilinearRegion:
@@ -34,11 +55,19 @@ def region_subtract(region: RectilinearRegion, cut) -> RectilinearRegion:
     dropped by normalization, so the returned area always equals
     ``area(region) - area(region ∩ cut)``.
     """
-    c = (cut.x, cut.y, cut.x2, cut.y2)
+    return RectilinearRegion(tuple(_cut_parts(region.parts, (cut.x, cut.y, cut.x2, cut.y2))))
+
+
+def _cut_parts(parts, cut) -> list:
+    """Every part minus the interior of ``cut``; parts it misses are kept as they are."""
+    cx0, cy0, cx1, cy1 = cut
     out: list = []
-    for part in region.parts:
-        _subtract_part(part, c, out)
-    return RectilinearRegion(tuple(out))
+    for part in parts:
+        if part[2] <= cx0 or cx1 <= part[0] or part[3] <= cy0 or cy1 <= part[1]:
+            out.append(part)
+        else:
+            _subtract_part(part, cut, out)
+    return out
 
 
 def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_000,
@@ -94,19 +123,24 @@ class Cut(NamedTuple):
 
 
 def reference_midpoint_region(rect: Rectangle, obstacles, s: float) -> RectilinearRegion:
-    """Feasible-midpoint region rebuilt one ``region_subtract`` per obstacle."""
+    """Feasible-midpoint region: the centered rectangle minus one cut per obstacle.
+
+    Each cut is the obstacle inflated by s/2 and clipped to ``rect``.  The
+    parts are pairwise interior-disjoint, so their areas add up.  Pieces
+    of zero area only descend from parts of zero area, so normalizing
+    once at the end gives the parts a ``region_subtract`` per obstacle
+    would.
+    """
     half = s / 2.0
-    region = RectilinearRegion(
-        ((rect.x + half, rect.y + half, rect.x2 - half, rect.y2 - half),)
-    )
+    parts = [(rect.x + half, rect.y + half, rect.x2 - half, rect.y2 - half)]
     for ob in obstacles:
         if ob.side <= 0:
             continue
         cut = Cut(max(ob.x - half, rect.x), max(ob.y - half, rect.y),
                   min(ob.x2 + half, rect.x2), min(ob.y2 + half, rect.y2))
         if cut.x2 > cut.x and cut.y2 > cut.y:
-            region = region_subtract(region, cut)
-    return region
+            parts = _cut_parts(parts, cut)
+    return RectilinearRegion(tuple(parts))
 
 
 def reference_whitespace_pack(job) -> Packing:

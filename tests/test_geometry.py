@@ -36,6 +36,7 @@ from moserpack.geometry import (
     feasible_midpoint_region,
     region_area,
     region_lexicomin,
+    split_free_rectangles,
 )
 from conftest import (
     Cut,
@@ -212,6 +213,51 @@ class TestLexicomin:
         assert region_lexicomin(r) == (0.25, 0.125)
 
 
+class TestOverlappingParts:
+    """Parts may overlap: the area is the union's, the lexicomin the set's."""
+
+    def test_two_overlapping_unit_squares(self):
+        r = RectilinearRegion(((0.0, 0.0, 1.0, 1.0), (0.5, 0.5, 1.5, 1.5)))
+        assert region_area(r) == 1.75
+        assert region_lexicomin(r) == (0.0, 0.0)
+
+    def test_nested_and_duplicate_parts(self):
+        nested = RectilinearRegion(((0.0, 0.0, 2.0, 2.0), (0.5, 0.5, 1.0, 1.0)))
+        assert region_area(nested) == 4.0
+        twice = RectilinearRegion(((0.25, 0.5, 1.25, 1.5),) * 2)
+        assert region_area(twice) == 1.0
+        assert region_lexicomin(twice) == (0.25, 0.5)
+
+    def test_zero_area_parts(self):
+        r = RectilinearRegion(((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0),
+                               (0.5, 0.0, 1.0, 1.0)))
+        assert r.parts == ((0.5, 0.0, 1.0, 1.0),)
+        assert region_area(r) == 0.5
+        assert region_lexicomin(r) == (0.5, 0.0)
+        assert region_area(RectilinearRegion(((0.0, 0.0, 0.0, 0.0),))) == 0.0
+
+    def test_cover_matches_its_disjoint_split(self):
+        """Rectangles on a 1/8 grid, some nudged by 1e-13 into the EPS_GEOM band."""
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            k = int(rng.integers(1, 8))
+            lo = rng.integers(0, 12, (k, 2)) / 8 + np.where(rng.random((k, 2)) < 0.3, 1e-13, 0.0)
+            size = rng.integers(1, 8, (k, 2)) / 8
+            cover = [(float(a), float(b), float(a + w), float(b + h))
+                     for (a, b), (w, h) in zip(lo, size)]
+            # each rectangle minus the ones before it: a disjoint split of the union
+            split: list = []
+            for i, part in enumerate(cover):
+                rest = RectilinearRegion((part,))
+                for q in cover[:i]:
+                    rest = region_subtract(rest, Cut(*q))
+                split += rest.parts
+            union = RectilinearRegion(tuple(cover))
+            assert region_lexicomin(union) == region_lexicomin(RectilinearRegion(tuple(split)))
+            exact = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in split)
+            assert region_area(union) == pytest.approx(exact, abs=1e-12)
+
+
 class TestFeasibleMidpointRegion:
     def test_no_obstacles_is_centered_frame(self):
         rect = Rectangle(2.0, 1.0)
@@ -305,17 +351,97 @@ def midpoint_configs(draw):
     return Rectangle(W, H, x0, y0), obstacles, s
 
 
+class TestSplitFreeRectangles:
+    @staticmethod
+    def _inside(a, b) -> bool:
+        return b[0] <= a[0] and b[1] <= a[1] and a[2] <= b[2] and a[3] <= b[3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(midpoint_configs())
+    def test_free_rectangles_are_empty_and_none_holds_another(self, config):
+        rect, obstacles, _ = config
+        free = feasible_midpoint_region(rect, obstacles, 0.0).free
+        for i, f in enumerate(free):
+            assert rect.x <= f[0] < f[2] <= rect.x2 and rect.y <= f[1] < f[3] <= rect.y2
+            for ob in obstacles:
+                if ob.side > 0:
+                    assert (f[2] <= ob.x or ob.x + ob.side <= f[0]
+                            or f[3] <= ob.y or ob.y + ob.side <= f[1])
+            assert not any(self._inside(f, g) for j, g in enumerate(free) if j != i)
+
+    def test_equal_pieces_kept_once(self):
+        # two copies of one free rectangle give two copies of each piece
+        free = [(0.0, 0.0, 4.0, 4.0)] * 2
+        out = split_free_rectangles(free, Placement(1.0, 1.0, 1.0))
+        assert sorted(out) == [(0.0, 0.0, 1.0, 4.0), (0.0, 0.0, 4.0, 1.0),
+                               (0.0, 2.0, 4.0, 4.0), (2.0, 0.0, 4.0, 4.0)]
+
+    def test_min_edge_drops_narrow_pieces(self):
+        out = split_free_rectangles([(0.0, 0.0, 4.0, 4.0)], Placement(1.0, 0.5, 2.0), 1.0)
+        # the piece left of the square is 0.5 wide
+        assert sorted(out) == [(0.0, 0.0, 4.0, 2.0), (0.0, 3.0, 4.0, 4.0),
+                               (1.5, 0.0, 4.0, 4.0)]
+
+    def test_missed_and_zero_squares_leave_the_list(self):
+        free = [(0.0, 0.0, 1.0, 1.0)]
+        assert split_free_rectangles(free, Placement(1.0, 1.0, 0.0)) == free
+        assert split_free_rectangles(free, Placement(0.0, 0.5, 0.5)) == free
+
+
+@st.composite
+def grid_midpoint_configs(draw):
+    """A midpoint configuration on a 1/8 grid.
+
+    Obstacles touch, repeat and line up with the rectangle's edges, and
+    corners nudged by 1e-13 put part edges within ``EPS_GEOM`` of each
+    other, so the lexicomin's tie band decides between them.
+    """
+    W, H = (draw(st.sampled_from([1.0, 1.25, 1.5, 2.0])) for _ in range(2))
+    x0, y0 = (draw(st.sampled_from([0.0, -1.0, 0.375])) for _ in range(2))
+    cell = st.integers(-2, 17).map(lambda i: i / 8)
+    nudge = st.sampled_from([0.0, 0.0, 1e-13, -1e-13])
+    raw = draw(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.125, 0.25, 0.375]), cell, cell, nudge, nudge),
+        max_size=12,
+    ))
+    obstacles = [Placement(f, x0 + x + dx, y0 + y + dy) for f, x, y, dx, dy in raw]
+    s = draw(st.sampled_from([0.0, 0.125, 0.25, 0.5])) + abs(draw(nudge))
+    return Rectangle(W, H, x0, y0), obstacles, s
+
+
 class TestIncrementalRegion:
+    """The region is the oracle's point set, from scratch and resumed.
+
+    Parts overlap by design, so they are compared as sets: the same
+    lexicomin, and the union's area within 1e-12 of the oracle's.  The
+    resumed regions start from the free rectangles of the first m
+    obstacles computed for another side, since they do not depend on it.
+    """
+
+    @staticmethod
+    def _check(rect, obstacles, s):
+        oracle = reference_midpoint_region(rect, obstacles, s)
+        point = region_lexicomin(oracle)
+        area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in oracle.parts)
+        full = feasible_midpoint_region(rect, obstacles, s)
+        assert region_lexicomin(full) == point
+        assert region_area(full) == pytest.approx(area, abs=1e-12)
+        for m in range(len(obstacles) + 1):
+            other = rect.min_edge if m % 2 else 0.0
+            start = feasible_midpoint_region(rect, obstacles[:m], other).free
+            resumed = feasible_midpoint_region(rect, obstacles[m:], s, start=start)
+            assert region_lexicomin(resumed) == point
+            assert region_area(resumed) == pytest.approx(area, abs=1e-12)
+
     @settings(max_examples=150, deadline=None)
     @given(midpoint_configs())
     def test_start_region_matches_rebuild_at_every_split(self, config):
-        rect, obstacles, s = config
-        full = feasible_midpoint_region(rect, obstacles, s)
-        assert full.parts == reference_midpoint_region(rect, obstacles, s).parts
-        for m in range(len(obstacles) + 1):
-            start = feasible_midpoint_region(rect, obstacles[:m], s)
-            resumed = feasible_midpoint_region(rect, obstacles[m:], s, start=start)
-            assert resumed.parts == full.parts
+        self._check(*config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_midpoint_configs())
+    def test_grid_ties_match_rebuild_at_every_split(self, config):
+        self._check(*config)
 
 
 @st.composite

@@ -242,22 +242,15 @@ def mixed_run_jobs(draw):
 
 
 class TestRegionReuse:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(mixed_run_jobs())
     def test_placements_match_rebuild_oracle(self, job):
         packing = whitespace_pack(job)
         assert packing.placements == reference_whitespace_pack(job).placements
 
-    def test_equal_tail_cuts_each_placement_once(self, monkeypatch):
-        """An equal tail of 1000 squares hands O(n) obstacles to the region.
-
-        A per-step rebuild would hand over 158 * 1000 + 1000**2 / 2, about
-        6.6e5; carrying the region costs the base once plus one per step.
-        """
-        n_tail = 1000
-        base = make_job(n_tail=0).base
-        tail = Instance((C_REF / math.sqrt(n_tail),) * n_tail)
-        job = WhitespaceJob(base=base, tail=tail, c=C_REF, F=F_REF)
+    @staticmethod
+    def _obstacles_handed_over(job, monkeypatch) -> list[int]:
+        """Obstacle counts of every ``feasible_midpoint_region`` call of a valid run."""
         seen: list[int] = []
         real = whitespace_module.feasible_midpoint_region
 
@@ -267,10 +260,37 @@ class TestRegionReuse:
 
         monkeypatch.setattr(whitespace_module, "feasible_midpoint_region", counting)
         packing = whitespace_pack(job)
+        assert len(packing.placements) == len(job.base.placements) + len(job.tail)
+        assert verify_packing(packing).valid
+        return seen
+
+    def test_equal_tail_cuts_each_placement_once(self, monkeypatch):
+        """An equal tail of 1000 squares hands O(n) obstacles to the region.
+
+        A per-step rebuild would hand over 158 * 1000 + 1000**2 / 2, about
+        6.6e5; carrying the free rectangles hands over the base once.
+        """
+        n_tail = 1000
+        tail = Instance((C_REF / math.sqrt(n_tail),) * n_tail)
+        job = WhitespaceJob(base=make_job(n_tail=0).base, tail=tail, c=C_REF, F=F_REF)
+        seen = self._obstacles_handed_over(job, monkeypatch)
         assert len(seen) == n_tail
         assert sum(seen) <= 2 * n_tail
-        assert len(packing.placements) == 158 + n_tail
-        assert verify_packing(packing).valid
+
+    def test_distinct_tail_cuts_each_placement_once(self, monkeypatch):
+        """A tail of 1000 distinct sides hands O(n) obstacles to the region.
+
+        The free rectangles serve every side, so a new side rebuilds
+        nothing: a rebuild per side would hand over about 6.6e5.
+        """
+        n_tail = 1000
+        cap = C_REF / math.sqrt(n_tail)
+        tail = Instance(tuple((0.5 + 0.5 * i / n_tail) * cap for i in range(n_tail)))
+        assert len(set(tail.sides)) == n_tail
+        job = WhitespaceJob(base=make_job(n_tail=0).base, tail=tail, c=C_REF, F=F_REF)
+        seen = self._obstacles_handed_over(job, monkeypatch)
+        assert len(seen) == n_tail
+        assert sum(seen) <= 2 * n_tail
 
 
 def placement_digest(packing: Packing) -> str:
@@ -285,7 +305,8 @@ class TestGoldenPlacements:
     """Pinned placements: a region change that moves any square fails here.
 
     The hashes were taken from the implementation that cut one obstacle
-    at a time with ``max``/``min`` clipping.
+    at a time with ``max``/``min`` clipping and rebuilt the region from
+    every placed square whenever the side changed.
     """
 
     def test_equal_tail(self):
@@ -305,4 +326,18 @@ class TestGoldenPlacements:
         assert len(packing.placements) == 158 + 60
         assert placement_digest(packing) == (
             "d7903924d34a816f53d1bcd0eebb72835f0609fd638375982785f131c4bc8b52"
+        )
+
+    def test_distinct_tail_ladder_rung(self):
+        """400 base squares and 400 distinct tail sides, as demos/whitespace_ladder.py packs them."""
+        rng = np.random.default_rng(0)
+        cap = C_REF / math.sqrt(400)
+        tail = Instance(tuple(float(s) for s in rng.uniform(0.3, 1.0, 400) * cap))
+        assert len(set(tail.sides)) == 400
+        job = WhitespaceJob(base=make_job(n_base=400, n_tail=0).base, tail=tail,
+                            c=C_REF, F=F_REF)
+        packing = whitespace_pack(job)
+        assert len(packing.placements) == 800
+        assert placement_digest(packing) == (
+            "0a1fc970927d6384b81f8a76efd5e95b9e40f994f56f9f02af2d94ae5340cf2b"
         )
