@@ -5,9 +5,9 @@ and a tail of n distinct sides, drawn uniformly from [0.3, 1) * c/sqrt(n)
 with numpy's seed 0, goes into its whitespace.  Every side is new, so no
 step can reuse a region computed for the side before it; the free
 rectangles that every step shares are what keep the ladder near
-quadratic.  The run exits with status 1 if the n = 400 placements differ
-from the pinned sha256 (the one tests/test_whitespace.py pins too) or if
-any rung's packing fails verification.
+quadratic.  The run exits with status 1 if the placements at n = 400,
+1000 or 3000 differ from their pinned sha256 (tests/test_whitespace.py
+pins the n = 400 one too) or if any rung's packing fails verification.
 
     PYTHONPATH=src python demos/whitespace_ladder.py
 """
@@ -32,7 +32,11 @@ from moserpack import (
 
 F = (2 + math.sqrt(3)) / 3
 c = float(compute_c(F))
-PINNED_400 = "0a1fc970927d6384b81f8a76efd5e95b9e40f994f56f9f02af2d94ae5340cf2b"
+PINNED = {
+    400: "0a1fc970927d6384b81f8a76efd5e95b9e40f994f56f9f02af2d94ae5340cf2b",
+    1000: "aa48ce9a77ef1bb9a4474681b871658438dea551b891d1b18d3c5dc57bc3ea29",
+    3000: "3d735dd2d1154dc820e2981755e9788a3b1e6051edcfa27336314943f2072638",
+}
 
 
 def ladder_job(n: int) -> WhitespaceJob:
@@ -62,9 +66,9 @@ for n in (158, 400, 1000, 3000):
     valid = verify_packing(packing).valid
     ok &= valid
     print(f"{n:6d}   {len(set(job.tail.sides)):14d}   {elapsed:17.3f}   {valid}")
-    if n == 400:
+    if n in PINNED:
         digest = placement_digest(packing)
-        if digest != PINNED_400:
-            print(f"n = 400 placements moved: sha256 {digest}, pinned {PINNED_400}")
+        if digest != PINNED[n]:
+            print(f"n = {n} placements moved: sha256 {digest}, pinned {PINNED[n]}")
             ok = False
 sys.exit(0 if ok else 1)

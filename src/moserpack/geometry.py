@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import PreconditionViolated
@@ -116,8 +117,9 @@ class Instance:
                     f"actual {actual} by more than {self.AREA_DECL_TOL}"
                 )
 
-    @property
+    @cached_property
     def total_area(self) -> float:
+        """The exactly rounded sum of the squared sides, computed once."""
         return math.fsum(s * s for s in self.sides)
 
     @property
@@ -258,6 +260,16 @@ def split_free_rectangles(
     one with both edges at least ``min_edge`` (Jylänki, "A Thousand Ways
     to Pack the Bin", 2010).
 
+    A piece can lie only inside a piece on its own side of the square, so
+    each piece is compared with those alone.  A left piece ``(fx0, fy0,
+    x0, fy1)`` of a free rectangle f that the square overlaps has ``fx0 <
+    x1``, ``fy0 < y1`` and ``fy1 > y0``; a right piece starts at ``x1 >
+    fx0``, a below piece ends at ``y0 < fy1`` and an above piece starts at
+    ``y1 > fy0``, so none of them holds it.  The other three sides follow
+    in the same way.  The argument compares floats and does no arithmetic,
+    so it holds for every free list.  The result lists the untouched
+    rectangles, then the kept pieces grouped by side.
+
     The square's edges are ``square.x`` and ``square.x + square.side``
     (likewise in y), the floats the midpoint shrink adds s/2 to.
     """
@@ -269,7 +281,10 @@ def split_free_rectangles(
     x1 = x0 + side
     y1 = y0 + side
     missed: list[_Part] = []
-    pieces: list[_Part] = []
+    left: list[_Part] = []
+    right: list[_Part] = []
+    below: list[_Part] = []
+    above: list[_Part] = []
     hits = 0
     for f in free:
         fx0, fy0, fx1, fy1 = f
@@ -278,31 +293,39 @@ def split_free_rectangles(
             continue
         hits += 1
         if x0 > fx0:
-            pieces.append((fx0, fy0, x0, fy1))
+            left.append((fx0, fy0, x0, fy1))
         if x1 < fx1:
-            pieces.append((x1, fy0, fx1, fy1))
+            right.append((x1, fy0, fx1, fy1))
         if y0 > fy0:
-            pieces.append((fx0, fy0, fx1, y0))
+            below.append((fx0, fy0, fx1, y0))
         if y1 < fy1:
-            pieces.append((fx0, y1, fx1, fy1))
+            above.append((fx0, y1, fx1, fy1))
     kept: list[_Part] = []
-    for i, p in enumerate(pieces):
-        a0, b0, a1, b1 = p
-        if a1 - a0 < min_edge or b1 - b0 < min_edge:
+    for pieces in (left, right, below, above):
+        if not pieces:
             continue
-        for c0, d0, c1, d1 in missed:
-            if c0 <= a0 and d0 <= b0 and a1 <= c1 and b1 <= d1:
-                break
-        else:
-            # The pieces of one free rectangle never hold one another, so
-            # with one rectangle hit there is nothing more to compare.
-            if hits > 1 and any(
-                q[0] <= a0 and q[1] <= b0 and a1 <= q[2] and b1 <= q[3]
-                and (q != p or j < i)
-                for j, q in enumerate(pieces) if j != i
-            ):
+        for p in pieces:
+            a0, b0, a1, b1 = p
+            if a1 - a0 < min_edge or b1 - b0 < min_edge:
                 continue
-            kept.append(p)
+            for c0, d0, c1, d1 in missed:
+                if c0 <= a0 and d0 <= b0 and a1 <= c1 and b1 <= d1:
+                    break
+            else:
+                # The pieces of one free rectangle lie on different sides,
+                # so with one rectangle hit there is nothing to compare.
+                # Pieces on different sides are never equal, so ``kept``
+                # holds an equal piece only if this side kept it already.
+                if hits > 1:
+                    for q in pieces:
+                        if (q[0] <= a0 and q[1] <= b0 and a1 <= q[2] and b1 <= q[3]
+                                and q != p):
+                            break
+                    else:
+                        if p not in kept:
+                            kept.append(p)
+                else:
+                    kept.append(p)
     missed += kept
     return missed
 

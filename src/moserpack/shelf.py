@@ -21,6 +21,8 @@ The two area criteria are the predicates :func:`moon_moser_holds` and
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from typing import Optional
 
 from .errors import PackFailure, PreconditionViolated
@@ -54,6 +56,16 @@ def circumference_admits(F: float, V: float, C: float, x: float) -> bool:
     return x <= (F - 1) * V / C
 
 
+def _smallest_positive(sides: tuple[float, ...]) -> float:
+    """The smallest positive side of non-increasing ``sides``, or 0.0 if none.
+
+    It is the last positive side, found by bisection on the negated
+    sides, which are non-decreasing.
+    """
+    positive = bisect_left(sides, 0.0, key=operator.neg)
+    return sides[positive - 1] if positive else 0.0
+
+
 def _shelf_positions(sides: tuple[float, ...], a1: float, a2: float) -> Optional[list[tuple[float, float]]]:
     """First-fit decreasing shelf placement inside a1 (width) x a2 (height).
 
@@ -70,7 +82,7 @@ def _shelf_positions(sides: tuple[float, ...], a1: float, a2: float) -> Optional
     shelf_used: list[float] = []
     top = 0.0
     room = a1 + EPS_GEOM
-    s_min = min((s for s in sides if s > 0.0), default=0.0)
+    s_min = _smallest_positive(sides)
     live = 0
     for s in sides:
         if s <= 0.0:

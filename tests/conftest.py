@@ -70,6 +70,48 @@ def _cut_parts(parts, cut) -> list:
     return out
 
 
+def reference_split_free_rectangles(free, square: Placement, min_edge: float = 0.0) -> list:
+    """``geometry.split_free_rectangles`` with every piece compared to every other.
+
+    No side grouping: a piece is dropped when it lies inside a free
+    rectangle the square misses or inside any other piece, and of equal
+    pieces the first is kept.
+    """
+    side = square.side
+    if side <= 0:
+        return list(free)
+    x0 = square.x
+    y0 = square.y
+    x1 = x0 + side
+    y1 = y0 + side
+    missed: list = []
+    pieces: list = []
+    for fx0, fy0, fx1, fy1 in free:
+        if fx1 <= x0 or x1 <= fx0 or fy1 <= y0 or y1 <= fy0:
+            missed.append((fx0, fy0, fx1, fy1))
+            continue
+        if x0 > fx0:
+            pieces.append((fx0, fy0, x0, fy1))
+        if x1 < fx1:
+            pieces.append((x1, fy0, fx1, fy1))
+        if y0 > fy0:
+            pieces.append((fx0, fy0, fx1, y0))
+        if y1 < fy1:
+            pieces.append((fx0, y1, fx1, fy1))
+
+    def inside(a, b) -> bool:
+        return b[0] <= a[0] and b[1] <= a[1] and a[2] <= b[2] and a[3] <= b[3]
+
+    kept = [
+        p for i, p in enumerate(pieces)
+        if p[2] - p[0] >= min_edge and p[3] - p[1] >= min_edge
+        and not any(inside(p, g) for g in missed)
+        and not any(inside(p, q) and (q != p or j < i)
+                    for j, q in enumerate(pieces) if j != i)
+    ]
+    return missed + kept
+
+
 def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_000,
                      seed: int = 0) -> float:
     """Independent area estimate of the feasible-midpoint region.

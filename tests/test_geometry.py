@@ -45,6 +45,7 @@ from conftest import (
     random_midpoint_config,
     random_moon_moser_case,
     reference_midpoint_region,
+    reference_split_free_rectangles,
     reference_verify_packing,
     region_subtract,
 )
@@ -129,6 +130,18 @@ class TestInstance:
         sides = (0.1,) * 100
         inst = Instance(sides)
         assert inst.total_area == math.fsum(s * s for s in sides)
+
+    def test_total_area_computed_once_bit_for_bit(self):
+        sides = (0.3, 0.1, 1e-9, 0.7, 0.0) + (1 / 3,) * 50
+        inst = Instance(sides)
+        first = inst.total_area
+        assert first.hex() == math.fsum(s * s for s in inst.sides).hex()
+        # cached on the instance: the same float object, and equality and
+        # hashing still see the fields alone
+        assert inst.total_area is first
+        assert inst == Instance(sides) and hash(inst) == hash(Instance(sides))
+        declared = Instance(sides, declared_total_area=first)
+        assert declared.total_area.hex() == first.hex()
 
     def test_declared_area_checked(self):
         Instance((0.5,), declared_total_area=0.25)
@@ -351,6 +364,49 @@ def midpoint_configs(draw):
     return Rectangle(W, H, x0, y0), obstacles, s
 
 
+@st.composite
+def split_configs(draw):
+    """An arbitrary free list, a square and a ``min_edge``, on a 1/4 grid.
+
+    The free rectangles may overlap, repeat, nest and touch the square;
+    some are drawn around the square, so that it hits many of them.
+    Edges are nudged by 1e-13 at times, and the square may have side 0
+    or miss every rectangle.
+    """
+    nudge = st.sampled_from([0.0, 0.0, 0.0, 1e-13, -1e-13])
+
+    def grid(top):
+        return st.builds(lambda i, d: i / 4 + d, st.integers(0, top), nudge)
+
+    coord = grid(16)
+    square = Placement(abs(draw(grid(8))), draw(coord), draw(coord))
+
+    def span(lo, hi):
+        return (min(lo, hi), max(lo, hi))
+
+    free = []
+    for a, b, c, d in draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=8)):
+        (x0, x1), (y0, y1) = span(a, b), span(c, d)
+        free.append((x0, y0, x1, y1))
+    # rectangles around the square: each reaches past it by 0 to 1 per side
+    reach = grid(4)
+    for a, b, c, d in draw(st.lists(st.tuples(reach, reach, reach, reach), max_size=6)):
+        free.append((square.x - a, square.y - b, square.x2 + c, square.y2 + d))
+    # rectangles the square misses that share one of its edges' lines:
+    # only these can hold a piece
+    x0, y0, x1, y1 = square.x, square.y, square.x2, square.y2
+    for k, a, b, c in draw(st.lists(st.tuples(st.integers(0, 3), reach, reach, reach),
+                                    max_size=4)):
+        free.append([(x0 - a - c, y0 - b, x0, y1 + c), (x1, y0 - b, x1 + a + c, y1 + c),
+                     (x0 - a, y0 - b - c, x1 + c, y0), (x0 - a, y1, x1 + c, y1 + b + c)][k])
+    if free:
+        free += [free[i] for i in draw(st.lists(st.integers(0, len(free) - 1), max_size=3))]
+    free = draw(st.permutations(free))
+    min_edge = draw(st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
+                              st.floats(0.0, 2.0)))
+    return free, square, min_edge
+
+
 class TestSplitFreeRectangles:
     @staticmethod
     def _inside(a, b) -> bool:
@@ -386,6 +442,27 @@ class TestSplitFreeRectangles:
         free = [(0.0, 0.0, 1.0, 1.0)]
         assert split_free_rectangles(free, Placement(1.0, 1.0, 0.0)) == free
         assert split_free_rectangles(free, Placement(0.0, 0.5, 0.5)) == free
+
+    def test_nested_left_pieces_keep_the_widest(self):
+        # three hit rectangles whose left pieces nest; the other sides'
+        # pieces of the first two do not, so they all stay
+        free = [(0.0, 0.0, 3.5, 4.0), (0.5, 1.0, 4.0, 3.0), (1.0, 1.5, 2.5, 2.5)]
+        square = Placement(1.0, 2.0, 1.5)
+        out = split_free_rectangles(free, square)
+        assert [p for p in out if p[2] == square.x] == [(0.0, 0.0, 2.0, 4.0)]
+        assert sorted(out) == [
+            (0.0, 0.0, 2.0, 4.0), (0.0, 0.0, 3.5, 1.5), (0.0, 2.5, 3.5, 4.0),
+            (0.5, 1.0, 4.0, 1.5), (0.5, 2.5, 4.0, 3.0),
+            (3.0, 0.0, 3.5, 4.0), (3.0, 1.0, 4.0, 3.0),
+        ]
+        assert sorted(out) == sorted(reference_split_free_rectangles(free, square))
+
+    @settings(max_examples=400, deadline=None)
+    @given(split_configs())
+    def test_matches_all_pairs_oracle(self, config):
+        free, square, min_edge = config
+        out = split_free_rectangles(free, square, min_edge)
+        assert sorted(out) == sorted(reference_split_free_rectangles(free, square, min_edge))
 
 
 @st.composite

@@ -254,3 +254,24 @@ class TestDeadShelfSkip:
         sides = tuple(sorted(sides, reverse=True))
         got = shelf_module._shelf_positions(sides, a1, a2)
         assert got == reference_shelf_positions(sides, a1, a2)
+
+
+class TestSmallestPositive:
+    """The bisection finds the side a scan over every positive side finds."""
+
+    @staticmethod
+    def _scan(sides) -> float:
+        return min((s for s in sides if s > 0.0), default=0.0)
+
+    @pytest.mark.parametrize("sides", [
+        (), (0.0,), (0.0, 0.0, 0.0), (0.4,), (0.3, 0.3, 0.3),
+        (0.5, 0.2, 0.2, 0.0, 0.0), (0.5, 0.0), (5e-324, 0.0), (0.7, 0.6, 5e-324),
+    ])
+    def test_matches_full_scan(self, sides):
+        assert shelf_module._smallest_positive(sides) == self._scan(sides)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 5e-324, 0.05, 0.1, 0.3, 0.7]), max_size=40))
+    def test_random_sorted_sides_match_full_scan(self, sides):
+        sides = Instance(tuple(sides)).sides
+        assert shelf_module._smallest_positive(sides) == self._scan(sides)
