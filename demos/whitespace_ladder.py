@@ -1,13 +1,17 @@
 """Time whitespace packing of a distinct-side tail up a ladder of sizes.
 
-At each rung n, a base of n equal squares fills a sqrt(F) x sqrt(F) square
-and a tail of n distinct sides, drawn uniformly from [0.3, 1) * c/sqrt(n)
-with numpy's seed 0, goes into its whitespace.  Every side is new, so no
-step can reuse a region computed for the side before it; the free
-rectangles that every step shares are what keep the ladder near
-quadratic.  The run exits with status 1 if the placements at n = 400,
-1000 or 3000 differ from their pinned sha256 (tests/test_whitespace.py
-pins the n = 400 one too) or if any rung's packing fails verification.
+At each rung n, a tail of n distinct sides, drawn uniformly from
+[0.3, 1) * c/sqrt(n) with numpy's seed 0, goes into the whitespace of two
+bases of n squares.  The equal base fills a sqrt(F) x sqrt(F) square with
+equal squares and leaves three free rectangles.  The distinct base draws
+its sides uniformly from [0.2, 1) with the same generator, before the
+tail, and is prefix-packed as case c of the reduction packs it, which
+leaves many.  Every side is new, so no step can reuse a region computed
+for the side before it; the free rectangles that every step shares are
+what keep the ladder near quadratic.  The run exits with status 1 if the
+placements of a pinned rung differ from their sha256
+(tests/test_whitespace.py pins both n = 400 ones too) or if any rung's
+packing fails verification.
 
     PYTHONPATH=src python demos/whitespace_ladder.py
 """
@@ -29,22 +33,34 @@ from moserpack import (
     verify_packing,
     whitespace_pack,
 )
+from moserpack.reduction import default_prefix_packer
 
 F = (2 + math.sqrt(3)) / 3
 c = float(compute_c(F))
 PINNED = {
-    400: "0a1fc970927d6384b81f8a76efd5e95b9e40f994f56f9f02af2d94ae5340cf2b",
-    1000: "aa48ce9a77ef1bb9a4474681b871658438dea551b891d1b18d3c5dc57bc3ea29",
-    3000: "3d735dd2d1154dc820e2981755e9788a3b1e6051edcfa27336314943f2072638",
+    ("equal", 400): "0a1fc970927d6384b81f8a76efd5e95b9e40f994f56f9f02af2d94ae5340cf2b",
+    ("equal", 1000): "aa48ce9a77ef1bb9a4474681b871658438dea551b891d1b18d3c5dc57bc3ea29",
+    ("equal", 3000): "3d735dd2d1154dc820e2981755e9788a3b1e6051edcfa27336314943f2072638",
+    ("distinct", 400): "bce0bd8ce2a117df47fdc40d175bc988557275a0dfb73cff336c8022b8e8fd12",
+    ("distinct", 3000): "a484f2a410aa7d9019e496e355d666f1ec176715ed2e14a66861b9235fa68de9",
 }
 
 
-def ladder_job(n: int) -> WhitespaceJob:
-    root = math.sqrt(F)
-    base = meir_moser_pack(Instance((math.sqrt((1.0 - c * c) / n),) * n),
-                           Rectangle(root, F / root))
-    cap = c / math.sqrt(n)
-    sides = np.random.default_rng(0).uniform(0.3, 1.0, n) * cap
+def ladder_job(base_kind: str, n: int) -> WhitespaceJob:
+    # The pins were taken with the tail sides rounded as u * (c / sqrt(n))
+    # on the equal base and as (u * c) / sqrt(n) on the distinct one.
+    rng = np.random.default_rng(0)
+    if base_kind == "equal":
+        root = math.sqrt(F)
+        base = meir_moser_pack(Instance((math.sqrt((1.0 - c * c) / n),) * n),
+                               Rectangle(root, F / root))
+        sides = rng.uniform(0.3, 1.0, n) * (c / math.sqrt(n))
+    else:
+        weights = rng.uniform(0.2, 1.0, n)
+        scale = math.sqrt((1.0 - c * c) / float(np.sum(weights * weights)))
+        inst = Instance(tuple(float(w) * scale for w in weights))
+        base = default_prefix_packer(inst, F / inst.total_area)
+        sides = rng.uniform(0.3, 1.0, n) * c / math.sqrt(n)
     return WhitespaceJob(base=base, tail=Instance(tuple(float(s) for s in sides)), c=c, F=F)
 
 
@@ -57,18 +73,22 @@ def placement_digest(packing) -> str:
 
 
 ok = True
-print("     n   distinct sides   whitespace_pack s   valid")
+print("     n   base       distinct sides   whitespace_pack s   valid")
 for n in (158, 400, 1000, 3000):
-    job = ladder_job(n)
-    t0 = time.perf_counter()
-    packing = whitespace_pack(job)
-    elapsed = time.perf_counter() - t0
-    valid = verify_packing(packing).valid
-    ok &= valid
-    print(f"{n:6d}   {len(set(job.tail.sides)):14d}   {elapsed:17.3f}   {valid}")
-    if n in PINNED:
-        digest = placement_digest(packing)
-        if digest != PINNED[n]:
-            print(f"n = {n} placements moved: sha256 {digest}, pinned {PINNED[n]}")
-            ok = False
+    for base_kind in ("equal", "distinct"):
+        job = ladder_job(base_kind, n)
+        t0 = time.perf_counter()
+        packing = whitespace_pack(job)
+        elapsed = time.perf_counter() - t0
+        valid = verify_packing(packing).valid
+        ok &= valid
+        print(f"{n:6d}   {base_kind:8s}   {len(set(job.tail.sides)):14d}"
+              f"   {elapsed:17.3f}   {valid}")
+        pinned = PINNED.get((base_kind, n))
+        if pinned is not None:
+            digest = placement_digest(packing)
+            if digest != pinned:
+                print(f"{base_kind} base, n = {n} placements moved: sha256 {digest},"
+                      f" pinned {pinned}")
+                ok = False
 sys.exit(0 if ok else 1)

@@ -174,18 +174,10 @@ class VerificationReport:
 class RectilinearRegion:
     """A finite union of axis-parallel rectangles, which may overlap.
 
-    Parts are (x0, y0, x1, y1) tuples.  Normalization drops zero-area
-    parts.  A region from :func:`feasible_midpoint_region` keeps in
-    ``free`` the free rectangles its parts were shrunk from; equality
-    compares the parts only.
+    Parts are (x0, y0, x1, y1) tuples.
     """
 
     parts: tuple[_Part, ...] = field(default_factory=tuple)
-    free: tuple[_Part, ...] = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        kept = tuple(p for p in self.parts if p[2] > p[0] and p[3] > p[1])
-        object.__setattr__(self, "parts", kept)
 
 
 def region_area(region: RectilinearRegion) -> float:
@@ -347,13 +339,14 @@ def feasible_midpoint_region(
     and height.  Obstacles with side 0 have empty interiors and are
     skipped.  The parts may overlap.
 
-    The free rectangles do not depend on ``s``, and the result keeps them
-    as ``free``.  ``start``, when given, holds free rectangles of the same
-    ``rect`` from an earlier call for any side (or those of them with both
-    edges at least ``s``), and the splits begin from them: the region of
-    ``feasible_midpoint_region(rect, b, s, start=feasible_midpoint_region(
-    rect, a, t).free)`` is that of ``feasible_midpoint_region(rect, a + b,
-    s)``.
+    ``start``, when given, is the list the splits begin from in place of
+    ``[rect]``.  It must stand for ``rect`` minus some earlier obstacles a:
+    every entry is empty, that is inside ``rect`` and interior-disjoint
+    from a, and every empty rectangle with both edges at least some t <= s
+    lies inside an entry.  ``[rect]`` split by each of a in turn with
+    :func:`split_free_rectangles` and a ``min_edge`` of t is such a list.
+    The region of ``feasible_midpoint_region(rect, b, s, start=start)`` is
+    then that of ``feasible_midpoint_region(rect, a + b, s)``.
 
     Each part edge is one of ``rect.x + s/2``, ``rect.x2 - s/2``,
     ``ob.x - s/2`` and ``(ob.x + ob.side) + s/2`` (likewise in y), the
@@ -381,7 +374,7 @@ def feasible_midpoint_region(
             py1 = y1 - half
             if py1 > py0:
                 parts.append((px0, py0, px1, py1))
-    return RectilinearRegion(tuple(parts), tuple(free))
+    return RectilinearRegion(tuple(parts))
 
 
 #: Most violations a report lists; ``truncated`` says whether more exist.

@@ -124,16 +124,13 @@ def _run_shelves(inst: Instance, rect: Rectangle) -> Packing:
     return Packing(rect, tuple(placements))
 
 
-def moon_moser_pack(inst: Instance, rect: Rectangle, *,
-                    require_precondition: bool = True) -> Packing:
+def moon_moser_pack(inst: Instance, rect: Rectangle) -> Packing:
     """Pack squares whose doubled total area fits the rectangle.
 
-    Precondition: min edge >= max square and 2 V <= a1 a2.  With
-    ``require_precondition=False`` the attempt runs regardless and an
-    unplaceable square raises :class:`PackFailure` instead.
+    Precondition: min edge >= max square and 2 V <= a1 a2.
     """
     V, x = inst.total_area, inst.max_side
-    if require_precondition and not moon_moser_holds(V, x, rect.width, rect.height):
+    if not moon_moser_holds(V, x, rect.width, rect.height):
         raise PreconditionViolated(
             f"moon-moser inequality fails for V={V}, x={x}, "
             f"rect {rect.width} x {rect.height}"

@@ -4,12 +4,13 @@ Given a base packing of n squares inside a W x H rectangle of area F and
 a tail of squares no larger than c / sqrt(n) with total area at most c^2,
 every tail square (largest first) is centered on the lexicographically
 smallest feasible midpoint.  The maximal empty rectangles of the base
-rectangle minus the placed squares do not depend on the side, so they are
-kept from step to step: each placed square splits them once, and each
-step shrinks them by half its side to get its feasible-midpoint region
-(MaxRects, Jylänki 2010; bottom-left, Chazelle 1983).  A tail of n
-distinct sides therefore costs one split per step, not a rebuild from all
-placed squares per side.
+rectangle minus the placed squares do not depend on the side, so one list
+of them is kept from start to end: it starts as the base rectangle, each
+base square and each placed tail square splits it once, and each step
+shrinks it by half its side to get its feasible-midpoint region (MaxRects,
+Jylänki 2010; bottom-left, Chazelle 1983).  A tail of n distinct sides
+therefore costs one split per step, not a rebuild from all placed squares
+per side.
 
 The guarantee that the region never empties comes from an area count: the
 midpoints lost to the boundary frame and to the inflation frames of the
@@ -107,32 +108,33 @@ def whitespace_pack(
     """Place every tail square of ``job`` into the base packing's whitespace.
 
     Squares go largest-first onto the lexicographically smallest feasible
-    midpoint of the region left by everything placed so far.  The first
-    positive square hands the base placements to
-    :func:`feasible_midpoint_region`; every later one starts from the free
-    rectangles of the step before, split by the square placed there.
-    Sides are non-increasing, so a free rectangle with an edge shorter
-    than the smallest positive tail side can hold no later square, and the
-    splits drop it.  ``on_step(k, side, region_area, bound)`` is invoked
-    once per positive tail square with the area of the full region, mostly
-    so tests can watch the region-vs-bound margin.  Raises
-    :class:`EmptyRegionError` if a region comes up empty, which cannot
-    happen while the job invariants hold.
+    midpoint of the region left by everything placed so far.  The free
+    rectangles start as the base rectangle, split by every base placement
+    and then by each tail square as it is placed.  Sides are
+    non-increasing, so a free rectangle with an edge shorter than the
+    smallest positive tail side can hold no tail square, and the splits
+    drop it.  ``on_step(k, side, region_area, bound)`` is invoked once per
+    positive tail square with the area of the full region, mostly so tests
+    can watch the region-vs-bound margin.  Raises :class:`EmptyRegionError`
+    if a region comes up empty, which cannot happen while the job
+    invariants hold.
     """
     job.validate()
     rect = job.base.rect
     n = len(job.base.placements)
     placed: list[Placement] = list(job.base.placements)
-    smallest = min((s for s in job.tail.sides if s > 0.0), default=0.0)
-    obstacles: tuple[Placement, ...] = job.base.placements
-    free = None
+    # With no positive side no free rectangle is needed, and the splits keep none.
+    smallest = min((s for s in job.tail.sides if s > 0.0), default=math.inf)
+    free = [(rect.x, rect.y, rect.x2, rect.y2)]
+    for square in job.base.placements:
+        free = split_free_rectangles(free, square, smallest)
     for k, s in enumerate(job.tail.sides):
         if s <= 0.0:
             # Zero squares influence nothing; park them on the rectangle's
             # lower-left corner, as the shelf engine does.
             placed.append(Placement(0.0, rect.x, rect.y))
             continue
-        region = feasible_midpoint_region(rect, obstacles, s, start=free)
+        region = feasible_midpoint_region(rect, (), s, start=free)
         if on_step is not None:
             on_step(k, s, region_area(region), midpoint_area_bound(job.F, n, job.c, s))
         point = region_lexicomin(region)
@@ -142,6 +144,5 @@ def whitespace_pack(
             )
         square = Placement(s, point[0] - s / 2.0, point[1] - s / 2.0)
         placed.append(square)
-        free = split_free_rectangles(region.free, square, smallest)
-        obstacles = ()
+        free = split_free_rectangles(free, square, smallest)
     return Packing(rect, tuple(placed))

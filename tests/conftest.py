@@ -22,7 +22,12 @@ from moserpack import (
     whitespace_pack,
 )
 from moserpack.constants import find_small_index, harmonic_range_sum
-from moserpack.geometry import EPS_GEOM, RectilinearRegion, region_lexicomin
+from moserpack.geometry import (
+    EPS_GEOM,
+    RectilinearRegion,
+    region_lexicomin,
+    split_free_rectangles,
+)
 from moserpack.reduction import default_prefix_packer
 
 
@@ -51,11 +56,15 @@ def region_subtract(region: RectilinearRegion, cut) -> RectilinearRegion:
     """Closure of ``region`` minus the interior of ``cut``.
 
     ``cut`` is anything with ``x``, ``y``, ``x2`` and ``y2`` edges.
-    Zero-area residue (boundary segments of a fully covered part) is
-    dropped by normalization, so the returned area always equals
+    Parts of zero area are dropped, so the returned area always equals
     ``area(region) - area(region ∩ cut)``.
     """
-    return RectilinearRegion(tuple(_cut_parts(region.parts, (cut.x, cut.y, cut.x2, cut.y2))))
+    return RectilinearRegion(_positive(_cut_parts(region.parts, (cut.x, cut.y, cut.x2, cut.y2))))
+
+
+def _positive(parts) -> tuple:
+    """The parts of positive width and height."""
+    return tuple(p for p in parts if p[2] > p[0] and p[3] > p[1])
 
 
 def _cut_parts(parts, cut) -> list:
@@ -68,6 +77,14 @@ def _cut_parts(parts, cut) -> list:
         else:
             _subtract_part(part, cut, out)
     return out
+
+
+def free_rectangles(rect: Rectangle, obstacles, min_edge: float = 0.0) -> list:
+    """``[rect]`` split by each obstacle in turn with ``split_free_rectangles``."""
+    free = [(rect.x, rect.y, rect.x2, rect.y2)]
+    for ob in obstacles:
+        free = split_free_rectangles(free, ob, min_edge)
+    return free
 
 
 def reference_split_free_rectangles(free, square: Placement, min_edge: float = 0.0) -> list:
@@ -169,7 +186,7 @@ def reference_midpoint_region(rect: Rectangle, obstacles, s: float) -> Rectiline
 
     Each cut is the obstacle inflated by s/2 and clipped to ``rect``.  The
     parts are pairwise interior-disjoint, so their areas add up.  Pieces
-    of zero area only descend from parts of zero area, so normalizing
+    of zero area only descend from parts of zero area, so dropping them
     once at the end gives the parts a ``region_subtract`` per obstacle
     would.
     """
@@ -182,7 +199,7 @@ def reference_midpoint_region(rect: Rectangle, obstacles, s: float) -> Rectiline
                   min(ob.x2 + half, rect.x2), min(ob.y2 + half, rect.y2))
         if cut.x2 > cut.x and cut.y2 > cut.y:
             parts = _cut_parts(parts, cut)
-    return RectilinearRegion(tuple(parts))
+    return RectilinearRegion(_positive(parts))
 
 
 def reference_whitespace_pack(job) -> Packing:

@@ -40,6 +40,7 @@ from moserpack.geometry import (
 )
 from conftest import (
     Cut,
+    free_rectangles,
     grid_region_area,
     random_meir_moser_case,
     random_midpoint_config,
@@ -208,10 +209,6 @@ class TestRegionAlgebra:
                 diff = region_subtract(diff, Cut(*part))
             assert region_area(diff) == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_area_parts_dropped(self):
-        r = RectilinearRegion(parts=((0.0, 0.0, 0.0, 1.0),))
-        assert not r.parts
-
 
 class TestLexicomin:
     def test_empty_region(self):
@@ -244,9 +241,7 @@ class TestOverlappingParts:
     def test_zero_area_parts(self):
         r = RectilinearRegion(((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0),
                                (0.5, 0.0, 1.0, 1.0)))
-        assert r.parts == ((0.5, 0.0, 1.0, 1.0),)
         assert region_area(r) == 0.5
-        assert region_lexicomin(r) == (0.5, 0.0)
         assert region_area(RectilinearRegion(((0.0, 0.0, 0.0, 0.0),))) == 0.0
 
     def test_cover_matches_its_disjoint_split(self):
@@ -416,7 +411,7 @@ class TestSplitFreeRectangles:
     @given(midpoint_configs())
     def test_free_rectangles_are_empty_and_none_holds_another(self, config):
         rect, obstacles, _ = config
-        free = feasible_midpoint_region(rect, obstacles, 0.0).free
+        free = free_rectangles(rect, obstacles)
         for i, f in enumerate(free):
             assert rect.x <= f[0] < f[2] <= rect.x2 and rect.y <= f[1] < f[3] <= rect.y2
             for ob in obstacles:
@@ -492,7 +487,8 @@ class TestIncrementalRegion:
     Parts overlap by design, so they are compared as sets: the same
     lexicomin, and the union's area within 1e-12 of the oracle's.  The
     resumed regions start from the free rectangles of the first m
-    obstacles computed for another side, since they do not depend on it.
+    obstacles split with a ``min_edge`` t <= s, which drops only free
+    rectangles no side-s square fits in.
     """
 
     @staticmethod
@@ -504,11 +500,11 @@ class TestIncrementalRegion:
         assert region_lexicomin(full) == point
         assert region_area(full) == pytest.approx(area, abs=1e-12)
         for m in range(len(obstacles) + 1):
-            other = rect.min_edge if m % 2 else 0.0
-            start = feasible_midpoint_region(rect, obstacles[:m], other).free
-            resumed = feasible_midpoint_region(rect, obstacles[m:], s, start=start)
-            assert region_lexicomin(resumed) == point
-            assert region_area(resumed) == pytest.approx(area, abs=1e-12)
+            for t in (0.0, s / 2, s):
+                start = free_rectangles(rect, obstacles[:m], t)
+                resumed = feasible_midpoint_region(rect, obstacles[m:], s, start=start)
+                assert region_lexicomin(resumed) == point
+                assert region_area(resumed) == pytest.approx(area, abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(midpoint_configs())

@@ -75,12 +75,6 @@ class TestMoonMoser:
         with pytest.raises(PreconditionViolated):
             moon_moser_pack(Instance((1.0,)), Rectangle(1.2, 1.2))
 
-    def test_unchecked_attempt_can_fail(self):
-        with pytest.raises(PackFailure):
-            moon_moser_pack(
-                Instance((1.0, 1.0)), Rectangle(1.0, 1.5), require_precondition=False
-            )
-
     def test_orientation_normalized(self):
         """Wide and tall rectangles produce mirror-equivalent packings."""
         inst = Instance((0.5, 0.4, 0.3, 0.2, 0.2))
