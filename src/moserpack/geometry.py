@@ -10,9 +10,11 @@ boundary excess up to the tolerance.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionViolated
 
@@ -83,10 +85,6 @@ class Placement:
     def y2(self) -> float:
         return self.y + self.side
 
-    @property
-    def area(self) -> float:
-        return self.side * self.side
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -130,19 +128,77 @@ class Instance:
         return len(self.sides)
 
 
-@dataclass(frozen=True)
+def _finite(column: array) -> bool:
+    """True when every value of ``column`` is finite."""
+    # A sum with an inf or nan term is not finite; only a sum that
+    # overflowed needs the check value by value.
+    return math.isfinite(sum(column)) or all(map(math.isfinite, column))
+
+
 class Packing:
-    """A target rectangle together with one placement per input square."""
+    """A target rectangle and one square per input square, as three columns.
 
-    rect: Rectangle
-    placements: tuple[Placement, ...]
+    Square i has edge ``sides[i]`` and its lower-left corner at ``(xs[i],
+    ys[i])``; each column is an ``array('d')``.  ``Packing(rect,
+    placements)`` fills the columns from :class:`Placement` objects, and
+    :meth:`from_columns` takes columns as they are, checking once per
+    column that every value is finite and every side >= 0.
+    ``placements`` is the same squares as a tuple of :class:`Placement`:
+    the tuple given, or one built from the columns on first use.  Two
+    packings are equal when their rectangles and columns are.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "placements", tuple(self.placements))
+    __slots__ = ("rect", "sides", "xs", "ys", "_placements")
+
+    def __init__(self, rect: Rectangle, placements: Iterable[Placement]) -> None:
+        placements = tuple(placements)
+        self.rect = rect
+        self.sides = array("d", [p.side for p in placements])
+        self.xs = array("d", [p.x for p in placements])
+        self.ys = array("d", [p.y for p in placements])
+        self._placements: Optional[tuple[Placement, ...]] = placements
+
+    @classmethod
+    def from_columns(cls, rect: Rectangle, sides: array, xs: array, ys: array) -> "Packing":
+        """The packing of square i with edge ``sides[i]`` at ``(xs[i], ys[i])``.
+
+        The columns are kept, not copied.
+        """
+        if not all(isinstance(c, array) and c.typecode == "d" for c in (sides, xs, ys)):
+            raise TypeError("packing columns must be array('d')")
+        if not len(sides) == len(xs) == len(ys):
+            raise ValueError(f"columns differ in length: {len(sides)}, {len(xs)}, {len(ys)}")
+        if not (_finite(xs) and _finite(ys)):
+            raise ValueError("placement corners must be finite")
+        if not _finite(sides) or min(sides, default=0.0) < 0:
+            raise ValueError("placement sides must be finite and >= 0")
+        packing = cls.__new__(cls)
+        packing.rect = rect
+        packing.sides, packing.xs, packing.ys = sides, xs, ys
+        packing._placements = None
+        return packing
+
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        if self._placements is None:
+            self._placements = tuple(map(Placement, self.sides, self.xs, self.ys))
+        return self._placements
 
     @property
     def total_placed_area(self) -> float:
-        return math.fsum(p.area for p in self.placements)
+        return math.fsum(map(operator.mul, self.sides, self.sides))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Packing):
+            return NotImplemented
+        return (self.rect == other.rect and self.sides == other.sides
+                and self.xs == other.xs and self.ys == other.ys)
+
+    # The columns are mutable arrays.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Packing(rect={self.rect!r}, placements={self.placements!r})"
 
 
 @dataclass(frozen=True)
@@ -392,10 +448,12 @@ def verify_packing(packing: Packing, tol: float = EPS_GEOM) -> VerificationRepor
 
     A placement may stick out of the rectangle by at most ``tol`` per
     side, and a pair of placements may share at most ``tol`` of overlap
-    area; ``tol`` must be finite and >= 0.  Out-of-bounds placements come
-    first, by index, then overlapping pairs ``(i, j)``, ``i < j``, in
-    lexicographic order, up to a cap of 10000 entries (``truncated`` is
-    set if the cap is hit).
+    area; ``tol`` must be finite and >= 0.  A column that holds a value
+    that is not finite, or a negative side, raises ``ValueError``: the
+    columns can change after the packing checked them.  Out-of-bounds
+    placements come first, by index, then overlapping pairs ``(i, j)``,
+    ``i < j``, in lexicographic order, up to a cap of 10000 entries
+    (``truncated`` is set if the cap is hit).
 
     Overlaps are found by a strip sweep, a sort-and-sweep (Bentley & Wood,
     1980) run within strips.  The squares are ranked by their lower edge
@@ -421,10 +479,18 @@ def verify_packing(packing: Packing, tol: float = EPS_GEOM) -> VerificationRepor
     # the constants path never pay for loading it.
     import numpy as np
 
-    pls = packing.placements
-    x = np.array([p.x for p in pls], dtype=float)
-    y = np.array([p.y for p in pls], dtype=float)
-    side = np.array([p.side for p in pls], dtype=float)
+    # Views of the columns, not copies: nothing below writes to them.
+    x = np.frombuffer(packing.xs, dtype=float)
+    y = np.frombuffer(packing.ys, dtype=float)
+    side = np.frombuffer(packing.sides, dtype=float)
+    # The columns are mutable, so the checks the packing made when it
+    # was built are made again here.
+    if not len(x) == len(y) == len(side):
+        raise ValueError(f"columns differ in length: {len(side)}, {len(x)}, {len(y)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("placement corners must be finite")
+    if not (np.isfinite(side).all() and (side >= 0).all()):
+        raise ValueError("placement sides must be finite and >= 0")
     r = packing.rect
     # Finite placements near 1e308 may have upper edges, spans and overlap
     # areas that round to inf.  Those infinities compare correctly, so
@@ -568,18 +634,21 @@ def packing_to_dict(packing: Packing) -> dict:
     return {
         "rect": {"w": r.width, "h": r.height},
         "placements": [
-            {"side": p.side, "x": p.x - r.x, "y": p.y - r.y} for p in packing.placements
+            {"side": s, "x": x - r.x, "y": y - r.y}
+            for s, x, y in zip(packing.sides, packing.xs, packing.ys)
         ],
     }
 
 
 def packing_from_dict(data: dict) -> Packing:
     rect = Rectangle(float(data["rect"]["w"]), float(data["rect"]["h"]))
-    placements = tuple(
-        Placement(float(p["side"]), float(p["x"]), float(p["y"]))
-        for p in data["placements"]
+    pls = data["placements"]
+    return Packing.from_columns(
+        rect,
+        array("d", [float(p["side"]) for p in pls]),
+        array("d", [float(p["x"]) for p in pls]),
+        array("d", [float(p["y"]) for p in pls]),
     )
-    return Packing(rect, placements)
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -591,4 +660,5 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     """Read an instance; sides are sorted non-increasingly, negatives rejected."""
-    return Instance(tuple(float(s) for s in data["sides"]), data.get("total_area"))
+    # Instance converts each side with float() as it sorts them.
+    return Instance(tuple(data["sides"]), data.get("total_area"))

@@ -20,12 +20,13 @@ its own preconditions before any placement work.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .constants import _delta, build_report, compute_c, factor_float, find_small_index
 from .errors import MoserpackError, PackFailure, PreconditionViolated
-from .geometry import EPS_GEOM, Instance, Packing, Placement, Rectangle, packing_to_dict
+from .geometry import EPS_GEOM, Instance, Packing, Rectangle, packing_to_dict
 from .shelf import meir_moser_holds, meir_moser_pack, small_s1_pack
 from .whitespace import WhitespaceJob, whitespace_pack
 
@@ -122,14 +123,17 @@ def _transpose_to_height(p: Packing) -> tuple[Packing, float, float]:
     """Reorient a packing so its rectangle's smaller edge is the height.
 
     Returns the reoriented packing (origin normalized to (0, 0)) along
-    with (W, H) = (smaller, larger) edge.
+    with (W, H) = (smaller, larger) edge.  The packing shares with ``p``
+    the columns that need no shift.
     """
     r = p.rect
+    # v - 0.0 == v for every float v, so a zero offset is left out.
+    xs = array("d", [x - r.x for x in p.xs]) if r.x else p.xs
+    ys = array("d", [y - r.y for y in p.ys]) if r.y else p.ys
     if r.width <= r.height:
-        flipped = tuple(Placement(q.side, q.y - r.y, q.x - r.x) for q in p.placements)
-        return Packing(Rectangle(r.height, r.width), flipped), r.width, r.height
-    shifted = tuple(Placement(q.side, q.x - r.x, q.y - r.y) for q in p.placements)
-    return Packing(Rectangle(r.width, r.height), shifted), r.height, r.width
+        flipped = Packing.from_columns(Rectangle(r.height, r.width), p.sides, ys, xs)
+        return flipped, r.width, r.height
+    return Packing.from_columns(Rectangle(r.width, r.height), p.sides, xs, ys), r.height, r.width
 
 
 def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
@@ -172,7 +176,7 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
     tail_rect = Rectangle(H2, W, x=Hp, y=0.0)
     tp = meir_moser_pack(tail, tail_rect)
     merged = Rectangle(Hp + H2, W)
-    return Packing(merged, rp.placements + tp.placements)
+    return Packing.from_columns(merged, rp.sides + tp.sides, rp.xs + tp.xs, rp.ys + tp.ys)
 
 
 def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat, takewhile
 from typing import Optional
 
 from .errors import PackFailure, PreconditionViolated
-from .geometry import EPS_GEOM, Instance, Packing, Placement, Rectangle
+from .geometry import EPS_GEOM, Instance, Packing, Rectangle
 
 
 def moon_moser_holds(V: float, x: float, a1: float, a2: float) -> bool:
@@ -66,62 +68,103 @@ def _smallest_positive(sides: tuple[float, ...]) -> float:
     return sides[positive - 1] if positive else 0.0
 
 
-def _shelf_positions(sides: tuple[float, ...], a1: float, a2: float) -> Optional[list[tuple[float, float]]]:
+def _shelf_positions(sides: tuple[float, ...], a1: float,
+                     a2: float) -> Optional[tuple[array, array]]:
     """First-fit decreasing shelf placement inside a1 (width) x a2 (height).
 
-    ``sides`` must be sorted non-increasingly.  Returns lower-left corners
-    in input order, or None when some square does not fit.  Zero-side
-    squares are placed nominally at the origin.
+    ``sides`` must be sorted non-increasingly.  Returns the columns of
+    lower-left corners along a1 and along a2, in input order, or None
+    when some square does not fit.  Zero-side squares are placed
+    nominally at the origin.
+
+    Each run of equal sides is placed at once.  A shelf that has no room
+    for one square of the run has none for the rest, so the run fills
+    the open shelves in order, each as far as it goes, and then new
+    shelves.  Square j of a new shelf sits at edge j of 0, s, s + s,
+    (s + s) + s, ... and fits while edge j + 1 <= room, so every new
+    shelf of the run takes the same edges, made once with
+    ``itertools.accumulate``.  That is where first fit puts the squares
+    one at a time, and every edge is the same sum of one ``+=`` per
+    square.  An open shelf takes its squares one at a time: it has less
+    room than a new one, and a run of one square, common when the sides
+    are distinct, then costs no more than the placement of one square.
 
     Shelves before ``live`` are dead: they have no room even for the
     smallest positive side, hence for no later square, so the first-fit
     scan starts at ``live`` and picks the same shelf a full scan would.
     """
-    coords: list[tuple[float, float]] = []
+    us = array("d")
+    vs = array("d")
     shelf_y: list[float] = []
     shelf_used: list[float] = []
     top = 0.0
     room = a1 + EPS_GEOM
     s_min = _smallest_positive(sides)
     live = 0
-    for s in sides:
+    i, n = 0, len(sides)
+    while i < n:
+        s = sides[i]
         if s <= 0.0:
-            coords.append((0.0, 0.0))
-            continue
+            # zero sides are a trailing run
+            us += array("d", [0.0]) * (n - i)
+            vs += array("d", [0.0]) * (n - i)
+            break
         if s > room:
             return None
+        end = i + 1
+        if end < n and sides[end] == s:
+            end = bisect_right(sides, -s, end, n, key=operator.neg)
+        left = end - i
+        i = end
         for k in range(live, len(shelf_y)):
-            if shelf_used[k] + s <= room:
-                coords.append((shelf_used[k], shelf_y[k]))
-                shelf_used[k] += s
-                break
-        else:
-            if top + s > a2 + EPS_GEOM:
-                return None
-            coords.append((0.0, top))
-            shelf_y.append(top)
-            shelf_used.append(s)
-            top += s
+            used = shelf_used[k]
+            if used + s <= room:
+                y = shelf_y[k]
+                while left and used + s <= room:
+                    us.append(used)
+                    vs.append(y)
+                    used += s
+                    left -= 1
+                shelf_used[k] = used
+                if not left:
+                    break
+        if left:
+            # The edges 0, s, s + s, ... up to the room, the same on each new shelf.
+            edges = array("d", takewhile(room.__ge__, accumulate(repeat(s, left), initial=0.0)))
+            per_shelf = len(edges) - 1
+            while left:
+                if top + s > a2 + EPS_GEOM:
+                    return None
+                placed = min(per_shelf, left)
+                us += edges[:placed]
+                vs += array("d", [top]) * placed
+                shelf_y.append(top)
+                shelf_used.append(edges[placed])
+                top += s
+                left -= placed
         while live < len(shelf_used) and shelf_used[live] + s_min > room:
             live += 1
-    return coords
+    return us, vs
 
 
 def _run_shelves(inst: Instance, rect: Rectangle) -> Packing:
     """Run the shelf engine in normalized orientation, map back, offset."""
     swap = rect.width > rect.height
     a1, a2 = (rect.height, rect.width) if swap else (rect.width, rect.height)
-    coords = _shelf_positions(inst.sides, a1, a2)
-    if coords is None:
+    columns = _shelf_positions(inst.sides, a1, a2)
+    if columns is None:
         raise PackFailure(
             f"shelf placement failed for {len(inst)} squares in "
             f"{rect.width} x {rect.height}"
         )
-    placements = []
-    for s, (u, v) in zip(inst.sides, coords):
-        x, y = (v, u) if swap else (u, v)
-        placements.append(Placement(s, rect.x + x, rect.y + y))
-    return Packing(rect, tuple(placements))
+    us, vs = columns
+    xs, ys = (vs, us) if swap else (us, vs)
+    # The engine writes no -0.0, so adding a zero offset changes nothing.
+    if rect.x:
+        xs = array("d", [rect.x + x for x in xs])
+    if rect.y:
+        ys = array("d", [rect.y + y for y in ys])
+    return Packing.from_columns(rect, array("d", inst.sides), xs, ys)
 
 
 def moon_moser_pack(inst: Instance, rect: Rectangle) -> Packing:

@@ -69,7 +69,7 @@ class WhitespaceJob:
             problems.append(f"base rectangle area {W * H} != F = {self.F}")
         if self.base.total_placed_area > 1.0 + EPS_GEOM:
             problems.append(f"base placed area {self.base.total_placed_area} exceeds 1")
-        n = len(self.base.placements)
+        n = len(self.base.sides)
         n_floor = max((10 * self.F + 0.1) ** 2, 100 * self.c * self.c)
         if n < n_floor:
             problems.append(f"base count {n} below required {n_floor}")
@@ -121,7 +121,8 @@ def whitespace_pack(
     """
     job.validate()
     rect = job.base.rect
-    n = len(job.base.placements)
+    n = len(job.base.sides)
+    # The packing keeps these objects as its ``placements``.
     placed: list[Placement] = list(job.base.placements)
     # With no positive side no free rectangle is needed, and the splits keep none.
     smallest = min((s for s in job.tail.sides if s > 0.0), default=math.inf)
@@ -145,4 +146,4 @@ def whitespace_pack(
         square = Placement(s, point[0] - s / 2.0, point[1] - s / 2.0)
         placed.append(square)
         free = split_free_rectangles(free, square, smallest)
-    return Packing(rect, tuple(placed))
+    return Packing(rect, placed)

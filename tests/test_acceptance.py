@@ -7,6 +7,7 @@ to see the lines directly.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -192,3 +193,35 @@ def test_c9_driver_cases_and_harmonic_certificates():
 
     report(9, f"driver cases a/b/c + harmonic sums {toy_sum:.3f}, {real_sum:.6f}",
            ok_a and ok_b and ok_c and ok_h)
+
+
+def test_c10_case_b_at_paper_scale():
+    """The certified integral chain (N0 = N1 = 491,225) on 1 + 10^6 squares.
+
+    One square of 1/2 and 10^6 equal squares of total area 3/4: the area
+    past N1 is far above c^2, so the instance splits at N0 into a prefix
+    of 491,225 squares and a tail of 508,776, each a run of equal sides
+    the shelf engine places in bulk.  The sha256 pins every placement's
+    (side, x, y) as little-endian doubles, as computed when each square
+    was a separate ``Placement``.
+    """
+    n = 10**6
+    inst = Instance((0.5,) + (math.sqrt(0.75 / n),) * n)
+    params = PackParams.certified(use_integral_n0=True)
+    assert (params.N0, params.N1) == (491_225, 491_225)
+    start = time.perf_counter()
+    result = reduce_and_pack(inst, params)
+    pack_s = time.perf_counter() - start
+    packing = result.packing
+    rows = np.column_stack([np.frombuffer(c) for c in (packing.sides, packing.xs, packing.ys)])
+    digest = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()
+    report_ = verify_packing(packing)
+    ok = (
+        result.case == "b"
+        and result.split_index == 491_225
+        and len(packing.sides) == n + 1
+        and abs(packing.rect.area - params.F) <= 1e-12
+        and report_.valid
+        and digest == "65be89e4ae2df59fcb9f47901a6e8bffdea847d346f0cac2f522758832d9ba19"
+    )
+    report(10, f"case b at 10^6 squares under the integral chain, packed in {pack_s:.2f} s", ok)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -102,6 +103,65 @@ class TestPlacement:
             Placement(math.nan, 0.0, 0.0)
         with pytest.raises(ValueError):
             Placement(0.1, -math.inf, 0.0)
+
+
+class TestPackingColumns:
+    def test_columns_follow_the_placements(self):
+        p = reference_packing()
+        assert isinstance(p.xs, array)
+        assert list(p.sides) == [q.side for q in p.placements]
+        assert list(p.xs) == [q.x for q in p.placements]
+        assert list(p.ys) == [q.y for q in p.placements]
+
+    def test_placements_built_once_from_the_columns(self):
+        p = reference_packing()
+        q = Packing.from_columns(p.rect, array("d", p.sides), array("d", p.xs), array("d", p.ys))
+        assert q == p
+        assert q.placements == p.placements
+        assert q.placements is q.placements
+
+    def test_given_placements_are_kept(self):
+        placements = reference_packing().placements
+        assert Packing(Rectangle(2, 2), placements).placements is placements
+
+    def test_equality_compares_rectangle_and_columns(self):
+        p = reference_packing()
+        assert p == Packing(p.rect, list(p.placements))
+        assert p != Packing(p.rect, p.placements[:-1])
+        assert p != Packing(Rectangle(5, 5), p.placements)
+        moved = Packing.from_columns(p.rect, array("d", p.sides), array("d", p.xs),
+                                     array("d", p.ys))
+        moved.ys[0] = 1e-3
+        assert p != moved
+
+    def test_total_placed_area(self):
+        assert reference_packing().total_placed_area == pytest.approx(1.0, abs=1e-15)
+        assert Packing(Rectangle(1, 1), ()).total_placed_area == 0.0
+
+    @pytest.mark.parametrize("column, value", [
+        ("sides", math.nan), ("sides", math.inf), ("sides", -0.25),
+        ("xs", math.nan), ("xs", -math.inf), ("ys", math.inf),
+    ])
+    def test_from_columns_rejects_bad_values(self, column, value):
+        cols = {"sides": array("d", [0.5, 0.5]), "xs": array("d", [0.0, 0.5]),
+                "ys": array("d", [0.0, 0.0])}
+        cols[column][1] = value
+        with pytest.raises(ValueError):
+            Packing.from_columns(Rectangle(1, 1), cols["sides"], cols["xs"], cols["ys"])
+
+    def test_from_columns_accepts_values_whose_sum_overflows(self):
+        big = array("d", [1.5e308, 1.5e308])
+        p = Packing.from_columns(Rectangle(1, 1), array("d", [0.0, 0.0]), big, big)
+        assert list(p.xs) == [1.5e308, 1.5e308]
+
+    def test_from_columns_takes_float_arrays_only(self):
+        for bad in ([0.5], array("f", [0.5])):
+            with pytest.raises(TypeError):
+                Packing.from_columns(Rectangle(1, 1), bad, array("d", [0.0]), array("d", [0.0]))
+
+    def test_from_columns_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="length"):
+            Packing.from_columns(Rectangle(1, 1), array("d", [0.5]), array("d"), array("d"))
 
 
 class TestInstance:
@@ -630,6 +690,27 @@ class TestVerifyPacking:
             with pytest.raises(ValueError, match="tol"):
                 verify_packing(p, tol=tol)
         assert verify_packing(p, tol=0.0).violations == verify_packing(p).violations
+
+    @pytest.mark.parametrize("column, value", [
+        ("xs", math.nan), ("xs", math.inf), ("ys", -math.inf), ("ys", math.nan),
+        ("sides", math.nan), ("sides", math.inf), ("sides", -0.5),
+    ])
+    def test_column_set_after_construction_is_never_valid(self, column, value):
+        # The columns are mutable arrays: a value written after the packing
+        # checked them must not pass the verifier.
+        p = reference_packing()
+        getattr(p, column)[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            verify_packing(p)
+
+    def test_columns_unchanged_by_verification(self):
+        # The verifier reads the columns through views that share their memory.
+        p = _case_b_shaped(8_000)
+        before = [bytes(col) for col in (p.sides, p.xs, p.ys)]
+        assert verify_packing(p).valid
+        assert [bytes(col) for col in (p.sides, p.xs, p.ys)] == before
+        # No view outlives the call: a column can still grow.
+        p.xs.append(0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(verify_cases(), st.sampled_from([1, 7, None]), st.sampled_from([5, None]))

@@ -15,11 +15,16 @@ from moserpack import (
     Packing,
     Placement,
     Rectangle,
+    WhitespaceJob,
+    compute_c,
+    meir_moser_pack,
+    packing_from_dict,
     packing_to_dict,
     reduce_and_pack,
     render_svg,
     result_to_dict,
     verify_packing,
+    whitespace_pack,
 )
 from moserpack.cli import cli_dispatch
 
@@ -172,6 +177,21 @@ class TestCli:
         assert cli_dispatch(["verify", "--packing", str(bad)]) == 1
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("key", ["x", "y"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_verify_rejects_non_finite_corner_token(self, tmp_path, capsys, key, token):
+        corner = {"x": "0.0", "y": "0.0", key: token}
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"rect": {"w": 1.0, "h": 1.0}, "placements": ['
+            '{"side": 0.5, "x": 0.5, "y": 0.5}, '
+            f'{{"side": 0.5, "x": {corner["x"]}, "y": {corner["y"]}}}]}}'
+        )
+        assert cli_dispatch(["verify", "--packing", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ValueError"
+        assert "finite" in err["error"]["message"]
 
     def test_verify_non_object_packing_maps_to_error_json(self, tmp_path, capsys):
         bad = self.write(tmp_path, "list.json", [1, 2])
@@ -415,6 +435,38 @@ class TestCli:
         assert code == 0
         packing = packing_from_dict(json.loads(out.read_text()))
         assert verify_packing(packing).valid
+
+
+def _shelf_packing() -> Packing:
+    return meir_moser_pack(Instance((0.4, 0.3, 0.3, 0.2) + (0.05,) * 40), Rectangle(1.2, 1.0))
+
+
+def _glue_packing() -> Packing:
+    F = (2 + math.sqrt(3)) / 3
+    params = PackParams.toy_params(F=F, c=float(compute_c(F)), N0=4, N1=158, N=1167)
+    tail = (math.sqrt(0.375 / 8_000),) * 8_000
+    result = reduce_and_pack(Instance((0.5, 0.5, 0.25, 0.25) + tail), params)
+    assert result.case == "b"
+    return result.packing
+
+
+def _whitespace_packing() -> Packing:
+    F = (2 + math.sqrt(3)) / 3
+    c = float(compute_c(F))
+    base = meir_moser_pack(Instance((math.sqrt((1 - c * c) / 158),) * 158),
+                           Rectangle(math.sqrt(F), F / math.sqrt(F)))
+    tail = Instance((c / math.sqrt(158) * 0.9,) * 20)
+    return whitespace_pack(WhitespaceJob(base, tail, c=c, F=F))
+
+
+@pytest.mark.parametrize("build", [_shelf_packing, _glue_packing, _whitespace_packing],
+                         ids=["shelf", "glue", "whitespace"])
+def test_packing_dict_round_trip_is_exact(build):
+    packing = build()
+    assert packing.rect.x == packing.rect.y == 0.0
+    assert packing_from_dict(packing_to_dict(packing)) == packing
+    # and through the JSON text the CLI writes and reads
+    assert packing_from_dict(json.loads(json.dumps(packing_to_dict(packing)))) == packing
 
 
 class TestCliGoldenJson:

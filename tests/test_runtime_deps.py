@@ -1,10 +1,10 @@
 """The runtime imports mpmath, and numpy only on first use: scipy is a test-time dependency.
 
-`import moserpack` and the constants path load no numpy module; numpy is
-imported on the first call of `verify_packing`, `find_small_index` or
-`harmonic_range_sum`.  Each check runs in a fresh interpreter, so modules
-that other tests (or hypothesis) already imported into this process cannot
-hide an import.
+`import moserpack`, the constants path and a case-b `reduce` load no numpy
+module; numpy is imported on the first call of `verify_packing`,
+`find_small_index` or `harmonic_range_sum`.  Each check runs in a fresh
+interpreter, so modules that other tests (or hypothesis) already imported
+into this process cannot hide an import.
 """
 
 from __future__ import annotations
@@ -81,6 +81,32 @@ print(json.dumps({
 }))
 """
 
+CASE_B_REDUCE = """
+import json, sys, tempfile
+from pathlib import Path
+
+from moserpack import compute_c
+from moserpack.cli import cli_dispatch
+
+c = float(compute_c((2 + 3 ** 0.5) / 3))
+tail = [(0.375 / 8000) ** 0.5] * 8000
+with tempfile.TemporaryDirectory() as tmp:
+    inst, toy = Path(tmp, "inst.json"), Path(tmp, "toy.json")
+    inst.write_text(json.dumps({"sides": [0.5, 0.5, 0.25, 0.25] + tail}))
+    toy.write_text(json.dumps({"c": c, "N0": 4, "N1": 158, "N": 1167}))
+    result = Path(tmp, "result.json")
+    code = cli_dispatch(["reduce", "--instance", str(inst), "--F", "novotny",
+                         "--toy-params", str(toy), "-o", str(result)])
+    reduced = json.loads(result.read_text())
+
+print(json.dumps({
+    "code": code,
+    "case": reduced["case"],
+    "placements": len(reduced["packing"]["placements"]),
+    "numpy": sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")),
+}))
+"""
+
 PLAIN_IMPORT = """
 import sys
 import moserpack
@@ -118,3 +144,10 @@ def test_import_and_constants_load_no_numpy_until_the_verifier_runs():
     assert out["code"] == 0
     assert out["valid"] == [True, False]
     assert out["numpy_after"] is True
+
+
+def test_case_b_reduce_loads_no_numpy():
+    # The shelf engine and the glue write stdlib ``array`` columns.
+    out = json.loads(run_fresh(CASE_B_REDUCE))
+    assert (out["code"], out["case"], out["placements"]) == (0, "b", 8_004)
+    assert out["numpy"] == []

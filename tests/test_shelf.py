@@ -24,6 +24,7 @@ from moserpack import (
     small_s1_pack,
     verify_packing,
 )
+from moserpack.geometry import EPS_GEOM
 from moserpack.shelf import meir_moser_holds, moon_moser_holds
 from conftest import (
     random_meir_moser_case,
@@ -199,6 +200,11 @@ class TestShelfStructure:
         assert "0.7" in str(err.value)
 
 
+def corners(columns):
+    """The engine's two corner columns as (u, v) pairs, or None on a failed fit."""
+    return None if columns is None else list(zip(*columns))
+
+
 @pytest.fixture
 def full_scan_checked(monkeypatch):
     """Check every shelf-engine call against the full-scan oracle.
@@ -209,10 +215,10 @@ def full_scan_checked(monkeypatch):
     real = shelf_module._shelf_positions
 
     def checked(sides, a1, a2):
-        coords = real(sides, a1, a2)
-        assert coords == reference_shelf_positions(sides, a1, a2)
-        calls.append(coords is not None)
-        return coords
+        columns = real(sides, a1, a2)
+        assert corners(columns) == reference_shelf_positions(sides, a1, a2)
+        calls.append(columns is not None)
+        return columns
 
     monkeypatch.setattr(shelf_module, "_shelf_positions", checked)
     return calls
@@ -247,7 +253,49 @@ class TestDeadShelfSkip:
     def test_random_sorted_sides_match_full_scan(self, sides, a1, a2):
         sides = tuple(sorted(sides, reverse=True))
         got = shelf_module._shelf_positions(sides, a1, a2)
-        assert got == reference_shelf_positions(sides, a1, a2)
+        assert corners(got) == reference_shelf_positions(sides, a1, a2)
+
+
+@st.composite
+def equal_runs(draw):
+    """Sorted sides in runs of 1 to 500 equal copies, and the shelf rectangle.
+
+    The values include zeros, sides that do not add exactly (0.1, 1/3),
+    one so small that a shelf holds a whole run, and sides at and next to
+    the shelf room a1 + EPS_GEOM.
+    """
+    a1 = draw(st.floats(0.7, 1.3))
+    room = a1 + EPS_GEOM
+    values = [0.0, 1e-17, 0.013, 0.05, 0.1, 1 / 3, a1 / 3, a1 / 2, 0.6 * a1,
+              math.nextafter(room, 0.0), room, a1]
+    runs = draw(st.lists(st.tuples(st.sampled_from(values), st.integers(1, 500)),
+                         min_size=1, max_size=5))
+    sides = tuple(sorted((s for s, k in runs for _ in range(k)), reverse=True))
+    return sides, a1, draw(st.floats(0.7, 12.0))
+
+
+class TestBulkRuns:
+    """A run of equal sides placed at once lands where first fit puts each square."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(equal_runs())
+    def test_long_equal_runs_match_full_scan(self, case):
+        sides, a1, a2 = case
+        got = shelf_module._shelf_positions(sides, a1, a2)
+        assert corners(got) == reference_shelf_positions(sides, a1, a2)
+
+    def test_equal_run_spans_open_and_new_shelves(self, full_scan_checked):
+        # 0.55 opens a shelf with 0.45 of room; the run of 0.1 fills it,
+        # then new shelves from x = 0, all with the same edges
+        inst = Instance((0.55,) + (0.1,) * 37)
+        packing = meir_moser_pack(inst, Rectangle(1.0, 2.0), require_precondition=False)
+        assert full_scan_checked == [True]
+        assert_packs(packing, inst)
+        rows = {}
+        for p in packing.placements[1:]:
+            rows.setdefault(p.y, []).append(p.x)
+        assert [len(xs) for xs in rows.values()] == [4, 10, 10, 10, 3]
+        assert list(rows.values())[1] == list(rows.values())[2]
 
 
 class TestSmallestPositive:

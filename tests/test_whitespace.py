@@ -166,6 +166,14 @@ class TestWhitespacePack:
         assert len(margins) == len(job.tail)
         assert min(margins) > 0.0
 
+    def test_packing_keeps_the_placements_it_built(self):
+        job = make_job(n_tail=20)
+        packing = whitespace_pack(job)
+        placements = packing.placements
+        assert placements is packing.placements
+        assert all(p is q for p, q in zip(placements, job.base.placements))
+        assert list(packing.xs) == [p.x for p in placements]
+
     def test_worst_admissible_side(self):
         # tail at exactly c / sqrt(n): the bound hits zero, packing still works
         job = make_job(tail_scale=1.0)
