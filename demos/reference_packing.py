@@ -9,25 +9,24 @@ Run it from the repository root:
 """
 
 import math
+from array import array
 
-from moserpack import Packing, Placement, Rectangle, render_svg, verify_packing
+from moserpack import Packing, Rectangle, render_svg, verify_packing
 
 big = 1 / math.sqrt(2)
 small = math.sqrt(1 / 6)
 
 rect = Rectangle(big + 2 * small, 2 * small)
+# Square i has side sides[i] and its lower-left corner at (xs[i], ys[i]).
 packing = Packing(
     rect,
-    [
-        Placement(big, 0.0, 0.0),
-        Placement(small, big, 0.0),
-        Placement(small, big, small),
-        Placement(small, big + small, 0.0),
-    ],
+    sides=array("d", [big, small, small, small]),
+    xs=array("d", [0.0, big, big, big + small]),
+    ys=array("d", [0.0, 0.0, small, 0.0]),
 )
 
 print(f"rectangle: {rect.width:.6f} x {rect.height:.6f}")
-print(f"square area total: {sum(p.side**2 for p in packing.placements):.17f}")
+print(f"square area total: {sum(s**2 for s in packing.sides):.17f}")
 print(f"rectangle area:    {rect.area:.17f}")
 print(f"target (2+sqrt3)/3: {(2 + math.sqrt(3)) / 3:.17f}")
 

@@ -14,7 +14,7 @@ import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import PreconditionViolated
 
@@ -135,35 +135,25 @@ def _finite(column: array) -> bool:
     return math.isfinite(sum(column)) or all(map(math.isfinite, column))
 
 
+@dataclass
 class Packing:
     """A target rectangle and one square per input square, as three columns.
 
     Square i has edge ``sides[i]`` and its lower-left corner at ``(xs[i],
-    ys[i])``; each column is an ``array('d')``.  ``Packing(rect,
-    placements)`` fills the columns from :class:`Placement` objects, and
-    :meth:`from_columns` takes columns as they are, checking once per
-    column that every value is finite and every side >= 0.
-    ``placements`` is the same squares as a tuple of :class:`Placement`:
-    the tuple given, or one built from the columns on first use.  Two
-    packings are equal when their rectangles and columns are.
+    ys[i])``.  Each column is an ``array('d')``, kept as given, not copied;
+    construction checks once per column that every value is finite and
+    every side >= 0.  ``placements`` is the same squares as a tuple of
+    :class:`Placement`, built from the columns on each use.  Two packings
+    are equal when their rectangles and columns are.
     """
 
-    __slots__ = ("rect", "sides", "xs", "ys", "_placements")
+    rect: Rectangle
+    sides: array
+    xs: array
+    ys: array
 
-    def __init__(self, rect: Rectangle, placements: Iterable[Placement]) -> None:
-        placements = tuple(placements)
-        self.rect = rect
-        self.sides = array("d", [p.side for p in placements])
-        self.xs = array("d", [p.x for p in placements])
-        self.ys = array("d", [p.y for p in placements])
-        self._placements: Optional[tuple[Placement, ...]] = placements
-
-    @classmethod
-    def from_columns(cls, rect: Rectangle, sides: array, xs: array, ys: array) -> "Packing":
-        """The packing of square i with edge ``sides[i]`` at ``(xs[i], ys[i])``.
-
-        The columns are kept, not copied.
-        """
+    def __post_init__(self) -> None:
+        sides, xs, ys = self.sides, self.xs, self.ys
         if not all(isinstance(c, array) and c.typecode == "d" for c in (sides, xs, ys)):
             raise TypeError("packing columns must be array('d')")
         if not len(sides) == len(xs) == len(ys):
@@ -172,33 +162,14 @@ class Packing:
             raise ValueError("placement corners must be finite")
         if not _finite(sides) or min(sides, default=0.0) < 0:
             raise ValueError("placement sides must be finite and >= 0")
-        packing = cls.__new__(cls)
-        packing.rect = rect
-        packing.sides, packing.xs, packing.ys = sides, xs, ys
-        packing._placements = None
-        return packing
 
     @property
     def placements(self) -> tuple[Placement, ...]:
-        if self._placements is None:
-            self._placements = tuple(map(Placement, self.sides, self.xs, self.ys))
-        return self._placements
+        return tuple(map(Placement, self.sides, self.xs, self.ys))
 
     @property
     def total_placed_area(self) -> float:
         return math.fsum(map(operator.mul, self.sides, self.sides))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Packing):
-            return NotImplemented
-        return (self.rect == other.rect and self.sides == other.sides
-                and self.xs == other.xs and self.ys == other.ys)
-
-    # The columns are mutable arrays.
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"Packing(rect={self.rect!r}, placements={self.placements!r})"
 
 
 @dataclass(frozen=True)
@@ -292,11 +263,13 @@ def region_lexicomin(region: RectilinearRegion) -> Optional[tuple[float, float]]
 
 
 def split_free_rectangles(
-    free: Sequence[_Part], square: Placement, min_edge: float = 0.0
+    free: Sequence[_Part], side: float, x: float, y: float, min_edge: float = 0.0
 ) -> list[_Part]:
-    """The free rectangles left once ``square`` is placed (MaxRects).
+    """The free rectangles left once a square is placed (MaxRects).
 
-    Each free rectangle that ``square`` overlaps (touching edges do not
+    The square has edge ``side`` and its lower-left corner at (x, y).
+
+    Each free rectangle that the square overlaps (touching edges do not
     count) splits into up to four full-extent pieces: left of, right of,
     below and above the square.  A piece that lies inside a free rectangle
     the square misses, or inside another piece, is dropped; of equal
@@ -318,14 +291,12 @@ def split_free_rectangles(
     so it holds for every free list.  The result lists the untouched
     rectangles, then the kept pieces grouped by side.
 
-    The square's edges are ``square.x`` and ``square.x + square.side``
-    (likewise in y), the floats the midpoint shrink adds s/2 to.
+    The square's edges are ``x0 = x`` and ``x1 = x + side`` (likewise in
+    y), the floats the midpoint shrink adds s/2 to.
     """
-    side = square.side
     if side <= 0:
         return list(free)
-    x0 = square.x
-    y0 = square.y
+    x0, y0 = x, y
     x1 = x0 + side
     y1 = y0 + side
     missed: list[_Part] = []
@@ -419,7 +390,7 @@ def feasible_midpoint_region(
     free = [(rect.x, rect.y, rect.x2, rect.y2)] if start is None else start
     for ob in obstacles:
         if ob.side > 0:
-            free = split_free_rectangles(free, ob)
+            free = split_free_rectangles(free, ob.side, ob.x, ob.y)
     half = s / 2.0
     parts = []
     for x0, y0, x1, y1 in free:
@@ -643,7 +614,7 @@ def packing_to_dict(packing: Packing) -> dict:
 def packing_from_dict(data: dict) -> Packing:
     rect = Rectangle(float(data["rect"]["w"]), float(data["rect"]["h"]))
     pls = data["placements"]
-    return Packing.from_columns(
+    return Packing(
         rect,
         array("d", [float(p["side"]) for p in pls]),
         array("d", [float(p["x"]) for p in pls]),

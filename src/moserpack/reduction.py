@@ -131,9 +131,9 @@ def _transpose_to_height(p: Packing) -> tuple[Packing, float, float]:
     xs = array("d", [x - r.x for x in p.xs]) if r.x else p.xs
     ys = array("d", [y - r.y for y in p.ys]) if r.y else p.ys
     if r.width <= r.height:
-        flipped = Packing.from_columns(Rectangle(r.height, r.width), p.sides, ys, xs)
+        flipped = Packing(Rectangle(r.height, r.width), p.sides, ys, xs)
         return flipped, r.width, r.height
-    return Packing.from_columns(Rectangle(r.width, r.height), p.sides, xs, ys), r.height, r.width
+    return Packing(Rectangle(r.width, r.height), p.sides, xs, ys), r.height, r.width
 
 
 def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
@@ -176,7 +176,7 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
     tail_rect = Rectangle(H2, W, x=Hp, y=0.0)
     tp = meir_moser_pack(tail, tail_rect)
     merged = Rectangle(Hp + H2, W)
-    return Packing.from_columns(merged, rp.sides + tp.sides, rp.xs + tp.xs, rp.ys + tp.ys)
+    return Packing(merged, rp.sides + tp.sides, rp.xs + tp.xs, rp.ys + tp.ys)
 
 
 def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:

@@ -67,10 +67,10 @@ def render_svg(packing: Packing, scale: float, tail_from: Optional[int] = None) 
     W = r.width * scale
     H = r.height * scale
     rects = [SvgRect(0.0, 0.0, W, H, "enclosing")]
-    cut = len(packing.placements) if tail_from is None else tail_from
-    for i, p in enumerate(packing.placements):
-        side = p.side * scale
-        x = (p.x - r.x) * scale
-        y = H - (p.y - r.y) * scale - side
+    cut = len(packing.sides) if tail_from is None else tail_from
+    for i, (s, px, py) in enumerate(zip(packing.sides, packing.xs, packing.ys)):
+        side = s * scale
+        x = (px - r.x) * scale
+        y = H - (py - r.y) * scale - side
         rects.append(SvgRect(x, y, side, side, "tail" if i >= cut else "prefix"))
     return SvgDocument(W, H, tuple(rects))

@@ -164,7 +164,7 @@ def _run_shelves(inst: Instance, rect: Rectangle) -> Packing:
         xs = array("d", [rect.x + x for x in xs])
     if rect.y:
         ys = array("d", [rect.y + y for y in ys])
-    return Packing.from_columns(rect, array("d", inst.sides), xs, ys)
+    return Packing(rect, array("d", inst.sides), xs, ys)
 
 
 def moon_moser_pack(inst: Instance, rect: Rectangle) -> Packing:

@@ -22,6 +22,7 @@ make the bound exactly zero at the worst admissible side c / sqrt(n).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +31,6 @@ from .geometry import (
     EPS_GEOM,
     Instance,
     Packing,
-    Placement,
     feasible_midpoint_region,
     region_area,
     region_lexicomin,
@@ -74,7 +74,9 @@ class WhitespaceJob:
         if n < n_floor:
             problems.append(f"base count {n} below required {n_floor}")
         if self.tail.sides:
-            cap = self.c / math.sqrt(n)
+            # With no base square the count check has failed already, and
+            # the cap c/sqrt(n) is unbounded.
+            cap = self.c / math.sqrt(n) if n else math.inf
             if self.tail.max_side > cap + EPS_GEOM:
                 problems.append(f"tail max side {self.tail.max_side} exceeds c/sqrt(n) = {cap}")
             if self.tail.total_area > self.c * self.c + EPS_GEOM:
@@ -108,42 +110,46 @@ def whitespace_pack(
     """Place every tail square of ``job`` into the base packing's whitespace.
 
     Squares go largest-first onto the lexicographically smallest feasible
-    midpoint of the region left by everything placed so far.  The free
-    rectangles start as the base rectangle, split by every base placement
-    and then by each tail square as it is placed.  Sides are
-    non-increasing, so a free rectangle with an edge shorter than the
-    smallest positive tail side can hold no tail square, and the splits
-    drop it.  ``on_step(k, side, region_area, bound)`` is invoked once per
-    positive tail square with the area of the full region, mostly so tests
-    can watch the region-vs-bound margin.  Raises :class:`EmptyRegionError`
-    if a region comes up empty, which cannot happen while the job
-    invariants hold.
+    midpoint of the region left by everything placed so far.  The result
+    is a copy of the base columns with each tail square's side and corner
+    appended in tail order.  The free rectangles start as the base
+    rectangle, split by every base square and then by each tail square as
+    it is placed.  Sides are non-increasing, so a free rectangle with an
+    edge shorter than the smallest positive tail side can hold no tail
+    square, and the splits drop it.  ``on_step(k, side, region_area,
+    bound)`` is invoked once per positive tail square with the area of the
+    full region, mostly so tests can watch the region-vs-bound margin.
+    Raises :class:`EmptyRegionError` if a region comes up empty, which
+    cannot happen while the job invariants hold.
     """
     job.validate()
-    rect = job.base.rect
-    n = len(job.base.sides)
-    # The packing keeps these objects as its ``placements``.
-    placed: list[Placement] = list(job.base.placements)
+    base = job.base
+    rect = base.rect
+    n = len(base.sides)
     # With no positive side no free rectangle is needed, and the splits keep none.
     smallest = min((s for s in job.tail.sides if s > 0.0), default=math.inf)
     free = [(rect.x, rect.y, rect.x2, rect.y2)]
-    for square in job.base.placements:
-        free = split_free_rectangles(free, square, smallest)
+    for side, x, y in zip(base.sides, base.xs, base.ys):
+        free = split_free_rectangles(free, side, x, y, smallest)
+    sides, xs, ys = array("d", base.sides), array("d", base.xs), array("d", base.ys)
     for k, s in enumerate(job.tail.sides):
         if s <= 0.0:
             # Zero squares influence nothing; park them on the rectangle's
             # lower-left corner, as the shelf engine does.
-            placed.append(Placement(0.0, rect.x, rect.y))
-            continue
-        region = feasible_midpoint_region(rect, (), s, start=free)
-        if on_step is not None:
-            on_step(k, s, region_area(region), midpoint_area_bound(job.F, n, job.c, s))
-        point = region_lexicomin(region)
-        if point is None:
-            raise EmptyRegionError(
-                f"feasible-midpoint region empty at tail square {k} (side {s})"
-            )
-        square = Placement(s, point[0] - s / 2.0, point[1] - s / 2.0)
-        placed.append(square)
-        free = split_free_rectangles(free, square, smallest)
-    return Packing(rect, placed)
+            s, x, y = 0.0, rect.x, rect.y
+        else:
+            region = feasible_midpoint_region(rect, (), s, start=free)
+            if on_step is not None:
+                on_step(k, s, region_area(region), midpoint_area_bound(job.F, n, job.c, s))
+            point = region_lexicomin(region)
+            if point is None:
+                raise EmptyRegionError(
+                    f"feasible-midpoint region empty at tail square {k} (side {s})"
+                )
+            x = point[0] - s / 2.0
+            y = point[1] - s / 2.0
+            free = split_free_rectangles(free, s, x, y, smallest)
+        sides.append(s)
+        xs.append(x)
+        ys.append(y)
+    return Packing(rect, sides, xs, ys)

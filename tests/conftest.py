@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,13 @@ from moserpack.geometry import (
     split_free_rectangles,
 )
 from moserpack.reduction import default_prefix_packer
+
+
+def packing_of(rect: Rectangle, placements) -> Packing:
+    """The packing in ``rect`` of the given :class:`Placement` objects, in order."""
+    placements = tuple(placements)
+    return Packing(rect, array("d", [p.side for p in placements]),
+                   array("d", [p.x for p in placements]), array("d", [p.y for p in placements]))
 
 
 def _subtract_part(part, cut, out: list) -> None:
@@ -83,7 +91,7 @@ def free_rectangles(rect: Rectangle, obstacles, min_edge: float = 0.0) -> list:
     """``[rect]`` split by each obstacle in turn with ``split_free_rectangles``."""
     free = [(rect.x, rect.y, rect.x2, rect.y2)]
     for ob in obstacles:
-        free = split_free_rectangles(free, ob, min_edge)
+        free = split_free_rectangles(free, ob.side, ob.x, ob.y, min_edge)
     return free
 
 
@@ -217,7 +225,7 @@ def reference_whitespace_pack(job) -> Packing:
             continue
         point = region_lexicomin(reference_midpoint_region(rect, placed, s))
         placed.append(Placement(s, point[0] - s / 2.0, point[1] - s / 2.0))
-    return Packing(rect, tuple(placed))
+    return packing_of(rect, placed)
 
 
 def padded_reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:

@@ -17,7 +17,6 @@ import pytest
 from moserpack import (
     Instance,
     PackParams,
-    Packing,
     Placement,
     Rectangle,
     WhitespaceJob,
@@ -35,6 +34,7 @@ from moserpack.constants import harmonic_range_sum, two_square_worst_case
 from moserpack.geometry import feasible_midpoint_region, region_area
 from conftest import (
     grid_region_area,
+    packing_of,
     random_meir_moser_case,
     random_midpoint_config,
     random_moon_moser_case,
@@ -86,7 +86,7 @@ def test_c4_reference_fixture():
     big = 1 / math.sqrt(2)
     small = math.sqrt(1 / 6)
     rect = Rectangle(big + 2 * small, 2 * small)
-    packing = Packing(
+    packing = packing_of(
         rect,
         [
             Placement(big, 0.0, 0.0),

@@ -43,6 +43,7 @@ from conftest import (
     Cut,
     free_rectangles,
     grid_region_area,
+    packing_of,
     random_meir_moser_case,
     random_midpoint_config,
     random_moon_moser_case,
@@ -73,7 +74,7 @@ def reference_packing() -> Packing:
         Placement(small, big, small),
         Placement(small, big + small, 0.0),
     ]
-    return Packing(rect, placements)
+    return packing_of(rect, placements)
 
 
 class TestRectangle:
@@ -113,30 +114,24 @@ class TestPackingColumns:
         assert list(p.xs) == [q.x for q in p.placements]
         assert list(p.ys) == [q.y for q in p.placements]
 
-    def test_placements_built_once_from_the_columns(self):
+    def test_placements_are_built_from_the_columns(self):
         p = reference_packing()
-        q = Packing.from_columns(p.rect, array("d", p.sides), array("d", p.xs), array("d", p.ys))
+        q = Packing(p.rect, array("d", p.sides), array("d", p.xs), array("d", p.ys))
         assert q == p
         assert q.placements == p.placements
-        assert q.placements is q.placements
-
-    def test_given_placements_are_kept(self):
-        placements = reference_packing().placements
-        assert Packing(Rectangle(2, 2), placements).placements is placements
 
     def test_equality_compares_rectangle_and_columns(self):
         p = reference_packing()
-        assert p == Packing(p.rect, list(p.placements))
-        assert p != Packing(p.rect, p.placements[:-1])
-        assert p != Packing(Rectangle(5, 5), p.placements)
-        moved = Packing.from_columns(p.rect, array("d", p.sides), array("d", p.xs),
-                                     array("d", p.ys))
+        assert p == packing_of(p.rect, list(p.placements))
+        assert p != packing_of(p.rect, p.placements[:-1])
+        assert p != packing_of(Rectangle(5, 5), p.placements)
+        moved = Packing(p.rect, array("d", p.sides), array("d", p.xs), array("d", p.ys))
         moved.ys[0] = 1e-3
         assert p != moved
 
     def test_total_placed_area(self):
         assert reference_packing().total_placed_area == pytest.approx(1.0, abs=1e-15)
-        assert Packing(Rectangle(1, 1), ()).total_placed_area == 0.0
+        assert packing_of(Rectangle(1, 1), ()).total_placed_area == 0.0
 
     @pytest.mark.parametrize("column, value", [
         ("sides", math.nan), ("sides", math.inf), ("sides", -0.25),
@@ -147,21 +142,21 @@ class TestPackingColumns:
                 "ys": array("d", [0.0, 0.0])}
         cols[column][1] = value
         with pytest.raises(ValueError):
-            Packing.from_columns(Rectangle(1, 1), cols["sides"], cols["xs"], cols["ys"])
+            Packing(Rectangle(1, 1), cols["sides"], cols["xs"], cols["ys"])
 
     def test_from_columns_accepts_values_whose_sum_overflows(self):
         big = array("d", [1.5e308, 1.5e308])
-        p = Packing.from_columns(Rectangle(1, 1), array("d", [0.0, 0.0]), big, big)
+        p = Packing(Rectangle(1, 1), array("d", [0.0, 0.0]), big, big)
         assert list(p.xs) == [1.5e308, 1.5e308]
 
     def test_from_columns_takes_float_arrays_only(self):
         for bad in ([0.5], array("f", [0.5])):
             with pytest.raises(TypeError):
-                Packing.from_columns(Rectangle(1, 1), bad, array("d", [0.0]), array("d", [0.0]))
+                Packing(Rectangle(1, 1), bad, array("d", [0.0]), array("d", [0.0]))
 
     def test_from_columns_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="length"):
-            Packing.from_columns(Rectangle(1, 1), array("d", [0.5]), array("d"), array("d"))
+            Packing(Rectangle(1, 1), array("d", [0.5]), array("d"), array("d"))
 
 
 class TestInstance:
@@ -483,27 +478,27 @@ class TestSplitFreeRectangles:
     def test_equal_pieces_kept_once(self):
         # two copies of one free rectangle give two copies of each piece
         free = [(0.0, 0.0, 4.0, 4.0)] * 2
-        out = split_free_rectangles(free, Placement(1.0, 1.0, 1.0))
+        out = split_free_rectangles(free, 1.0, 1.0, 1.0)
         assert sorted(out) == [(0.0, 0.0, 1.0, 4.0), (0.0, 0.0, 4.0, 1.0),
                                (0.0, 2.0, 4.0, 4.0), (2.0, 0.0, 4.0, 4.0)]
 
     def test_min_edge_drops_narrow_pieces(self):
-        out = split_free_rectangles([(0.0, 0.0, 4.0, 4.0)], Placement(1.0, 0.5, 2.0), 1.0)
+        out = split_free_rectangles([(0.0, 0.0, 4.0, 4.0)], 1.0, 0.5, 2.0, 1.0)
         # the piece left of the square is 0.5 wide
         assert sorted(out) == [(0.0, 0.0, 4.0, 2.0), (0.0, 3.0, 4.0, 4.0),
                                (1.5, 0.0, 4.0, 4.0)]
 
     def test_missed_and_zero_squares_leave_the_list(self):
         free = [(0.0, 0.0, 1.0, 1.0)]
-        assert split_free_rectangles(free, Placement(1.0, 1.0, 0.0)) == free
-        assert split_free_rectangles(free, Placement(0.0, 0.5, 0.5)) == free
+        assert split_free_rectangles(free, 1.0, 1.0, 0.0) == free
+        assert split_free_rectangles(free, 0.0, 0.5, 0.5) == free
 
     def test_nested_left_pieces_keep_the_widest(self):
         # three hit rectangles whose left pieces nest; the other sides'
         # pieces of the first two do not, so they all stay
         free = [(0.0, 0.0, 3.5, 4.0), (0.5, 1.0, 4.0, 3.0), (1.0, 1.5, 2.5, 2.5)]
         square = Placement(1.0, 2.0, 1.5)
-        out = split_free_rectangles(free, square)
+        out = split_free_rectangles(free, square.side, square.x, square.y)
         assert [p for p in out if p[2] == square.x] == [(0.0, 0.0, 2.0, 4.0)]
         assert sorted(out) == [
             (0.0, 0.0, 2.0, 4.0), (0.0, 0.0, 3.5, 1.5), (0.0, 2.5, 3.5, 4.0),
@@ -516,7 +511,7 @@ class TestSplitFreeRectangles:
     @given(split_configs())
     def test_matches_all_pairs_oracle(self, config):
         free, square, min_edge = config
-        out = split_free_rectangles(free, square, min_edge)
+        out = split_free_rectangles(free, square.side, square.x, square.y, min_edge)
         assert sorted(out) == sorted(reference_split_free_rectangles(free, square, min_edge))
 
 
@@ -602,7 +597,7 @@ def verify_cases(draw):
         for src, dst in rng.integers(0, n, (draw(st.integers(0, 10)), 2)):
             placements[dst] = placements[src]
     tol = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
-    return Packing(Rectangle(2, 2), placements), tol
+    return packing_of(Rectangle(2, 2), placements), tol
 
 
 @st.composite
@@ -649,7 +644,7 @@ def strip_cases(draw):
         for src, dst in rng.integers(0, n, (draw(st.integers(0, 10)), 2)):
             placements[dst] = placements[src]
     tol = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
-    return Packing(Rectangle(2, 2), placements), tol
+    return packing_of(Rectangle(2, 2), placements), tol
 
 
 class TestVerifyPacking:
@@ -659,7 +654,7 @@ class TestVerifyPacking:
         assert report.violations == ()
 
     def test_overlap_detected(self):
-        p = Packing(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
+        p = packing_of(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
         report = verify_packing(p)
         assert not report.valid
         kinds = {v.kind for v in report.violations}
@@ -668,24 +663,24 @@ class TestVerifyPacking:
         assert worst == pytest.approx(0.25)  # 0.5 x 0.5 of shared interior
 
     def test_out_of_bounds_detected(self):
-        p = Packing(Rectangle(1, 1), [Placement(0.5, 0.8, 0.1)])
+        p = packing_of(Rectangle(1, 1), [Placement(0.5, 0.8, 0.1)])
         report = verify_packing(p)
         assert not report.valid
         assert report.violations[0].kind == "outside"
         assert report.violations[0].measure == pytest.approx(0.3)
 
     def test_touching_squares_pass(self):
-        p = Packing(Rectangle(2, 1), [Placement(1, 0, 0), Placement(1, 1, 0)])
+        p = packing_of(Rectangle(2, 1), [Placement(1, 0, 0), Placement(1, 1, 0)])
         assert verify_packing(p).valid
 
     def test_tolerance_honored(self):
         # overlap smaller than the tolerance is forgiven
-        p = Packing(Rectangle(2, 1), [Placement(1, 0, 0), Placement(1, 1 - 1e-13, 0)])
+        p = packing_of(Rectangle(2, 1), [Placement(1, 0, 0), Placement(1, 1 - 1e-13, 0)])
         assert verify_packing(p).valid
         assert not verify_packing(p, tol=1e-14).valid
 
     def test_tolerance_must_be_finite_and_non_negative(self):
-        p = Packing(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
+        p = packing_of(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
         for tol in (math.nan, math.inf, -math.inf, -1e-12):
             with pytest.raises(ValueError, match="tol"):
                 verify_packing(p, tol=tol)
@@ -755,7 +750,7 @@ class TestVerifyPacking:
         # candidate with overlap 0 in x, while its overlap in y,
         # -8e307 - 1.2e308, overflows to -inf: the area 0 * -inf is nan,
         # which numpy warns about.  The pair shares no area.
-        packing = Packing(Rectangle(1, 1), [
+        packing = packing_of(Rectangle(1, 1), [
             Placement(1.2e308, -1.6e308, 1.2e308),
             Placement(1.2e308, 1.2e308, -1.6e308),
             Placement(0.0, 1.2e308, -8e307),
@@ -779,7 +774,7 @@ class TestVerifyPacking:
                       + [Placement(0.25, 0.1 + 0.25 * k, below) for k in range(4)]
                       + [Placement(0.25, 0.05 + 0.25 * k, 1.0) for k in range(4)]
                       + [Placement(0.25, 1.5, -0.25)])
-        packing = Packing(Rectangle(2, 2, y=-0.25), placements)
+        packing = packing_of(Rectangle(2, 2, y=-0.25), placements)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_STRIP_MIN_PAIRS", 0)
             report = verify_packing(packing, tol=0.0)
@@ -791,7 +786,7 @@ class TestVerifyPacking:
     def test_violation_cap(self):
         # everything at the origin: quadratic pair count gets truncated
         placements = [Placement(0.5, 0, 0) for _ in range(200)]
-        packing = Packing(Rectangle(1, 1), placements)
+        packing = packing_of(Rectangle(1, 1), placements)
         report = verify_packing(packing)
         assert not report.valid
         assert report.truncated
@@ -802,7 +797,7 @@ class TestVerifyPacking:
         # 150 stacked squares sticking out, then 150 stacked inside:
         # 150 outside entries and 2 x 11,175 overlapping pairs
         placements = [Placement(0.5, 0.8, 0.0)] * 150 + [Placement(0.5, 0.0, 0.0)] * 150
-        packing = Packing(Rectangle(1, 1), placements)
+        packing = packing_of(Rectangle(1, 1), placements)
         report = verify_packing(packing)
         assert report.truncated
         assert [v.kind for v in report.violations[:150]] == ["outside"] * 150
@@ -810,7 +805,7 @@ class TestVerifyPacking:
 
     def test_cap_counts_outside_placements(self):
         # six disjoint squares, all sticking out: a cap of 5 truncates
-        packing = Packing(Rectangle(1, 1), [Placement(0.1, 2.0 + k, 0.0) for k in range(6)])
+        packing = packing_of(Rectangle(1, 1), [Placement(0.1, 2.0 + k, 0.0) for k in range(6)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_MAX_REPORTED", 5)
             report = verify_packing(packing)
@@ -820,7 +815,7 @@ class TestVerifyPacking:
     def test_stacked_squares_truncate_in_bounded_memory(self):
         # 3,000 equal squares at one point: 4,498,500 overlapping pairs.
         # Chunked expansion peaks near 20 MiB; all pairs at once, near 240 MiB.
-        packing = Packing(Rectangle(1, 1), [Placement(0.5, 0.0, 0.0)] * 3000)
+        packing = packing_of(Rectangle(1, 1), [Placement(0.5, 0.0, 0.0)] * 3000)
         tracemalloc.start()
         try:
             report = verify_packing(packing)
@@ -833,17 +828,17 @@ class TestVerifyPacking:
         assert peak < 64 * 2**20
 
     def test_pairs_examined_counts_candidates(self):
-        overlapping = Packing(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
-        touching = Packing(Rectangle(2, 1), [Placement(1, 0, 0), Placement(1, 1, 0)])
+        overlapping = packing_of(Rectangle(2, 2), [Placement(1, 0, 0), Placement(1, 0.5, 0.5)])
+        touching = packing_of(Rectangle(2, 1), [Placement(1, 0, 0), Placement(1, 1, 0)])
         assert verify_packing(overlapping).pairs_examined == 1
         assert verify_packing(touching).pairs_examined == 0
-        assert verify_packing(Packing(Rectangle(1, 1), ())).pairs_examined == 0
+        assert verify_packing(packing_of(Rectangle(1, 1), ())).pairs_examined == 0
 
     def test_column_is_swept_along_its_height(self):
         # 1,000 touching squares stacked in one column share their x-span;
         # sweeping along y finds no candidate pair at all
         side = 2.0**-6  # dyadic, so every edge sum is exact
-        packing = Packing(Rectangle(side, 1000 * side),
+        packing = packing_of(Rectangle(side, 1000 * side),
                           [Placement(side, 0.0, k * side) for k in range(1000)])
         report = verify_packing(packing)
         assert report.valid
@@ -952,7 +947,7 @@ class TestSerialization:
             assert (a.side, a.x - p.rect.x, a.y - p.rect.y) == (b.side, b.x, b.y)
 
     def test_packing_dict_normalizes_origin(self):
-        p = Packing(Rectangle(1, 1, x=5, y=-3), [Placement(0.5, 5.2, -2.9)])
+        p = packing_of(Rectangle(1, 1, x=5, y=-3), [Placement(0.5, 5.2, -2.9)])
         d = packing_to_dict(p)
         assert d["rect"] == {"w": 1.0, "h": 1.0}
         assert d["placements"][0]["x"] == pytest.approx(0.2)

@@ -13,7 +13,6 @@ from moserpack import (
     PackFailure,
     PackParams,
     Placement,
-    Packing,
     PreconditionViolated,
     compute_c,
     reduce_and_pack,
@@ -22,7 +21,7 @@ from moserpack import (
 )
 from moserpack.reduction import default_prefix_packer, glue_pack
 
-from conftest import padded_reduce_and_pack
+from conftest import packing_of, padded_reduce_and_pack
 
 F_REF = (2 + math.sqrt(3)) / 3
 C_REF = float(compute_c(F_REF))
@@ -281,4 +280,4 @@ class TestReplacementSquare:
         shrunk = list(packing.placements)
         old = shrunk[idx]
         shrunk[idx] = Placement(sides[n - 1], old.x, old.y)
-        assert verify_packing(Packing(packing.rect, tuple(shrunk))).valid
+        assert verify_packing(packing_of(packing.rect, shrunk)).valid

@@ -28,6 +28,9 @@ from moserpack import (
 )
 from moserpack.cli import cli_dispatch
 
+from conftest import packing_of
+from test_whitespace import make_job
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -35,7 +38,7 @@ def sample_packing() -> Packing:
     big = 1 / math.sqrt(2)
     small = math.sqrt(1 / 6)
     rect = Rectangle(big + 2 * small, 2 * small)
-    return Packing(
+    return packing_of(
         rect,
         [
             Placement(big, 0.0, 0.0),
@@ -54,7 +57,7 @@ class TestRender:
         assert all(r.css_class == "prefix" for r in doc.rects[1:])
 
     def test_y_axis_flip(self):
-        p = Packing(Rectangle(2.0, 1.0), [Placement(0.5, 0.25, 0.25)])
+        p = packing_of(Rectangle(2.0, 1.0), [Placement(0.5, 0.25, 0.25)])
         doc = render_svg(p, 100.0)
         sq = doc.rects[1]
         assert (sq.x, sq.y, sq.width, sq.height) == (25.0, 25.0, 50.0, 50.0)
@@ -85,6 +88,24 @@ class TestRender:
             assert side == p.side * scale
             assert x == (p.x - packing.rect.x) * scale
             assert y == H - (p.y - packing.rect.y) * scale - side
+
+    def test_draws_a_written_column(self):
+        # The placements and the drawing are read from the columns on each
+        # use, so a write to a column shows in both.
+        p = sample_packing()
+        p.xs[1] = 0.5
+        assert p.placements[1].x == 0.5
+        assert render_svg(p, 400.0).rects[2].x == (0.5 - p.rect.x) * 400.0
+
+    @pytest.mark.parametrize("build, scale, tail_from, digest", [
+        (sample_packing, 400.0, None,
+         "dba7d414b76814e5ee05e1a394ffb9ab22c323a5a8db7ed8c8fd935147bbdf53"),
+        (lambda: whitespace_pack(make_job(n_tail=20)), 250.0, 158,
+         "ef89687fbdadd3bf020c45443dfa4970535fcc0149d5bfdacc476006c7087d1b"),
+    ], ids=["reference", "whitespace"])
+    def test_golden_bytes(self, build, scale, tail_from, digest):
+        text = render_svg(build(), scale, tail_from=tail_from).to_string()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_byte_identical_across_runs(self):
         a = render_svg(sample_packing(), 400.0).to_string()
@@ -310,6 +331,19 @@ class TestCli:
         assert code == 0
         packed = json.loads(out.read_text())
         assert len(packed["placements"]) == 178
+
+    def test_whitespace_empty_base_maps_to_error_json(self, tmp_path, capsys):
+        F = (2 + math.sqrt(3)) / 3
+        c = float(compute_c(F))
+        base = self.write(tmp_path, "base.json",
+                          {"rect": {"w": math.sqrt(F), "h": math.sqrt(F)}, "placements": []})
+        tail = self.write(tmp_path, "tail.json", {"sides": [0.01]})
+        code = cli_dispatch(["whitespace", "--base", base, "--tail", tail,
+                             "--c", repr(c), "--F", repr(F)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "PreconditionViolated"
+        assert "base count 0" in err["error"]["message"]
 
     def test_reduce_toy(self, tmp_path):
         inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})

@@ -56,10 +56,11 @@ print(json.dumps({
 
 NUMPY_ON_FIRST_USE = """
 import contextlib, io, json, sys
+from array import array
 
 import moserpack
 import moserpack.cli
-from moserpack import Packing, Placement, Rectangle, verify_packing
+from moserpack import Packing, Rectangle, verify_packing
 from moserpack.cli import cli_dispatch
 
 plain = moserpack.build_report("novotny")
@@ -69,8 +70,9 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
 numpy_before = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 
 rect = Rectangle(1.0, 1.0)
-disjoint = Packing(rect, (Placement(0.5, 0.0, 0.0), Placement(0.5, 0.5, 0.0)))
-overlapping = Packing(rect, (Placement(0.5, 0.0, 0.0), Placement(0.5, 0.25, 0.0)))
+sides, ys = array("d", [0.5, 0.5]), array("d", [0.0, 0.0])
+disjoint = Packing(rect, sides, array("d", [0.0, 0.5]), ys)
+overlapping = Packing(rect, sides, array("d", [0.0, 0.25]), ys)
 
 print(json.dumps({
     "numpy_before": numpy_before,

@@ -27,7 +27,7 @@ from moserpack import (
 )
 from moserpack.geometry import feasible_midpoint_region, region_area, region_lexicomin
 from moserpack.reduction import default_prefix_packer
-from conftest import random_midpoint_config, reference_whitespace_pack
+from conftest import packing_of, random_midpoint_config, reference_whitespace_pack
 
 F_REF = (2 + math.sqrt(3)) / 3
 C_REF = float(compute_c(F_REF))
@@ -106,19 +106,26 @@ class TestJobValidation:
 
     def test_too_few_base_squares(self):
         job = make_job()
-        short = Packing(job.base.rect, job.base.placements[:157])
+        short = packing_of(job.base.rect, job.base.placements[:157])
         with pytest.raises(PreconditionViolated, match="base count"):
             WhitespaceJob(base=short, tail=job.tail, c=job.c, F=job.F).validate()
 
+    def test_empty_base_is_reported_by_its_count(self):
+        job = make_job()
+        empty = packing_of(job.base.rect, ())
+        with pytest.raises(PreconditionViolated, match="base count 0 below") as err:
+            WhitespaceJob(base=empty, tail=job.tail, c=job.c, F=job.F).validate()
+        assert "tail max side" not in str(err.value)
+
     def test_narrow_rectangle(self):
         placements = tuple(Placement(0.005, 0.0, 0.01 * i) for i in range(158))
-        base = Packing(Rectangle(0.05, F_REF / 0.05), placements)
+        base = packing_of(Rectangle(0.05, F_REF / 0.05), placements)
         with pytest.raises(PreconditionViolated, match="below 1/10"):
             WhitespaceJob(base=base, tail=Instance(()), c=C_REF, F=F_REF).validate()
 
     def test_wrong_rectangle_area(self):
         job = make_job()
-        base = Packing(Rectangle(1.0, 1.0), job.base.placements)
+        base = packing_of(Rectangle(1.0, 1.0), job.base.placements)
         with pytest.raises(PreconditionViolated, match="!= F"):
             WhitespaceJob(base=base, tail=job.tail, c=job.c, F=job.F).validate()
 
@@ -144,7 +151,7 @@ class TestJobValidation:
 
     def test_problems_are_collected(self):
         job = make_job()
-        base = Packing(Rectangle(1.0, 1.0), job.base.placements[:10])
+        base = packing_of(Rectangle(1.0, 1.0), job.base.placements[:10])
         with pytest.raises(PreconditionViolated) as err:
             WhitespaceJob(base=base, tail=job.tail, c=job.c, F=job.F).validate()
         msg = str(err.value)
@@ -165,14 +172,6 @@ class TestWhitespacePack:
         assert verify_packing(packing).valid
         assert len(margins) == len(job.tail)
         assert min(margins) > 0.0
-
-    def test_packing_keeps_the_placements_it_built(self):
-        job = make_job(n_tail=20)
-        packing = whitespace_pack(job)
-        placements = packing.placements
-        assert placements is packing.placements
-        assert all(p is q for p, q in zip(placements, job.base.placements))
-        assert list(packing.xs) == [p.x for p in placements]
 
     def test_worst_admissible_side(self):
         # tail at exactly c / sqrt(n): the bound hits zero, packing still works
@@ -295,7 +294,7 @@ class TestRegionReuse:
         for gap in gaps + [0.0]:
             base += [Placement(side, x, rect.y + i * side) for i in range(rows)]
             x += side + gap
-        job = WhitespaceJob(base=Packing(rect, tuple(base)), tail=tail, c=C_REF, F=F_REF)
+        job = WhitespaceJob(base=packing_of(rect, base), tail=tail, c=C_REF, F=F_REF)
         packing = whitespace_pack(job)
         assert packing.placements == reference_whitespace_pack(job).placements
         assert verify_packing(packing).valid
