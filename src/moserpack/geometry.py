@@ -102,10 +102,11 @@ class Instance:
     AREA_DECL_TOL = 1e-9
 
     def __post_init__(self) -> None:
-        sides = tuple(sorted((float(s) for s in self.sides), reverse=True))
-        bad = [s for s in sides if not 0 <= s < math.inf]
-        if bad:
-            raise ValueError(f"instance sides must be finite and >= 0, got {bad[0]}")
+        sides = tuple(sorted(map(float, self.sides), reverse=True))
+        # Once no side is NaN the order holds, so the last side is the least.
+        if not (_finite(sides) and (not sides or sides[-1] >= 0)):
+            bad = next(s for s in sides if not 0 <= s < math.inf)
+            raise ValueError(f"instance sides must be finite and >= 0, got {bad}")
         object.__setattr__(self, "sides", sides)
         if self.declared_total_area is not None:
             actual = self.total_area
@@ -128,7 +129,7 @@ class Instance:
         return len(self.sides)
 
 
-def _finite(column: array) -> bool:
+def _finite(column: Sequence[float]) -> bool:
     """True when every value of ``column`` is finite."""
     # A sum with an inf or nan term is not finite; only a sum that
     # overflowed needs the check value by value.

@@ -182,6 +182,36 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance((0.5,), declared_total_area=math.nan)
 
+    @pytest.mark.parametrize("sides, bad", [
+        ((0.7, 0.5, math.nan, 0.3, 0.1), "nan"),
+        ((0.5, -0.1, 0.2), "-0.1"),
+        ((0.5, math.inf), "inf"),
+        ((0.3, -math.inf, 0.2), "-inf"),
+    ], ids=["nan-mid", "negative", "inf", "minus-inf"])
+    def test_rejection_names_the_first_bad_side(self, sides, bad):
+        with pytest.raises(ValueError) as err:
+            Instance(sides)
+        assert str(err.value) == f"instance sides must be finite and >= 0, got {bad}"
+
+    def test_sides_that_overflow_the_area_sum_are_accepted(self):
+        assert Instance((1e308, 1e308)).sides == (1e308, 1e308)
+
+    def test_numeric_strings_are_converted(self):
+        assert Instance(("0.25", "0.5", 0.125)).sides == (0.5, 0.25, 0.125)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308]),
+                    max_size=12))
+    def test_check_matches_a_side_by_side_scan(self, sides):
+        ordered = tuple(sorted(sides, reverse=True))
+        bad = [s for s in ordered if not 0 <= s < math.inf]
+        if bad:
+            with pytest.raises(ValueError) as err:
+                Instance(tuple(sides))
+            assert str(err.value).endswith(f"got {bad[0]}")
+        else:
+            assert Instance(tuple(sides)).sides == ordered
+
     def test_total_area_compensated(self):
         sides = (0.1,) * 100
         inst = Instance(sides)

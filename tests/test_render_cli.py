@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moserpack import (
     Instance,
@@ -15,6 +20,7 @@ from moserpack import (
     Packing,
     Placement,
     Rectangle,
+    ReduceResult,
     WhitespaceJob,
     compute_c,
     meir_moser_pack,
@@ -26,7 +32,7 @@ from moserpack import (
     verify_packing,
     whitespace_pack,
 )
-from moserpack.cli import cli_dispatch
+from moserpack.cli import _emit_json, cli_dispatch
 
 from conftest import packing_of
 from test_whitespace import make_job
@@ -504,8 +510,10 @@ def test_packing_dict_round_trip_is_exact(build):
 
 
 class TestCliGoldenJson:
-    """sha256 of the exact bytes each command writes, computed before the
-    dict builders became ``dataclasses.asdict``."""
+    """sha256 of the exact bytes each command writes.  The constants,
+    reduce-then-verify and invalid-verify pins were computed before the dict
+    builders became ``dataclasses.asdict``; the pack, whitespace and case-b
+    pins before the writer spelled each distinct float once."""
 
     @pytest.mark.parametrize("flags, digest", [
         ([], "e3d72d8b7ad27c7a12c01de45c4e517bf016e3a1e718cfc1016eb0d2777ae0a8"),
@@ -539,3 +547,113 @@ class TestCliGoldenJson:
         assert cli_dispatch(["verify", "--packing", str(bad), "-o", str(verdict)]) == 1
         assert hashlib.sha256(verdict.read_bytes()).hexdigest() == (
             "64d9b05ee0e7710739f22ad2ef800fbd9195bb70f162585a559fb627758b6d68")
+
+    def test_pack_meir_moser_distinct_sides(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"sides": [math.sqrt((1 - k / 400) / 200.5)
+                                              for k in range(400)]}))
+        out = tmp_path / "packed.json"
+        assert cli_dispatch(["pack", "--mode", "meir-moser", "--instance", str(inst),
+                             "--rect", "1.2x1.2", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f58a5028a0eb36d17b307c9946faa7ce85cade5e29f72e4e21426d294ae29bfe")
+
+    def test_whitespace(self, tmp_path):
+        F = (2 + math.sqrt(3)) / 3
+        c = float(compute_c(F))
+        base = meir_moser_pack(Instance((math.sqrt((1 - c * c) / 158),) * 158),
+                               Rectangle(math.sqrt(F), F / math.sqrt(F)))
+        base_file, tail_file = tmp_path / "base.json", tmp_path / "tail.json"
+        base_file.write_text(json.dumps(packing_to_dict(base)))
+        tail_file.write_text(json.dumps({"sides": [c / math.sqrt(158) * 0.9] * 20}))
+        out = tmp_path / "full.json"
+        assert cli_dispatch(["whitespace", "--base", str(base_file), "--tail", str(tail_file),
+                             "--c", repr(c), "--F", repr(F), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9ead9f17446a076606a9df98f4e6149fd17fadf8d0381ce507803d8dbdf7520b")
+
+    def test_reduce_case_b_8004(self, tmp_path):
+        # the benchmark's glue_b8k input at seed 1: 8,004 squares, 181
+        # distinct floats among the 24,012 the packing writes
+        sides = [0.5, 0.5, 0.25, 0.25] + [math.sqrt(0.375 / 8_000)] * 8_000
+        random.Random(1).shuffle(sides)
+        inst, toy = tmp_path / "inst.json", tmp_path / "toy.json"
+        inst.write_text(json.dumps({"sides": sides}))
+        c = float(compute_c((2 + math.sqrt(3)) / 3))
+        toy.write_text(json.dumps({"c": c, "N0": 4, "N1": 158, "N": 1167}))
+        out = tmp_path / "result.json"
+        assert cli_dispatch(["reduce", "--instance", str(inst), "--F", "novotny",
+                             "--toy-params", str(toy), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6fa4611aa3486ca0cc34c91026970e019d76dc4e48258e13a5c545418b91c870")
+
+
+#: Floats the wire must spell as json.dumps does: both zeros, subnormals,
+#: the extremes, and any other finite value.
+_WIRE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _wire_packings(draw) -> Packing:
+    """A packing whose columns repeat a few values, always both zeros among
+    them, inside a rectangle with a shifted origin and float or integer
+    edges.  A corner minus a far origin may round to infinity."""
+    pool = [0.0, -0.0] + draw(st.lists(_WIRE_FLOATS, max_size=5))
+    n = draw(st.integers(0, 24))
+    column = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    sides = [abs(s) for s in draw(column)]
+    edge = st.integers(1, 9) | st.floats(min_value=1e-300, max_value=1e300)
+    origin = st.sampled_from([0.0, -0.0]) | _WIRE_FLOATS
+    rect = Rectangle(draw(edge), draw(edge), x=draw(origin), y=draw(origin))
+    return Packing(rect, array("d", sides), array("d", draw(column)), array("d", draw(column)))
+
+
+def _written(data: dict) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_json(data, None)
+    return buf.getvalue()
+
+
+class TestJsonWire:
+    """The CLI's writer against the stdlib encoder it stands in for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wire_packings())
+    def test_writer_matches_dumps_on_packings(self, packing):
+        data = packing_to_dict(packing)
+        assert _written(data) == json.dumps(data) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(_wire_packings(), st.floats(min_value=1, max_value=3, exclude_min=True),
+           st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True),
+           st.sampled_from(["a", "b", "c"]), st.none() | st.integers(0, 10**6))
+    def test_writer_matches_dumps_on_results(self, packing, F, c, case, split):
+        params = PackParams.toy_params(F=F, c=c, N0=4, N1=158, N=1167)
+        data = result_to_dict(ReduceResult(case, packing, params, split))
+        assert _written(data) == json.dumps(data) + "\n"
+
+    def test_writer_keeps_zero_signs_apart(self):
+        packing = Packing(Rectangle(1, 1), array("d", [0.0, -0.0, 0.5]),
+                          array("d", [-0.0, 0.0, -0.0]), array("d", [0.0, 0.0, -0.0]))
+        text = _written(packing_to_dict(packing))
+        assert text == json.dumps(packing_to_dict(packing)) + "\n"
+        assert text.count("-0.0") == 4
+
+    @pytest.mark.parametrize("distinct", [1, 60, 1_500, 2_999, 9_000])
+    def test_writer_matches_dumps_at_any_share_of_repeats(self, distinct):
+        # 3,000 placements hold 9,000 floats drawn in turn from a pool of
+        # `distinct` values; the writer's sample of every other placement
+        # sees at most half distinct up to 1,500 (the memo spells them) and
+        # more at 2,999 and 9,000 (json.dumps writes them all)
+        rng = random.Random(distinct)
+        pool = [rng.uniform(-1e3, 1e3) for _ in range(distinct)]
+        column = array("d", (pool[i % distinct] for i in range(9_000)))
+        packing = Packing(Rectangle(7, 3, x=0.1, y=-2.5), array("d", map(abs, column[::3])),
+                          column[1::3], column[2::3])
+        data = result_to_dict(ReduceResult("b", packing, PackParams.certified("novotny"), 4))
+        assert _written(data) == json.dumps(data) + "\n"
