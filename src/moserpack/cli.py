@@ -166,6 +166,16 @@ def _cmd_whitespace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _index(raw: dict, key: str) -> int:
+    """``raw[key]`` as an int: a JSON integer, or a number with no fractional part."""
+    value = raw[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"toy parameter {key} must be an integer, got {value!r}")
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     inst = instance_from_dict(_read_json(args.instance))
     if args.toy_params:
@@ -173,9 +183,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         params = PackParams.toy_params(
             F=factor_float(args.F),
             c=float(raw["c"]),
-            N0=int(raw["N0"]),
-            N1=int(raw["N1"]),
-            N=int(raw["N"]),
+            N0=_index(raw, "N0"),
+            N1=_index(raw, "N1"),
+            N=_index(raw, "N"),
             s1_threshold=float(raw.get("s1_threshold", 0.1)),
         )
     else:

@@ -3,7 +3,7 @@
 For an area factor F > 1 the chain of constants is
 
     c      positive root of 5 c^2 + 3 c = F - 1,
-           i.e. sqrt((3/10)^2 + (F - 1)/5) - 3/10
+           i.e. x / (sqrt((3/10)^2 + x) + 3/10) with x = (F - 1)/5
     delta  (F - 1) / (10 F / c^2 + 1/10)          (worst admissible edge)
     delta1 min(f(c^2, 10 F), c^2 / 10)             (refined edge, F <= 9)
     N0     max(1, floor(1 / delta^2))             (simple form)
@@ -16,7 +16,9 @@ x^2 + (H - x)(F V / H - x) = V, minimized over its domain K at the corner
 (c^2, 10 F); see :func:`delta_refined`.
 
 Each formula is written once and evaluates in either mpmath context:
-``mp`` for reported values, ``iv`` for certificates.  Everything feeding a
+``mp`` for reported values, ``iv`` for certificates.  F - 1 is formed from
+the factor's exact value, not from F at working precision, so no digit of
+it is lost near F = 1.  Everything feeding a
 floor is evaluated in outward-rounded interval arithmetic (``iv``, e^2 from
 ``iv.exp``) starting at 50 decimal digits and doubling up to 200 until the
 enclosure no longer straddles an integer;
@@ -60,61 +62,79 @@ def _workdps(dps: int):
 
 
 def _factor(F: Factor, ctx):
-    """A factor spec in ``ctx``: an mpf under ``mp``, an enclosure under ``iv``.
+    """A factor spec in ``ctx`` as the pair (F, F - 1): mpfs under ``mp``,
+    enclosures under ``iv``.
 
     Accepts the symbolic name ``"novotny"`` for (2 + sqrt(3))/3, a decimal
-    string, or a number.  The factor must be finite and exceed 1.
+    string, or a number.  The factor must be finite and exceed 1.  F - 1
+    comes from the spec's exact value: (sqrt(3) - 1)/3 for ``"novotny"``,
+    else the rational a decimal string, a float or an int stands for.
+    Subtracting 1 from F at working precision would lose as many digits
+    as F - 1 has leading zeros.
     """
     if isinstance(F, str) and F.strip().lower() == NOVOTNY:
-        val = (2 + ctx.sqrt(3)) / 3
-    else:
-        try:
-            val = ctx.mpf(F)
-        except ValueError:
-            raise ValueError(f"area factor must be finite and exceed 1 ({NOVOTNY!r} "
-                             f"or a decimal number), got {F!r}") from None
+        root3 = ctx.sqrt(3)
+        return (2 + root3) / 3, (root3 - 1) / 3
+    try:
+        val = ctx.mpf(F)
+    except ValueError:
+        raise ValueError(f"area factor must be finite and exceed 1 ({NOVOTNY!r} "
+                         f"or a decimal number), got {F!r}") from None
     # iv turns a NaN into [-inf, +inf], so the upper end decides in both contexts.
     top = mp.mpf(val.b if ctx is iv else val)
     if not (mp.isfinite(top) and top > 1):
         raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
-    return val
+    # imported on use, so that `import moserpack` and the named factor skip it
+    from fractions import Fraction
+
+    if isinstance(F, mpf):
+        man, exp = F.man_exp
+        exact = Fraction(man) * Fraction(2) ** exp
+    else:
+        exact = Fraction(F)
+    return val, ctx.mpf(exact.numerator - exact.denominator) / exact.denominator
 
 
 def factor_float(F: Factor) -> float:
     """Float64 value of a factor spec (accepts ``"novotny"``)."""
     with _workdps(50):
-        return float(_factor(F, mp))
+        return float(_factor(F, mp)[0])
 
 
 def _ctx(x):
     return iv if isinstance(x, iv.mpf) else mp
 
 
-def _c_of(F):
-    """c from F; works for both mpf and interval operands."""
-    ctx = _ctx(F)
+def _c_of(e):
+    """c from e = F - 1, for mpf and interval operands.
+
+    The root sqrt((3/10)^2 + x) - 3/10 with x = e/5, written as
+    x / (sqrt((3/10)^2 + x) + 3/10) so that nothing cancels when e is small.
+    """
+    ctx = _ctx(e)
     three_tenths = ctx.mpf(3) / 10
-    return ctx.sqrt(three_tenths ** 2 + (F - 1) / 5) - three_tenths
+    x = e / 5
+    return x / (ctx.sqrt(three_tenths ** 2 + x) + three_tenths)
 
 
-def _delta(F, V):
-    """delta(V) = (F - 1) / (10 F / V + 1/10) for float, mpf or interval operands."""
+def _delta(F, e, V):
+    """delta(V) = e / (10 F / V + 1/10) with e = F - 1, for float, mpf or interval operands."""
     tenth = _ctx(F).mpf(1) / 10 if isinstance(F, (mpf, iv.mpf)) else 0.1
-    return (F - 1) / (10 * F / V + tenth)
+    return e / (10 * F / V + tenth)
 
 
 def compute_c(F: Factor, dps: int = 50) -> mpf:
     """The constant c: positive root of 5 c^2 + 3 c = F - 1."""
     with _workdps(dps):
-        return _c_of(_factor(F, mp))
+        return _c_of(_factor(F, mp)[1])
 
 
 def delta_simple(F: Factor, dps: int = 50) -> mpf:
     """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10)."""
     with _workdps(dps):
-        Fv = _factor(F, mp)
-        c = _c_of(Fv)
-        return _delta(Fv, c * c)
+        Fv, e = _factor(F, mp)
+        c = _c_of(e)
+        return _delta(Fv, e, c * c)
 
 
 def delta_of_V(F: Factor, V: float) -> mpf:
@@ -123,12 +143,12 @@ def delta_of_V(F: Factor, V: float) -> mpf:
     The tail area V must lie in [c^2, 1].
     """
     with _workdps(50):
-        Fv = _factor(F, mp)
-        c = _c_of(Fv)
+        Fv, e = _factor(F, mp)
+        c = _c_of(e)
         Vv = mp.mpf(V)
         if not c * c - _ROOT_TOL <= Vv <= 1 + _ROOT_TOL:
             raise ValueError(f"V={V} outside [c^2, 1] = [{float(c * c)}, 1]")
-        return _delta(Fv, Vv)
+        return _delta(Fv, e, Vv)
 
 
 # --- certified floors -------------------------------------------------------
@@ -161,9 +181,9 @@ def n0_simple(F: Factor) -> int:
     """max(1, floor(1/delta^2)) with the floor interval-certified."""
 
     def make():
-        Fi = _factor(F, iv)
-        c = _c_of(Fi)
-        d = _delta(Fi, c * c)
+        Fi, e = _factor(F, iv)
+        c = _c_of(e)
+        d = _delta(Fi, e, c * c)
         return 1 / (d * d)
 
     return max(1, _certified_floor(make, "n0_simple"))
@@ -179,9 +199,9 @@ def n0_integral(F: Factor) -> int:
     """
 
     def make():
-        Fi = _factor(F, iv)
-        a = _c_of(Fi) ** 2
-        return (100 * Fi ** 2 * (1 / a - 1) + 2 * Fi * iv.log(1 / a) + (1 - a) / 100) / (Fi - 1) ** 2
+        Fi, e = _factor(F, iv)
+        a = _c_of(e) ** 2
+        return (100 * Fi ** 2 * (1 / a - 1) + 2 * Fi * iv.log(1 / a) + (1 - a) / 100) / e ** 2
 
     return 1 + _certified_floor(make, "n0_integral")
 
@@ -228,8 +248,8 @@ def derive_N(F: Factor, N0: int) -> tuple[int, int]:
         raise ValueError(f"N0 must be >= 1, got {N0}")
 
     def make_n1():
-        Fi = _factor(F, iv)
-        c = _c_of(Fi)
+        Fi, e = _factor(F, iv)
+        c = _c_of(e)
         cands = [iv.mpf(N0), (10 * Fi + iv.mpf(1) / 10) ** 2, 100 * c * c]
         lo = max(mp.mpf(x.a) for x in cands)
         hi = max(mp.mpf(x.b) for x in cands)
@@ -299,14 +319,14 @@ def delta_refined(F: Factor) -> mpf:
     K is empty when c > 1, i.e. F > 9, and :class:`MoserpackError` is raised.
     """
     with _workdps(50):
-        Fi = _factor(F, iv)
-        c2 = _c_of(Fi) ** 2
+        Fi, e = _factor(F, iv)
+        c2 = _c_of(e) ** 2
         c2_lo = mp.mpf(c2.a)
         if c2_lo > 1:
             raise MoserpackError(f"K is empty for F = {F!r} > 9: c^2 >= {mp.nstr(c2_lo, 15)} > 1")
         cap = c2 / 10
         q = (10 * Fi + cap) / 4
-        a = (Fi - 1) * c2 / 2
+        a = e * c2 / 2
         f = a / (q + iv.sqrt(q * q - a))
         return min(mp.mpf(f.a), mp.mpf(cap.a))
 
@@ -356,16 +376,16 @@ def build_report(F: Factor, *, refined: bool = False,
     are re-checked before the report is returned.
     """
     with _workdps(50):
-        Fv = _factor(F, mp)
-        c = _c_of(Fv)
+        Fv, e = _factor(F, mp)
+        c = _c_of(e)
         if not (0 < c < 1):
             raise MoserpackError(f"c = {c} outside (0, 1)")
         if not 4 * c * c <= Fv:
             raise MoserpackError(f"4 c^2 = {4 * c * c} exceeds F = {Fv}")
-        root_resid = abs(5 * c * c + 3 * c - (Fv - 1))
+        root_resid = abs(5 * c * c + 3 * c - e)
         if root_resid > _ROOT_TOL:
             raise MoserpackError(f"root identity residual {root_resid}")
-        d_simple = _delta(Fv, c * c)
+        d_simple = _delta(Fv, e, c * c)
         f_str = mp.nstr(Fv, 30)
         c_str = mp.nstr(c, 30)
         d_str = mp.nstr(d_simple, 30)

@@ -28,35 +28,20 @@ _Part = tuple[float, float, float, float]
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Axis-parallel rectangle with positive extent.
-
-    The origin is the lower-left corner and defaults to (0, 0).
-    """
+    """The box [0, width] x [0, height]: positive, finite edges at the origin."""
 
     width: float
     height: float
-    x: float = 0.0
-    y: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ValueError(
                 f"rectangle sides must be positive and finite, got {self.width} x {self.height}"
             )
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"rectangle origin must be finite, got ({self.x}, {self.y})")
 
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def x2(self) -> float:
-        return self.x + self.width
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.height
 
     @property
     def min_edge(self) -> float:
@@ -376,7 +361,7 @@ def feasible_midpoint_region(
     The region of ``feasible_midpoint_region(rect, b, s, start=start)`` is
     then that of ``feasible_midpoint_region(rect, a + b, s)``.
 
-    Each part edge is one of ``rect.x + s/2``, ``rect.x2 - s/2``,
+    Each part edge is one of ``s/2``, ``rect.width - s/2``,
     ``ob.x - s/2`` and ``(ob.x + ob.side) + s/2`` (likewise in y), the
     same floats as the edges of the one-cut-per-obstacle oracle in the
     tests, so the two regions are the same set and have the same
@@ -388,7 +373,7 @@ def feasible_midpoint_region(
         raise PreconditionViolated(
             f"side {s} exceeds the smaller enclosing edge {rect.min_edge}"
         )
-    free = [(rect.x, rect.y, rect.x2, rect.y2)] if start is None else start
+    free = [(0.0, 0.0, rect.width, rect.height)] if start is None else start
     for ob in obstacles:
         if ob.side > 0:
             free = split_free_rectangles(free, ob.side, ob.x, ob.y)
@@ -470,7 +455,7 @@ def verify_packing(packing: Packing, tol: float = EPS_GEOM) -> VerificationRepor
     with np.errstate(over="ignore"):
         x2 = x + side
         y2 = y + side
-        excess = np.maximum(np.maximum(r.x - x, r.y - y), np.maximum(x2 - r.x2, y2 - r.y2))
+        excess = np.maximum(np.maximum(-x, -y), np.maximum(x2 - r.width, y2 - r.height))
         outside = np.flatnonzero(excess > tol)
         first, second, area, hits, examined = _overlapping_pairs(
             x, y, x2, y2, tol, max(_MAX_REPORTED - len(outside), 0)
@@ -601,12 +586,12 @@ def _overlapping_pairs(x, y, x2, y2, tol: float, keep: int):
 
 
 def packing_to_dict(packing: Packing) -> dict:
-    """Serialize a packing; the rectangle is normalized to origin (0, 0)."""
+    """Serialize a packing: the rectangle's edges and every square's corner."""
     r = packing.rect
     return {
         "rect": {"w": r.width, "h": r.height},
         "placements": [
-            {"side": s, "x": x - r.x, "y": y - r.y}
+            {"side": s, "x": x, "y": y}
             for s, x, y in zip(packing.sides, packing.xs, packing.ys)
         ],
     }
@@ -631,6 +616,13 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    """Read an instance; sides are sorted non-increasingly, negatives rejected."""
+    """Read an instance; sides are sorted non-increasingly, negatives rejected.
+
+    ``sides`` must be a JSON array: a string or an object would otherwise
+    be read character by character or key by key.
+    """
+    sides = data["sides"]
+    if not isinstance(sides, list):
+        raise ValueError(f"instance sides must be a JSON array, got {type(sides).__name__}")
     # Instance converts each side with float() as it sorts them.
-    return Instance(tuple(data["sides"]), data.get("total_area"))
+    return Instance(tuple(sides), data.get("total_area"))

@@ -122,18 +122,13 @@ def default_prefix_packer(inst: Instance, F: float) -> Packing:
 def _transpose_to_height(p: Packing) -> tuple[Packing, float, float]:
     """Reorient a packing so its rectangle's smaller edge is the height.
 
-    Returns the reoriented packing (origin normalized to (0, 0)) along
-    with (W, H) = (smaller, larger) edge.  The packing shares with ``p``
-    the columns that need no shift.
+    Returns the reoriented packing, which shares its columns with ``p``,
+    along with (W, H) = (smaller, larger) edge.
     """
     r = p.rect
-    # v - 0.0 == v for every float v, so a zero offset is left out.
-    xs = array("d", [x - r.x for x in p.xs]) if r.x else p.xs
-    ys = array("d", [y - r.y for y in p.ys]) if r.y else p.ys
     if r.width <= r.height:
-        flipped = Packing(Rectangle(r.height, r.width), p.sides, ys, xs)
-        return flipped, r.width, r.height
-    return Packing(Rectangle(r.width, r.height), p.sides, xs, ys), r.height, r.width
+        return Packing(Rectangle(r.height, r.width), p.sides, p.ys, p.xs), r.width, r.height
+    return p, r.height, r.width
 
 
 def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
@@ -156,7 +151,7 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
         raise PreconditionViolated("prefix area must be positive")
     if V < c * c - EPS_GEOM or V > 1 + EPS_GEOM:
         raise PreconditionViolated(f"tail area {V} outside [c^2, 1] = [{c * c}, 1]")
-    edge_cap = _delta(F, V)
+    edge_cap = _delta(F, F - 1, V)
     if tail.max_side > edge_cap + EPS_GEOM:
         raise PreconditionViolated(
             f"tail max side {tail.max_side} exceeds edge bound {edge_cap} for V={V}"
@@ -173,10 +168,11 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
     if max(W, H2) > 10 * F + 1e-9:
         raise PreconditionViolated(f"glued tail edge {max(W, H2)} exceeds 10F")
 
-    tail_rect = Rectangle(H2, W, x=Hp, y=0.0)
-    tp = meir_moser_pack(tail, tail_rect)
+    tp = meir_moser_pack(tail, Rectangle(H2, W))
+    # The tail stands to the right of the prefix.
+    tail_xs = array("d", [Hp + x for x in tp.xs])
     merged = Rectangle(Hp + H2, W)
-    return Packing(merged, rp.sides + tp.sides, rp.xs + tp.xs, rp.ys + tp.ys)
+    return Packing(merged, rp.sides + tp.sides, rp.xs + tail_xs, rp.ys + tp.ys)
 
 
 def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:

@@ -70,7 +70,7 @@ def render_svg(packing: Packing, scale: float, tail_from: Optional[int] = None) 
     cut = len(packing.sides) if tail_from is None else tail_from
     for i, (s, px, py) in enumerate(zip(packing.sides, packing.xs, packing.ys)):
         side = s * scale
-        x = (px - r.x) * scale
-        y = H - (py - r.y) * scale - side
+        x = px * scale
+        y = H - py * scale - side
         rects.append(SvgRect(x, y, side, side, "tail" if i >= cut else "prefix"))
     return SvgDocument(W, H, tuple(rects))

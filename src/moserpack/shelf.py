@@ -148,7 +148,7 @@ def _shelf_positions(sides: tuple[float, ...], a1: float,
 
 
 def _run_shelves(inst: Instance, rect: Rectangle) -> Packing:
-    """Run the shelf engine in normalized orientation, map back, offset."""
+    """Run the shelf engine in normalized orientation and map back."""
     swap = rect.width > rect.height
     a1, a2 = (rect.height, rect.width) if swap else (rect.width, rect.height)
     columns = _shelf_positions(inst.sides, a1, a2)
@@ -159,11 +159,6 @@ def _run_shelves(inst: Instance, rect: Rectangle) -> Packing:
         )
     us, vs = columns
     xs, ys = (vs, us) if swap else (us, vs)
-    # The engine writes no -0.0, so adding a zero offset changes nothing.
-    if rect.x:
-        xs = array("d", [rect.x + x for x in xs])
-    if rect.y:
-        ys = array("d", [rect.y + y for y in ys])
     return Packing(rect, array("d", inst.sides), xs, ys)
 
 

@@ -128,15 +128,15 @@ def whitespace_pack(
     n = len(base.sides)
     # With no positive side no free rectangle is needed, and the splits keep none.
     smallest = min((s for s in job.tail.sides if s > 0.0), default=math.inf)
-    free = [(rect.x, rect.y, rect.x2, rect.y2)]
+    free = [(0.0, 0.0, rect.width, rect.height)]
     for side, x, y in zip(base.sides, base.xs, base.ys):
         free = split_free_rectangles(free, side, x, y, smallest)
     sides, xs, ys = array("d", base.sides), array("d", base.xs), array("d", base.ys)
     for k, s in enumerate(job.tail.sides):
         if s <= 0.0:
-            # Zero squares influence nothing; park them on the rectangle's
-            # lower-left corner, as the shelf engine does.
-            s, x, y = 0.0, rect.x, rect.y
+            # Zero squares influence nothing; park them at the origin, as
+            # the shelf engine does.
+            s, x, y = 0.0, 0.0, 0.0
         else:
             region = feasible_midpoint_region(rect, (), s, start=free)
             if on_step is not None:

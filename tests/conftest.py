@@ -89,7 +89,7 @@ def _cut_parts(parts, cut) -> list:
 
 def free_rectangles(rect: Rectangle, obstacles, min_edge: float = 0.0) -> list:
     """``[rect]`` split by each obstacle in turn with ``split_free_rectangles``."""
-    free = [(rect.x, rect.y, rect.x2, rect.y2)]
+    free = [(0.0, 0.0, rect.width, rect.height)]
     for ob in obstacles:
         free = split_free_rectangles(free, ob.side, ob.x, ob.y, min_edge)
     return free
@@ -153,14 +153,14 @@ def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_
     rng = np.random.default_rng(seed)
     nx = max(1, int(round(math.sqrt(samples * rect.width / rect.height))))
     ny = max(1, int(round(samples / nx)))
-    XX = rect.x + (np.arange(nx)[:, None] + rng.random((nx, ny))) * (rect.width / nx)
-    YY = rect.y + (np.arange(ny)[None, :] + rng.random((nx, ny))) * (rect.height / ny)
+    XX = (np.arange(nx)[:, None] + rng.random((nx, ny))) * (rect.width / nx)
+    YY = (np.arange(ny)[None, :] + rng.random((nx, ny))) * (rect.height / ny)
     half = s / 2.0
     ok = (
-        (XX - half >= rect.x)
-        & (XX + half <= rect.x2)
-        & (YY - half >= rect.y)
-        & (YY + half <= rect.y2)
+        (XX - half >= 0.0)
+        & (XX + half <= rect.width)
+        & (YY - half >= 0.0)
+        & (YY + half <= rect.height)
     )
     for ob in obstacles:
         if ob.side <= 0:
@@ -178,9 +178,8 @@ def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_
 class Cut(NamedTuple):
     """The four edges :func:`region_subtract` reads from its cut.
 
-    A :class:`Rectangle` would recompute ``x2 = x + width`` and could land
-    one ulp away from the inflated obstacle's own edge, so the oracle
-    passes the edges themselves.
+    The edges are passed as they are: recomputing ``x2`` as ``x + width``
+    could land one ulp away from the inflated obstacle's own edge.
     """
 
     x: float
@@ -199,12 +198,12 @@ def reference_midpoint_region(rect: Rectangle, obstacles, s: float) -> Rectiline
     would.
     """
     half = s / 2.0
-    parts = [(rect.x + half, rect.y + half, rect.x2 - half, rect.y2 - half)]
+    parts = [(half, half, rect.width - half, rect.height - half)]
     for ob in obstacles:
         if ob.side <= 0:
             continue
-        cut = Cut(max(ob.x - half, rect.x), max(ob.y - half, rect.y),
-                  min(ob.x2 + half, rect.x2), min(ob.y2 + half, rect.y2))
+        cut = Cut(max(ob.x - half, 0.0), max(ob.y - half, 0.0),
+                  min(ob.x2 + half, rect.width), min(ob.y2 + half, rect.height))
         if cut.x2 > cut.x and cut.y2 > cut.y:
             parts = _cut_parts(parts, cut)
     return RectilinearRegion(_positive(parts))
@@ -214,14 +213,14 @@ def reference_whitespace_pack(job) -> Packing:
     """Whitespace packing that rebuilds the region from scratch at every step.
 
     The same greedy rule as :func:`moserpack.whitespace_pack` (largest
-    first, lexicomin midpoint, zero sides parked on the rectangle's
-    lower-left corner), with none of its region reuse.
+    first, lexicomin midpoint, zero sides parked at the origin), with
+    none of its region reuse.
     """
     rect = job.base.rect
     placed = list(job.base.placements)
     for s in job.tail.sides:
         if s <= 0.0:
-            placed.append(Placement(0.0, rect.x, rect.y))
+            placed.append(Placement(0.0, 0.0, 0.0))
             continue
         point = region_lexicomin(reference_midpoint_region(rect, placed, s))
         placed.append(Placement(s, point[0] - s / 2.0, point[1] - s / 2.0))
@@ -300,7 +299,7 @@ def reference_verify_packing(packing: Packing, tol: float = 1e-12,
     violations: list[Violation] = []
     r = packing.rect
     for i, p in enumerate(pls):
-        excess = max(r.x - p.x, r.y - p.y, p.x2 - r.x2, p.y2 - r.y2)
+        excess = max(0.0 - p.x, 0.0 - p.y, p.x2 - r.width, p.y2 - r.height)
         if excess > tol:
             violations.append(Violation("outside", i, None, excess))
 

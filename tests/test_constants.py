@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -209,6 +210,35 @@ class TestDelta:
         assert float(delta_of_V(NOVOTNY, c2)) == pytest.approx(
             float(delta_simple(NOVOTNY)), rel=1e-12
         )
+
+
+class TestNearOne:
+    """Every printed digit of c and delta_simple at F = 1 + 10^-k.
+
+    F - 1 has k - 1 leading zeros, so at 50 digits it keeps only 50 - k of
+    its own digits unless it is carried exactly.  The oracle evaluates at
+    80 digits from the exact rational F - 1, with c as the root
+    2 (F - 1) / (3 + sqrt(9 + 20 (F - 1))) of 5 c^2 + 3 c = F - 1.
+    """
+
+    @staticmethod
+    def _printed(F: str) -> tuple[str, str]:
+        e = Fraction(F) - 1
+        with mp.workdps(80):
+            ev = mp.mpf(e.numerator) / e.denominator
+            c = 2 * ev / (3 + mp.sqrt(9 + 20 * ev))
+            d = ev / (10 * (1 + ev) / (c * c) + mp.mpf(1) / 10)
+            return mp.nstr(c, 30), mp.nstr(d, 30)
+
+    @pytest.mark.parametrize("k", [25, 40])
+    def test_c_and_delta_digits(self, k):
+        F = "1." + "0" * (k - 1) + "1"
+        assert (mp.nstr(compute_c(F), 30), mp.nstr(delta_simple(F), 30)) == self._printed(F)
+
+    def test_report_digits(self):
+        F = "1.0000000000000000000000001"
+        rep = build_report(F)
+        assert (rep.c, rep.delta_simple) == self._printed(F)
 
 
 class TestIndexThresholds:

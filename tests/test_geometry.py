@@ -56,7 +56,7 @@ from conftest import (
 
 def _region(r: Rectangle) -> RectilinearRegion:
     """The one-part region covering ``r``."""
-    return RectilinearRegion(((r.x, r.y, r.x2, r.y2),))
+    return RectilinearRegion(((0.0, 0.0, r.width, r.height),))
 
 
 def reference_packing() -> Packing:
@@ -79,11 +79,13 @@ def reference_packing() -> Packing:
 
 class TestRectangle:
     def test_basic_accessors(self):
-        r = Rectangle(2.0, 3.0, x=1.0, y=-1.0)
+        r = Rectangle(2.0, 3.0)
         assert r.area == 6.0
-        assert r.x2 == 3.0
-        assert r.y2 == 2.0
         assert r.min_edge == 2.0
+
+    def test_has_no_origin(self):
+        with pytest.raises(TypeError):
+            Rectangle(1, 1, x=0.5)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -95,7 +97,7 @@ class TestRectangle:
         with pytest.raises(ValueError):
             Rectangle(math.inf, 1.0)
         with pytest.raises(ValueError):
-            Rectangle(1.0, 1.0, x=math.nan)
+            Rectangle(1.0, math.nan)
 
 
 class TestPlacement:
@@ -238,20 +240,20 @@ class TestInstance:
 class TestRegionAlgebra:
     def test_subtract_half(self):
         a = _region(Rectangle(1, 1))
-        d = region_subtract(a, Rectangle(0.5, 1))
+        d = region_subtract(a, Cut(0.0, 0.0, 0.5, 1.0))
         assert region_area(d) == pytest.approx(0.5, abs=1e-12)
 
     def test_subtract_disjoint_keeps_area(self):
         a = _region(Rectangle(1, 1))
-        assert region_area(region_subtract(a, Rectangle(1, 1, x=2.0))) == pytest.approx(1.0)
+        assert region_area(region_subtract(a, Cut(2.0, 0.0, 3.0, 1.0))) == pytest.approx(1.0)
 
     def test_touching_edges_do_not_subtract(self):
         a = _region(Rectangle(1, 1))
-        assert region_area(region_subtract(a, Rectangle(1, 1, x=1.0))) == pytest.approx(1.0)
+        assert region_area(region_subtract(a, Cut(1.0, 0.0, 2.0, 1.0))) == pytest.approx(1.0)
 
     def test_interior_hole(self):
         a = _region(Rectangle(3, 3))
-        d = region_subtract(a, Rectangle(1, 1, x=1, y=1))
+        d = region_subtract(a, Cut(1.0, 1.0, 2.0, 2.0))
         assert region_area(d) == pytest.approx(8.0, abs=1e-12)
         # parts stay pairwise disjoint
         parts = d.parts
@@ -269,11 +271,11 @@ class TestRegionAlgebra:
             ch = float(rng.uniform(0.1, 2.5))
             cx = float(rng.uniform(-1, 2))
             cy = float(rng.uniform(-1, 2))
-            cut_rect = Rectangle(cw, ch, x=cx, y=cy)
+            cut = Cut(cx, cy, cx + cw, cy + ch)
             a = _region(base)
-            remaining = region_area(region_subtract(a, cut_rect))
-            ix = max(0.0, min(base.x2, cut_rect.x2) - max(base.x, cut_rect.x))
-            iy = max(0.0, min(base.y2, cut_rect.y2) - max(base.y, cut_rect.y))
+            remaining = region_area(region_subtract(a, cut))
+            ix = max(0.0, min(base.width, cut.x2) - max(0.0, cut.x))
+            iy = max(0.0, min(base.height, cut.y2) - max(0.0, cut.y))
             assert remaining + ix * iy == pytest.approx(base.area, abs=1e-12)
 
     def test_bigger_cut_nests(self):
@@ -283,8 +285,8 @@ class TestRegionAlgebra:
             base = Rectangle(1.0, 1.0)
             cx = float(rng.uniform(-0.5, 1.0))
             cy = float(rng.uniform(-0.5, 1.0))
-            small = Rectangle(0.4, 0.3, x=cx, y=cy)
-            big = Rectangle(0.6, 0.5, x=cx - 0.1, y=cy - 0.1)
+            small = Cut(cx, cy, cx + 0.4, cy + 0.3)
+            big = Cut(cx - 0.1, cy - 0.1, (cx - 0.1) + 0.6, (cy - 0.1) + 0.5)
             r = _region(base)
             after_small = region_subtract(r, small)
             after_big = region_subtract(r, big)
@@ -399,8 +401,8 @@ class TestFeasibleMidpointRegion:
             checked += 1
             cx, cy = pt
             x, y = cx - s / 2, cy - s / 2
-            assert x >= rect.x - EPS_GEOM and y >= rect.y - EPS_GEOM
-            assert x + s <= rect.x2 + EPS_GEOM and y + s <= rect.y2 + EPS_GEOM
+            assert x >= 0.0 - EPS_GEOM and y >= 0.0 - EPS_GEOM
+            assert x + s <= rect.width + EPS_GEOM and y + s <= rect.height + EPS_GEOM
             for ob in obstacles:
                 if ob.side <= 0:
                     continue
@@ -426,22 +428,19 @@ class TestFeasibleMidpointRegion:
 def midpoint_configs(draw):
     """A rectangle, obstacles (some of side 0, some sticking out), a new side.
 
-    The rectangle sits at the origin or at a non-zero, possibly negative
-    corner; obstacles may stick out past any of its four edges or lie
+    Obstacles may stick out past any of the rectangle's four edges or lie
     wholly outside it.
     """
     W = draw(st.floats(0.8, 2.0))
     H = draw(st.floats(0.8, 2.0))
-    origin = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
-    x0, y0 = draw(origin), draw(origin)
     edge = min(W, H)
     raw = draw(st.lists(
         st.tuples(st.floats(0.0, 0.35), st.floats(-0.3, 1.1), st.floats(-0.3, 1.1)),
         max_size=12,
     ))
-    obstacles = [Placement(f * edge, x0 + x * W, y0 + y * H) for f, x, y in raw]
+    obstacles = [Placement(f * edge, x * W, y * H) for f, x, y in raw]
     s = draw(st.floats(0.0, 1.0)) * edge
-    return Rectangle(W, H, x0, y0), obstacles, s
+    return Rectangle(W, H), obstacles, s
 
 
 @st.composite
@@ -498,7 +497,7 @@ class TestSplitFreeRectangles:
         rect, obstacles, _ = config
         free = free_rectangles(rect, obstacles)
         for i, f in enumerate(free):
-            assert rect.x <= f[0] < f[2] <= rect.x2 and rect.y <= f[1] < f[3] <= rect.y2
+            assert 0.0 <= f[0] < f[2] <= rect.width and 0.0 <= f[1] < f[3] <= rect.height
             for ob in obstacles:
                 if ob.side > 0:
                     assert (f[2] <= ob.x or ob.x + ob.side <= f[0]
@@ -554,16 +553,15 @@ def grid_midpoint_configs(draw):
     other, so the lexicomin's tie band decides between them.
     """
     W, H = (draw(st.sampled_from([1.0, 1.25, 1.5, 2.0])) for _ in range(2))
-    x0, y0 = (draw(st.sampled_from([0.0, -1.0, 0.375])) for _ in range(2))
     cell = st.integers(-2, 17).map(lambda i: i / 8)
     nudge = st.sampled_from([0.0, 0.0, 1e-13, -1e-13])
     raw = draw(st.lists(
         st.tuples(st.sampled_from([0.0, 0.125, 0.25, 0.375]), cell, cell, nudge, nudge),
         max_size=12,
     ))
-    obstacles = [Placement(f, x0 + x + dx, y0 + y + dy) for f, x, y, dx, dy in raw]
+    obstacles = [Placement(f, x + dx, y + dy) for f, x, y, dx, dy in raw]
     s = draw(st.sampled_from([0.0, 0.125, 0.25, 0.5])) + abs(draw(nudge))
-    return Rectangle(W, H, x0, y0), obstacles, s
+    return Rectangle(W, H), obstacles, s
 
 
 class TestIncrementalRegion:
@@ -799,17 +797,18 @@ class TestVerifyPacking:
         # its lower edge minus -0.25 rounds up to the boundary 0.5, where
         # the first row's upper edges end exactly: the pairs meet only
         # because each square keeps a copy in the strip of its upper edge.
+        # The last square, which sets the strips' start, sticks out below.
         below = math.nextafter(0.25, 0.0)
         placements = ([Placement(0.25, 0.25 * k, 0.0) for k in range(4)]
                       + [Placement(0.25, 0.1 + 0.25 * k, below) for k in range(4)]
                       + [Placement(0.25, 0.05 + 0.25 * k, 1.0) for k in range(4)]
                       + [Placement(0.25, 1.5, -0.25)])
-        packing = packing_of(Rectangle(2, 2, y=-0.25), placements)
+        packing = packing_of(Rectangle(2, 2), placements)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_STRIP_MIN_PAIRS", 0)
             report = verify_packing(packing, tol=0.0)
         assert report == reference_verify_packing(packing, tol=0.0)
-        assert len(report.violations) == 7
+        assert [v.kind for v in report.violations] == ["outside"] + ["overlap"] * 7
         # the strips leave 7 of the plain sweep's 21 candidate pairs
         assert report.pairs_examined == 7
 
@@ -974,14 +973,7 @@ class TestSerialization:
         assert q.rect.height == pytest.approx(p.rect.height)
         assert len(q.placements) == len(p.placements)
         for a, b in zip(p.placements, q.placements):
-            assert (a.side, a.x - p.rect.x, a.y - p.rect.y) == (b.side, b.x, b.y)
-
-    def test_packing_dict_normalizes_origin(self):
-        p = packing_of(Rectangle(1, 1, x=5, y=-3), [Placement(0.5, 5.2, -2.9)])
-        d = packing_to_dict(p)
-        assert d["rect"] == {"w": 1.0, "h": 1.0}
-        assert d["placements"][0]["x"] == pytest.approx(0.2)
-        assert d["placements"][0]["y"] == pytest.approx(0.1)
+            assert (a.side, a.x, a.y) == (b.side, b.x, b.y)
 
     def test_instance_round_trip(self):
         inst = Instance((0.3, 0.5, 0.0))

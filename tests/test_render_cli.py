@@ -23,6 +23,7 @@ from moserpack import (
     ReduceResult,
     WhitespaceJob,
     compute_c,
+    instance_from_dict,
     meir_moser_pack,
     packing_from_dict,
     packing_to_dict,
@@ -92,8 +93,8 @@ class TestRender:
             y = float(el.get("y"))
             # repr round-trips: these must be bit-identical, not just close
             assert side == p.side * scale
-            assert x == (p.x - packing.rect.x) * scale
-            assert y == H - (p.y - packing.rect.y) * scale - side
+            assert x == p.x * scale
+            assert y == H - p.y * scale - side
 
     def test_draws_a_written_column(self):
         # The placements and the drawing are read from the columns on each
@@ -101,7 +102,7 @@ class TestRender:
         p = sample_packing()
         p.xs[1] = 0.5
         assert p.placements[1].x == 0.5
-        assert render_svg(p, 400.0).rects[2].x == (0.5 - p.rect.x) * 400.0
+        assert render_svg(p, 400.0).rects[2].x == 0.5 * 400.0
 
     @pytest.mark.parametrize("build, scale, tail_from, digest", [
         (sample_packing, 400.0, None,
@@ -385,6 +386,55 @@ class TestCli:
         assert "s1 threshold" in err["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("sides, got", [("11", "str"), ("0550", "str"),
+                                            ({"0.5": 1}, "dict")])
+    def test_sides_must_be_a_json_array(self, tmp_path, capsys, sides, got):
+        # read as an iterable, "11" was two unit squares, "0550" the sides
+        # (5, 5, 0, 0) and the object one square of side 0.5
+        with pytest.raises(ValueError, match=f"JSON array, got {got}"):
+            instance_from_dict({"sides": sides})
+        inst = self.write(tmp_path, "inst.json", {"sides": sides})
+        assert cli_dispatch(["reduce", "--instance", inst, "--F", "novotny"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert f"JSON array, got {got}" in err["message"]
+
+    @pytest.mark.parametrize("key, value", [("N0", 4.9), ("N1", 158.7), ("N", 1167.5),
+                                            ("N0", True), ("N0", "4")])
+    def test_reduce_rejects_non_integral_indices(self, tmp_path, capsys, key, value):
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
+        raw = {"c": 0.07256326599821739, "N0": 4, "N1": 158, "N": 1167, key: value}
+        toy = self.write(tmp_path, "toy.json", raw)
+        out = tmp_path / "result.json"
+        code = cli_dispatch(
+            ["reduce", "--instance", inst, "--F", "novotny",
+             "--toy-params", toy, "-o", str(out)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert f"{key} must be an integer" in err["message"]
+        assert not out.exists()
+
+    def test_reduce_reads_a_whole_float_index_as_an_integer(self, tmp_path):
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
+        texts = []
+        for N0 in (4, 4.0):
+            toy = self.write(tmp_path, "toy.json",
+                             {"c": 0.07256326599821739, "N0": N0, "N1": 158, "N": 1167})
+            out = tmp_path / "result.json"
+            assert cli_dispatch(
+                ["reduce", "--instance", inst, "--F", "novotny",
+                 "--toy-params", toy, "-o", str(out)]
+            ) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["params"]["N0"] == 4
+
     def test_reduce_output_is_single_line_result_dict(self, tmp_path):
         sides = [math.sqrt((1 - k / 400) / 200.5) for k in range(400)]
         inst = self.write(tmp_path, "inst.json", {"sides": sides})
@@ -503,7 +553,6 @@ def _whitespace_packing() -> Packing:
                          ids=["shelf", "glue", "whitespace"])
 def test_packing_dict_round_trip_is_exact(build):
     packing = build()
-    assert packing.rect.x == packing.rect.y == 0.0
     assert packing_from_dict(packing_to_dict(packing)) == packing
     # and through the JSON text the CLI writes and reads
     assert packing_from_dict(json.loads(json.dumps(packing_to_dict(packing)))) == packing
@@ -600,15 +649,13 @@ _WIRE_FLOATS = st.one_of(
 @st.composite
 def _wire_packings(draw) -> Packing:
     """A packing whose columns repeat a few values, always both zeros among
-    them, inside a rectangle with a shifted origin and float or integer
-    edges.  A corner minus a far origin may round to infinity."""
+    them, inside a rectangle with float or integer edges."""
     pool = [0.0, -0.0] + draw(st.lists(_WIRE_FLOATS, max_size=5))
     n = draw(st.integers(0, 24))
     column = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
     sides = [abs(s) for s in draw(column)]
     edge = st.integers(1, 9) | st.floats(min_value=1e-300, max_value=1e300)
-    origin = st.sampled_from([0.0, -0.0]) | _WIRE_FLOATS
-    rect = Rectangle(draw(edge), draw(edge), x=draw(origin), y=draw(origin))
+    rect = Rectangle(draw(edge), draw(edge))
     return Packing(rect, array("d", sides), array("d", draw(column)), array("d", draw(column)))
 
 
@@ -626,7 +673,14 @@ class TestJsonWire:
     @given(_wire_packings())
     def test_writer_matches_dumps_on_packings(self, packing):
         data = packing_to_dict(packing)
-        assert _written(data) == json.dumps(data) + "\n"
+        written = _written(data)
+        assert written == json.dumps(data) + "\n"
+        # The wire is the identity: every bit of every column comes back,
+        # so -0.0 stays apart from 0.0.
+        read = packing_from_dict(json.loads(written))
+        assert read.rect == packing.rect
+        assert [c.tobytes() for c in (read.sides, read.xs, read.ys)] == \
+            [c.tobytes() for c in (packing.sides, packing.xs, packing.ys)]
 
     @settings(max_examples=150, deadline=None)
     @given(_wire_packings(), st.floats(min_value=1, max_value=3, exclude_min=True),
@@ -653,7 +707,7 @@ class TestJsonWire:
         rng = random.Random(distinct)
         pool = [rng.uniform(-1e3, 1e3) for _ in range(distinct)]
         column = array("d", (pool[i % distinct] for i in range(9_000)))
-        packing = Packing(Rectangle(7, 3, x=0.1, y=-2.5), array("d", map(abs, column[::3])),
+        packing = Packing(Rectangle(7, 3), array("d", map(abs, column[::3])),
                           column[1::3], column[2::3])
         data = result_to_dict(ReduceResult("b", packing, PackParams.certified("novotny"), 4))
         assert _written(data) == json.dumps(data) + "\n"

@@ -87,13 +87,6 @@ class TestMoonMoser:
             (p.side, p.y, p.x) for p in wide.placements
         }
 
-    def test_offset_rectangle(self):
-        inst = Instance((0.5, 0.5))
-        rect = Rectangle(1.0, 1.0, x=3.0, y=-2.0)
-        packing = moon_moser_pack(inst, rect)
-        assert_packs(packing, inst)
-        assert all(p.x >= 3.0 and p.y >= -2.0 for p in packing.placements)
-
     def test_zero_sides_pack(self):
         inst = Instance((0.5, 0.0, 0.0))
         packing = moon_moser_pack(inst, Rectangle(0.5, 1.0))

@@ -203,12 +203,11 @@ class TestWhitespacePack:
         assert verify_packing(packing).valid
         zeros = [p for p in packing.placements if p.side == 0.0]
         assert len(zeros) == 2
-        r = packing.rect
-        assert all((p.x, p.y) == (r.x, r.y) for p in zeros)
+        assert all((p.x, p.y) == (0.0, 0.0) for p in zeros)
         # a tail of zero sides alone has no smallest positive side
         only = WhitespaceJob(base=job0.base, tail=Instance((0.0,) * 3), c=C_REF, F=F_REF)
         packing = whitespace_pack(only)
-        assert packing.placements == job0.base.placements + (Placement(0.0, r.x, r.y),) * 3
+        assert packing.placements == job0.base.placements + (Placement(0.0, 0.0, 0.0),) * 3
 
     def test_empty_tail(self):
         job0 = make_job(n_tail=0)
@@ -290,9 +289,9 @@ class TestRegionReuse:
         gaps = [0.4 * cap * (1 + 5e-5)] + [cap * f for f in (0.45, 0.5, 0.55, 0.62, 0.7,
                                                               0.8, 0.9, 1.05)]
         base = []
-        x = rect.x
+        x = 0.0
         for gap in gaps + [0.0]:
-            base += [Placement(side, x, rect.y + i * side) for i in range(rows)]
+            base += [Placement(side, x, i * side) for i in range(rows)]
             x += side + gap
         job = WhitespaceJob(base=packing_of(rect, base), tail=tail, c=C_REF, F=F_REF)
         packing = whitespace_pack(job)
