@@ -33,8 +33,10 @@ print(f"target (2+sqrt3)/3: {(2 + math.sqrt(3)) / 3:.17f}")
 report = verify_packing(packing, tol=1e-12)
 print(f"verification: valid={report.valid}, violations={len(report.violations)}")
 
-doc = render_svg(packing, scale=400.0)
+scale = 400.0
 out = "reference_packing.svg"
 with open(out, "w") as fh:
-    fh.write(doc.to_string())
-print(f"wrote {out} ({len(doc.rects)} rects, {doc.width:.0f}x{doc.height:.0f} px)")
+    fh.write(render_svg(packing, scale))
+# the enclosing rectangle is drawn as one more rect
+print(f"wrote {out} ({len(packing.sides) + 1} rects, "
+      f"{rect.width * scale:.0f}x{rect.height * scale:.0f} px)")

@@ -37,7 +37,7 @@ from .geometry import (
     verify_packing,
 )
 from .reduction import PackParams, ReduceResult, reduce_and_pack, result_to_dict
-from .render import SvgDocument, SvgRect, render_svg
+from .render import render_svg
 from .shelf import (
     circumference_admits,
     meir_moser_pack,
@@ -62,8 +62,6 @@ __all__ = [
     "PreconditionViolated",
     "Rectangle",
     "ReduceResult",
-    "SvgDocument",
-    "SvgRect",
     "VerificationReport",
     "Violation",
     "WhitespaceJob",

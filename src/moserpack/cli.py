@@ -166,14 +166,12 @@ def _cmd_whitespace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _index(raw: dict, key: str) -> int:
-    """``raw[key]`` as an int: a JSON integer, or a number with no fractional part."""
+def _index(raw: dict, key: str):
+    """``raw[key]``, a number with no fractional part read as an int (``4.0``
+    becomes 4); :class:`PackParams` rejects every other value that is not an
+    integer."""
     value = raw[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"toy parameter {key} must be an integer, got {value!r}")
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -197,8 +195,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     packing = _read_packing(args.packing)
-    doc = render_svg(packing, args.scale, tail_from=args.tail_from)
-    _emit(doc.to_string(), args.output)
+    _emit(render_svg(packing, args.scale, tail_from=args.tail_from), args.output)
     return 0
 
 

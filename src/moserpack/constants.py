@@ -20,8 +20,9 @@ Each formula is written once and evaluates in either mpmath context:
 the factor's exact value, not from F at working precision, so no digit of
 it is lost near F = 1.  Everything feeding a
 floor is evaluated in outward-rounded interval arithmetic (``iv``, e^2 from
-``iv.exp``) starting at 50 decimal digits and doubling up to 200 until the
-enclosure no longer straddles an integer;
+``iv.exp``) starting at 50 decimal digits and doubling until the
+enclosure no longer straddles an integer, up to 200 digits or the value's
+integer digits plus 50, whichever is more;
 :class:`~moserpack.errors.FloorUncertified` is raised past that point.
 The integral form is floored from its antiderivative in closed form; no
 numerical quadrature runs.  The window (N1, N] is certified to carry
@@ -154,15 +155,16 @@ def delta_of_V(F: Factor, V: float) -> mpf:
 # --- certified floors -------------------------------------------------------
 
 
-def _certified_floor(make: Callable[[], object], what: str,
-                     start_dps: int = 50, max_dps: int = 200) -> int:
+def _certified_floor(make: Callable[[], object], what: str) -> int:
     """Floor of an interval-valued computation, certified unambiguous.
 
-    ``make`` is re-run with mp/iv precision doubling from ``start_dps`` to
-    ``max_dps`` until the enclosure [lo, hi] satisfies
-    floor(lo) == floor(hi), i.e. it cannot straddle an integer.
+    ``make`` is re-run with mp/iv precision doubling from 50 digits until
+    the enclosure [lo, hi] satisfies floor(lo) == floor(hi), i.e. it cannot
+    straddle an integer.  The doubling stops at 200 digits, or at the
+    enclosure's integer digits plus 50 where that is more: a value with d
+    integer digits needs more than d digits before its floor shows.
     """
-    dps = start_dps
+    dps = 50
     while True:
         with _workdps(dps):
             val = make()
@@ -170,11 +172,14 @@ def _certified_floor(make: Callable[[], object], what: str,
             f_lo, f_hi = mp.floor(lo), mp.floor(hi)
             if f_lo == f_hi:
                 return int(f_lo)
-        if dps >= max_dps:
+            size = max(abs(lo), abs(hi))
+            digits = int(mp.log10(size)) + 1 if mp.isfinite(size) and size > 1 else 0
+        cap = max(200, digits + 50)
+        if dps >= cap:
             raise FloorUncertified(
                 f"{what}: enclosure [{lo}, {hi}] straddles an integer at {dps} digits"
             )
-        dps = min(2 * dps, max_dps)
+        dps = min(2 * dps, cap)
 
 
 def n0_simple(F: Factor) -> int:

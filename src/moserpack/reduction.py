@@ -56,6 +56,11 @@ class PackParams:
             raise ValueError(f"area factor must be finite and exceed 1, got {self.F}")
         if not (0 < self.c < 1):
             raise ValueError(f"c must lie in (0, 1), got {self.c}")
+        for name in ("N0", "N1", "N"):
+            value = getattr(self, name)
+            # an __index__ is what operator.index and a slice need
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.N0 <= self.N1 <= self.N):
             raise ValueError(f"need 1 <= N0 <= N1 <= N, got {self.N0}, {self.N1}, {self.N}")
         if not 0 < self.s1_threshold < math.inf:

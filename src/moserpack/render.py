@@ -8,7 +8,6 @@ round-trips exactly and keeps output byte-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import Packing
@@ -20,57 +19,47 @@ _FILLS = {
 }
 
 
-@dataclass(frozen=True)
-class SvgRect:
-    x: float
-    y: float
-    width: float
-    height: float
-    css_class: str
-
-    def to_element(self) -> str:
-        fill, stroke = _FILLS[self.css_class]
-        return (
-            f'<rect class="{self.css_class}" x="{self.x!r}" y="{self.y!r}" '
-            f'width="{self.width!r}" height="{self.height!r}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="0.5"/>'
+def _rect(css_class: str, x: float, y: float, width: float, height: float) -> str:
+    """One ``<rect>`` element; raises ValueError for a number that is not finite."""
+    if not all(map(math.isfinite, (x, y, width, height))):
+        raise ValueError(
+            f"{css_class} rect has a number that is not finite at this scale: "
+            f"x={x!r}, y={y!r}, width={width!r}, height={height!r}"
         )
+    fill, stroke = _FILLS[css_class]
+    return (
+        f'<rect class="{css_class}" x="{x!r}" y="{y!r}" '
+        f'width="{width!r}" height="{height!r}" '
+        f'fill="{fill}" stroke="{stroke}" stroke-width="0.5"/>'
+    )
 
 
-@dataclass(frozen=True)
-class SvgDocument:
-    width: float
-    height: float
-    rects: tuple[SvgRect, ...]
+def render_svg(packing: Packing, scale: float, tail_from: Optional[int] = None) -> str:
+    """The SVG text: the enclosing rectangle, then one rect per square.
 
-    def to_string(self) -> str:
-        lines = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width!r}" height="{self.height!r}" '
-            f'viewBox="0 0 {self.width!r} {self.height!r}">',
-        ]
-        lines.extend(r.to_element() for r in self.rects)
-        lines.append("</svg>")
-        return "\n".join(lines) + "\n"
-
-
-def render_svg(packing: Packing, scale: float, tail_from: Optional[int] = None) -> SvgDocument:
-    """Render one rect per placement plus the enclosing rectangle.
-
-    Placements with index >= ``tail_from`` are classed ``tail`` (useful to
+    Squares with index >= ``tail_from`` are classed ``tail`` (useful to
     highlight whitespace-packed squares); all others are ``prefix``.
+    Raises ValueError when ``scale`` is not positive and finite, when
+    ``tail_from`` lies outside [0, len(packing.sides)], or when a number
+    to be written is not finite.
     """
     if not 0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    r = packing.rect
-    W = r.width * scale
-    H = r.height * scale
-    rects = [SvgRect(0.0, 0.0, W, H, "enclosing")]
-    cut = len(packing.sides) if tail_from is None else tail_from
+    n = len(packing.sides)
+    cut = n if tail_from is None else tail_from
+    if not 0 <= cut <= n:
+        raise ValueError(f"tail_from must lie in [0, {n}], got {tail_from}")
+    W = packing.rect.width * scale
+    H = packing.rect.height * scale
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{W!r}" height="{H!r}" viewBox="0 0 {W!r} {H!r}">',
+        _rect("enclosing", 0.0, 0.0, W, H),
+    ]
     for i, (s, px, py) in enumerate(zip(packing.sides, packing.xs, packing.ys)):
         side = s * scale
-        x = px * scale
-        y = H - py * scale - side
-        rects.append(SvgRect(x, y, side, side, "tail" if i >= cut else "prefix"))
-    return SvgDocument(W, H, tuple(rects))
+        lines.append(_rect("tail" if i >= cut else "prefix",
+                           px * scale, H - py * scale - side, side, side))
+    lines.append("</svg>\n")
+    return "\n".join(lines)

@@ -222,12 +222,17 @@ class TestNearOne:
     """
 
     @staticmethod
-    def _printed(F: str) -> tuple[str, str]:
+    def _c_and_delta(F: str):
+        """c and delta_simple at the caller's working precision."""
         e = Fraction(F) - 1
+        ev = mp.mpf(e.numerator) / e.denominator
+        c = 2 * ev / (3 + mp.sqrt(9 + 20 * ev))
+        return c, ev / (10 * (1 + ev) / (c * c) + mp.mpf(1) / 10)
+
+    @classmethod
+    def _printed(cls, F: str) -> tuple[str, str]:
         with mp.workdps(80):
-            ev = mp.mpf(e.numerator) / e.denominator
-            c = 2 * ev / (3 + mp.sqrt(9 + 20 * ev))
-            d = ev / (10 * (1 + ev) / (c * c) + mp.mpf(1) / 10)
+            c, d = cls._c_and_delta(F)
             return mp.nstr(c, 30), mp.nstr(d, 30)
 
     @pytest.mark.parametrize("k", [25, 40])
@@ -239,6 +244,19 @@ class TestNearOne:
         F = "1.0000000000000000000000001"
         rep = build_report(F)
         assert (rep.c, rep.delta_simple) == self._printed(F)
+
+    @pytest.mark.parametrize("k, digits", [(33, 202), (40, 244)])
+    def test_floor_past_200_digits(self, k, digits):
+        # N0 has more integer digits than a fixed 200-digit cap would allow,
+        # so the doubling must run past 200 digits to certify its floor.
+        F = "1." + "0" * (k - 1) + "1"
+        with mp.workdps(2 * digits + 100):
+            _, d = self._c_and_delta(F)
+            want = int(mp.floor(1 / (d * d)))
+        assert len(str(want)) == digits
+        rep = build_report(F)
+        assert rep.N0_simple == n0_simple(F) == want
+        assert all(rep.floor_certificates.values())
 
 
 class TestIndexThresholds:

@@ -36,7 +36,7 @@ def readme_public_api() -> list[str]:
 
 def test_all_matches_readme_public_api():
     documented = readme_public_api()
-    assert len(documented) == 38
+    assert len(documented) == 36
     assert sorted(documented) == sorted(moserpack.__all__)
 
 

@@ -64,6 +64,17 @@ class TestParams:
         with pytest.raises(ValueError, match="area factor"):
             PackParams(F=bad, c=0.1, N0=1, N1=2, N=3)
 
+    @pytest.mark.parametrize("indices, name", [
+        ((2.5, 3.5, 9.5), "N0"),
+        ((True, 2, 3), "N0"),
+        ((1, 2, 3.0), "N"),
+        ((1, "2", 3), "N1"),
+    ], ids=["fractional", "bool", "whole_float", "string"])
+    def test_rejects_non_integer_indices(self, indices, name):
+        N0, N1, N = indices
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PackParams.toy_params(F=1.244, c=0.0725, N0=N0, N1=N1, N=N)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_s1_threshold(self, bad):
         with pytest.raises(ValueError, match="s1 threshold"):

@@ -56,27 +56,31 @@ def sample_packing() -> Packing:
     )
 
 
+def svg_rects(text: str) -> list:
+    """The attributes of each ``<rect>`` in an SVG text, in document order."""
+    return [el.attrib for el in ET.fromstring(text).findall(f"{SVG_NS}rect")]
+
+
 class TestRender:
     def test_structure(self):
-        doc = render_svg(sample_packing(), 400.0)
-        assert len(doc.rects) == 5
-        assert doc.rects[0].css_class == "enclosing"
-        assert all(r.css_class == "prefix" for r in doc.rects[1:])
+        rects = svg_rects(render_svg(sample_packing(), 400.0))
+        assert len(rects) == 5
+        assert rects[0]["class"] == "enclosing"
+        assert all(r["class"] == "prefix" for r in rects[1:])
 
     def test_y_axis_flip(self):
         p = packing_of(Rectangle(2.0, 1.0), [Placement(0.5, 0.25, 0.25)])
-        doc = render_svg(p, 100.0)
-        sq = doc.rects[1]
-        assert (sq.x, sq.y, sq.width, sq.height) == (25.0, 25.0, 50.0, 50.0)
+        sq = svg_rects(render_svg(p, 100.0))[1]
+        # repr round-trips, so the parsed numbers are the written ones
+        assert tuple(float(sq[k]) for k in ("x", "y", "width", "height")) == (
+            25.0, 25.0, 50.0, 50.0)
 
     def test_tail_classing(self):
-        doc = render_svg(sample_packing(), 100.0, tail_from=2)
-        classes = [r.css_class for r in doc.rects[1:]]
-        assert classes == ["prefix", "prefix", "tail", "tail"]
+        rects = svg_rects(render_svg(sample_packing(), 100.0, tail_from=2))
+        assert [r["class"] for r in rects[1:]] == ["prefix", "prefix", "tail", "tail"]
 
     def test_output_is_well_formed_svg(self):
-        text = render_svg(sample_packing(), 250.0).to_string()
-        root = ET.fromstring(text)
+        root = ET.fromstring(render_svg(sample_packing(), 250.0))
         assert root.tag == f"{SVG_NS}svg"
         assert root.get("version") == "1.1"
         assert len(root.findall(f"{SVG_NS}rect")) == 5
@@ -84,7 +88,7 @@ class TestRender:
     def test_coordinates_round_trip_exactly(self):
         packing = sample_packing()
         scale = 173.0
-        root = ET.fromstring(render_svg(packing, scale).to_string())
+        root = ET.fromstring(render_svg(packing, scale))
         rects = root.findall(f"{SVG_NS}rect")[1:]
         H = float(root.get("height"))
         for p, el in zip(packing.placements, rects):
@@ -102,7 +106,7 @@ class TestRender:
         p = sample_packing()
         p.xs[1] = 0.5
         assert p.placements[1].x == 0.5
-        assert render_svg(p, 400.0).rects[2].x == 0.5 * 400.0
+        assert float(svg_rects(render_svg(p, 400.0))[2]["x"]) == 0.5 * 400.0
 
     @pytest.mark.parametrize("build, scale, tail_from, digest", [
         (sample_packing, 400.0, None,
@@ -111,17 +115,39 @@ class TestRender:
          "ef89687fbdadd3bf020c45443dfa4970535fcc0149d5bfdacc476006c7087d1b"),
     ], ids=["reference", "whitespace"])
     def test_golden_bytes(self, build, scale, tail_from, digest):
-        text = render_svg(build(), scale, tail_from=tail_from).to_string()
+        text = render_svg(build(), scale, tail_from=tail_from)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_byte_identical_across_runs(self):
-        a = render_svg(sample_packing(), 400.0).to_string()
-        b = render_svg(sample_packing(), 400.0).to_string()
+        a = render_svg(sample_packing(), 400.0)
+        b = render_svg(sample_packing(), 400.0)
         assert a == b
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             render_svg(sample_packing(), 0.0)
+
+    @pytest.mark.parametrize("tail_from", [-5, -1, 5])
+    def test_tail_from_outside_the_squares(self, tail_from):
+        with pytest.raises(ValueError, match="tail_from"):
+            render_svg(sample_packing(), 100.0, tail_from=tail_from)
+
+    @pytest.mark.parametrize("tail_from, classes", [(0, {"tail"}), (4, {"prefix"})])
+    def test_tail_from_at_either_end(self, tail_from, classes):
+        rects = svg_rects(render_svg(sample_packing(), 100.0, tail_from=tail_from))
+        assert {r["class"] for r in rects[1:]} == classes
+
+    def test_number_overflowing_at_scale(self):
+        p = packing_of(Rectangle(1.6, 0.8), [Placement(0.8, 0.0, 0.0)])
+        assert svg_rects(render_svg(p, 1e308))[0]["height"] == repr(0.8 * 1e308)
+        with pytest.raises(ValueError, match="not finite"):
+            render_svg(p, 1.5e308)
+
+    def test_non_finite_coordinate(self):
+        p = sample_packing()
+        p.ys[2] = math.nan
+        with pytest.raises(ValueError, match="prefix rect"):
+            render_svg(p, 100.0)
 
 
 class TestCli:
@@ -511,6 +537,25 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "ValueError"
         assert "scale" in err["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, word", [
+        (["--scale", "400", "--tail-from", "-5"], "tail_from"),
+        (["--scale", "400", "--tail-from", "5"], "tail_from"),
+        (["--scale", "1.5e308"], "not finite"),
+    ], ids=["tail_from_negative", "tail_from_past_end", "overflowing_scale"])
+    def test_render_rejects_what_it_cannot_draw(self, tmp_path, capsys, args, word):
+        packing_file = self.write(
+            tmp_path, "packing.json", packing_to_dict(sample_packing())
+        )
+        out = tmp_path / "out.svg"
+        code = cli_dispatch(["render", "--packing", packing_file, *args, "-o", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert word in err["message"]
         assert not out.exists()
 
     def test_packed_output_survives_verification_round_trip(self, tmp_path):
