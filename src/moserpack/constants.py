@@ -16,13 +16,16 @@ x^2 + (H - x)(F V / H - x) = V, minimized over its domain K at the corner
 (c^2, 10 F); see :func:`delta_refined`.
 
 Each formula is written once and evaluates in either mpmath context:
-``mp`` for reported values, ``iv`` for certificates.  F - 1 is formed from
-the factor's exact value, not from F at working precision, so no digit of
-it is lost near F = 1.  Everything feeding a
-floor is evaluated in outward-rounded interval arithmetic (``iv``, e^2 from
-``iv.exp``) starting at 50 decimal digits and doubling until the
-enclosure no longer straddles an integer, up to 200 digits or the value's
-integer digits plus 50, whichever is more;
+``mp`` for reported values, ``iv`` for certificates.  mpmath is imported
+by the first computation in either context, not by ``import moserpack``,
+so the geometry never loads it, nor does :func:`factor_float` unless
+given an mpf.  F and F - 1 are formed from the factor's exact value, not
+from F at working precision, so no digit of F - 1 is lost near F = 1, and
+F > 1 is decided exactly.  Everything feeding a floor is evaluated in
+outward-rounded interval arithmetic (``iv``, e^2 from ``iv.exp``) starting
+at 50 decimal digits and doubling until the enclosure no longer straddles
+an integer, up to 200 digits or the value's integer digits plus 50,
+whichever is more;
 :class:`~moserpack.errors.FloorUncertified` is raised past that point.
 The integral form is floored from its antiderivative in closed form; no
 numerical quadrature runs.  The window (N1, N] is certified to carry
@@ -37,12 +40,14 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
-from mpmath import iv, mp, mpf
-
 from .errors import FloorUncertified, MoserpackError
 from .geometry import Instance
 
-Factor = Union[str, float, int, mpf]
+# mpmath's contexts and its real type, bound by the first `_workdps`: only
+# a certified computation needs them, so `import moserpack` loads no mpmath.
+mp = iv = mpf = None
+
+Factor = Union[str, float, int, "mpf"]
 
 #: Symbolic factor name accepted everywhere a factor is: (2 + sqrt(3))/3.
 NOVOTNY = "novotny"
@@ -52,6 +57,9 @@ _ROOT_TOL = 1e-12
 
 @contextmanager
 def _workdps(dps: int):
+    global mp, iv, mpf
+    if mp is None:
+        from mpmath import iv, mp, mpf
     old_mp, old_iv = mp.dps, iv.dps
     mp.dps = dps
     iv.dps = dps
@@ -62,44 +70,81 @@ def _workdps(dps: int):
         iv.dps = old_iv
 
 
+def _named(F: Factor) -> bool:
+    return isinstance(F, str) and F.strip().lower() == NOVOTNY
+
+
+def _rational(F: Factor):
+    """The exact value of a decimal string, float, int or mpf factor spec, as
+    a ``Fraction``, checked to be finite and to exceed 1.
+
+    The check is exact, so a factor 1 + 10^-k passes for every k.
+    """
+    # imported on use, so that `import moserpack` and the named factor skip it
+    from fractions import Fraction
+
+    exact = None
+    if mpf is not None and isinstance(F, mpf):
+        if mp.isfinite(F):
+            man, exp = F.man_exp  # man carries no sign
+            exact = Fraction(man if F > 0 else -man) * Fraction(2) ** exp
+    else:
+        try:
+            exact = Fraction(F)
+        except (ValueError, OverflowError):
+            # a NaN or an infinity: a float, or a string as mpmath spells one
+            if not (isinstance(F, (str, float))
+                    and str(F).strip().lower() in ("nan", "inf", "+inf", "-inf")):
+                raise ValueError(f"area factor must be finite and exceed 1 ({NOVOTNY!r} "
+                                 f"or a decimal number), got {F!r}") from None
+    if exact is None or exact <= 1:
+        raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
+    return exact
+
+
 def _factor(F: Factor, ctx):
     """A factor spec in ``ctx`` as the pair (F, F - 1): mpfs under ``mp``,
     enclosures under ``iv``.
 
     Accepts the symbolic name ``"novotny"`` for (2 + sqrt(3))/3, a decimal
-    string, or a number.  The factor must be finite and exceed 1.  F - 1
-    comes from the spec's exact value: (sqrt(3) - 1)/3 for ``"novotny"``,
-    else the rational a decimal string, a float or an int stands for.
-    Subtracting 1 from F at working precision would lose as many digits
-    as F - 1 has leading zeros.
+    string, or a number.  The factor must be finite and exceed 1.  Both
+    values come from the spec's exact value: (sqrt(3) - 1)/3 for
+    ``"novotny"``, else the rational a decimal string, a float, an int or
+    an mpf stands for.  Subtracting 1 from F at working precision would
+    lose as many digits as F - 1 has leading zeros.
     """
-    if isinstance(F, str) and F.strip().lower() == NOVOTNY:
+    if _named(F):
         root3 = ctx.sqrt(3)
         return (2 + root3) / 3, (root3 - 1) / 3
-    try:
-        val = ctx.mpf(F)
-    except ValueError:
-        raise ValueError(f"area factor must be finite and exceed 1 ({NOVOTNY!r} "
-                         f"or a decimal number), got {F!r}") from None
-    # iv turns a NaN into [-inf, +inf], so the upper end decides in both contexts.
-    top = mp.mpf(val.b if ctx is iv else val)
-    if not (mp.isfinite(top) and top > 1):
-        raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
-    # imported on use, so that `import moserpack` and the named factor skip it
-    from fractions import Fraction
-
-    if isinstance(F, mpf):
-        man, exp = F.man_exp
-        exact = Fraction(man) * Fraction(2) ** exp
-    else:
-        exact = Fraction(F)
-    return val, ctx.mpf(exact.numerator - exact.denominator) / exact.denominator
+    exact = _rational(F)
+    den = exact.denominator
+    return ctx.mpf(exact.numerator) / den, ctx.mpf(exact.numerator - den) / den
 
 
 def factor_float(F: Factor) -> float:
-    """Float64 value of a factor spec (accepts ``"novotny"``)."""
-    with _workdps(50):
-        return float(_factor(F, mp)[0])
+    """Float64 value of a factor spec (accepts ``"novotny"``), correctly rounded.
+
+    Only an mpf spec reaches mpmath, which its caller has loaded already.
+    (2 + sqrt(3))/3 is pinned between two rationals from the integer
+    square root of 3 * 4^k, with k doubling until both round alike.
+    """
+    if _named(F):
+        k = 64
+        while True:
+            root = math.isqrt(3 << 2 * k)  # floor(sqrt(3) * 2^k)
+            lo, hi = ((2 << k) + root) / (3 << k), ((2 << k) + root + 1) / (3 << k)
+            if lo == hi:
+                return lo
+            k *= 2
+    if isinstance(F, (str, float, int)):
+        exact = _rational(F)
+    else:
+        with _workdps(50):
+            exact = _rational(F)
+    try:
+        return float(exact)
+    except OverflowError:  # beyond the largest float, which rounds to inf
+        return math.inf
 
 
 def _ctx(x):
@@ -120,7 +165,8 @@ def _c_of(e):
 
 def _delta(F, e, V):
     """delta(V) = e / (10 F / V + 1/10) with e = F - 1, for float, mpf or interval operands."""
-    tenth = _ctx(F).mpf(1) / 10 if isinstance(F, (mpf, iv.mpf)) else 0.1
+    in_mpmath = mpf is not None and isinstance(F, (mpf, iv.mpf))
+    tenth = _ctx(F).mpf(1) / 10 if in_mpmath else 0.1
     return e / (10 * F / V + tenth)
 
 

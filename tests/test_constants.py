@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from moserpack import (
     factor_float,
     report_to_dict,
 )
+from moserpack import constants
 from moserpack.cli import cli_dispatch
 from moserpack.constants import (
     delta_of_V,
@@ -125,6 +127,59 @@ class TestFactor:
 
     def test_numeric_passthrough(self):
         assert factor_float(1.37) == 1.37
+
+    def test_named_factor_is_correctly_rounded(self):
+        with mp.workdps(60):
+            want = float((2 + mp.sqrt(3)) / 3)
+        assert factor_float(NOVOTNY) == want == 1.2440169358562925
+        assert factor_float(" Novotny ") == want
+
+    def test_decimal_strings_round_exactly(self):
+        # 1 to 40 significant digits, with and without an exponent
+        rng = random.Random(20_221)
+        for _ in range(10_000):
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 40)))
+            s = f"{rng.randint(1, 999)}.{digits}"
+            if rng.random() < 0.25:
+                s += f"e{rng.randint(0, 30)}"
+            assert factor_float(s) == float(Fraction(s)), s
+
+    @pytest.mark.parametrize("F", [1.37, math.nextafter(1.0, 2.0), 1e300, 2, 10 ** 20,
+                                   "1.2_5", "1." + "0" * 99 + "1", "1e400"], ids=repr)
+    def test_numbers_round_trip(self, F):
+        want = math.inf if F == "1e400" else float(Fraction(F))
+        assert factor_float(F) == want
+
+    @pytest.mark.parametrize("spec", ["1.5", "1.3", "1.2440169358562925048", "9.75"])
+    def test_mpf_round_trips(self, spec, monkeypatch):
+        with mp.workdps(60):
+            F = mp.mpf(spec)
+        assert factor_float(F) == float(F)
+        # the same from a process whose constants layer has not bound mpmath yet
+        for name in ("mp", "iv", "mpf"):
+            monkeypatch.setattr(constants, name, None)
+        assert factor_float(F) == float(F)
+
+    @pytest.mark.parametrize("F, got", [
+        ("1", "'1'"), ("0.5", "'0.5'"), ("-1.5", "'-1.5'"), ("nan", "'nan'"),
+        (" -INF ", "' -INF '"), (math.nan, "nan"), (-math.inf, "-inf"),
+        (mpmath.mpf(-1.5), "mpf('-1.5')"), (mpmath.mpf(1), "mpf('1.0')"),
+        (mpmath.mpf("nan"), "mpf('nan')"), (mpmath.mpf("inf"), "mpf('+inf')"),
+    ], ids=repr)
+    def test_rejection_text(self, F, got):
+        # an mpf's sign counts: -1.5 is no factor although its magnitude exceeds 1
+        for func in (factor_float, compute_c):
+            with pytest.raises(ValueError) as err:
+                func(F)
+            assert str(err.value) == f"area factor must be finite and exceed 1, got {got}"
+
+    @pytest.mark.parametrize("F", ["euler", "", "1.5.2", "Infinity"])
+    def test_non_number_rejection_text(self, F):
+        for func in (factor_float, compute_c):
+            with pytest.raises(ValueError) as err:
+                func(F)
+            assert str(err.value) == ("area factor must be finite and exceed 1 "
+                                      f"('novotny' or a decimal number), got {F!r}")
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -245,10 +300,12 @@ class TestNearOne:
         rep = build_report(F)
         assert (rep.c, rep.delta_simple) == self._printed(F)
 
-    @pytest.mark.parametrize("k, digits", [(33, 202), (40, 244)])
+    @pytest.mark.parametrize("k, digits", [(33, 202), (40, 244), (60, 364), (100, 604)])
     def test_floor_past_200_digits(self, k, digits):
         # N0 has more integer digits than a fixed 200-digit cap would allow,
         # so the doubling must run past 200 digits to certify its floor.
+        # From k = 50 on, F rounds to 1 at 50 digits: only its exact value
+        # shows that it exceeds 1.
         F = "1." + "0" * (k - 1) + "1"
         with mp.workdps(2 * digits + 100):
             _, d = self._c_and_delta(F)

@@ -1,10 +1,13 @@
-"""The runtime imports mpmath, and numpy only on first use: scipy is a test-time dependency.
+"""The runtime imports mpmath and numpy only on first use: scipy is a test-time dependency.
 
 `import moserpack`, the constants path and a case-b `reduce` load no numpy
 module; numpy is imported on the first call of `verify_packing`,
-`find_small_index` or `harmonic_range_sum`.  Each check runs in a fresh
-interpreter, so modules that other tests (or hypothesis) already imported
-into this process cannot hide an import.
+`find_small_index` or `harmonic_range_sum`.  `import moserpack` and every
+command that derives no constants (`pack`, `verify`, `render`,
+`whitespace` and `reduce --toy-params`) load no mpmath module; mpmath is
+imported by the first certified computation of the constants layer.  Each
+check runs in a fresh interpreter, so modules that other tests (or
+hypothesis) already imported into this process cannot hide an import.
 """
 
 from __future__ import annotations
@@ -87,10 +90,9 @@ CASE_B_REDUCE = """
 import json, sys, tempfile
 from pathlib import Path
 
-from moserpack import compute_c
 from moserpack.cli import cli_dispatch
 
-c = float(compute_c((2 + 3 ** 0.5) / 3))
+c = 0.0725632659982174  # float(compute_c((2 + 3 ** 0.5) / 3)), written out: it loads mpmath
 tail = [(0.375 / 8000) ** 0.5] * 8000
 with tempfile.TemporaryDirectory() as tmp:
     inst, toy = Path(tmp, "inst.json"), Path(tmp, "toy.json")
@@ -106,6 +108,67 @@ print(json.dumps({
     "case": reduced["case"],
     "placements": len(reduced["packing"]["placements"]),
     "numpy": sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")),
+    "mpmath": sorted(m for m in sys.modules if m.startswith("mpmath")),
+}))
+"""
+
+MPMATH_ON_FIRST_CERTIFICATE = """
+import contextlib, io, json, math, sys, tempfile
+from pathlib import Path
+
+def mpmath_loaded():
+    return sorted(m for m in sys.modules if m.startswith("mpmath"))
+
+import moserpack
+from moserpack.cli import cli_dispatch
+
+loaded = {"import": mpmath_loaded()}
+codes = {}
+c = 0.0725632659982174  # float(compute_c((2 + 3 ** 0.5) / 3)), written out: it loads mpmath
+root_F = math.sqrt((2 + math.sqrt(3)) / 3)
+base_side = math.sqrt((1 - c * c) / 158)
+tail = [(0.375 / 8000) ** 0.5] * 8000
+with tempfile.TemporaryDirectory() as tmp:
+    def path(name):
+        return str(Path(tmp, name))
+
+    def write(name, data):
+        Path(tmp, name).write_text(json.dumps(data))
+        return path(name)
+
+    def run(step, argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[step] = cli_dispatch(argv)
+        loaded[step] = mpmath_loaded()
+
+    run("pack", ["pack", "--mode", "meir-moser", "--rect", "0.8x1.0",
+                 "--instance", write("inst.json", {"sides": [0.4, 0.3, 0.3, 0.2]}),
+                 "-o", path("packed.json")])
+    run("verify", ["verify", "--packing", path("packed.json")])
+    run("render", ["render", "--packing", path("packed.json"), "--scale", "100",
+                   "-o", path("packed.svg")])
+    run("base", ["pack", "--mode", "meir-moser", "--rect", f"{root_F!r}x{root_F!r}",
+                 "--instance", write("base.json", {"sides": [base_side] * 158}),
+                 "-o", path("base_packed.json")])
+    run("whitespace", ["whitespace", "--base", path("base_packed.json"), "--c", repr(c),
+                       "--tail", write("tail.json", {"sides": [c / math.sqrt(158) * 0.9] * 20}),
+                       "--F", "novotny", "-o", path("full.json")])
+    run("reduce", ["reduce", "--F", "novotny",
+                   "--instance", write("b.json", {"sides": [0.5, 0.5, 0.25, 0.25] + tail}),
+                   "--toy-params", write("toy.json", {"c": c, "N0": 4, "N1": 158, "N": 1167}),
+                   "-o", path("result.json")])
+    placements = {name: len(json.loads(Path(tmp, name).read_text())["placements"])
+                  for name in ("packed.json", "full.json")}
+    case = json.loads(Path(tmp, "result.json").read_text())["case"]
+
+plain = moserpack.build_report("novotny")
+print(json.dumps({
+    "loaded": loaded,
+    "codes": codes,
+    "placements": placements,
+    "case": case,
+    "report": [plain.N0_simple, plain.N],
+    "after_report": "mpmath" in sys.modules,
 }))
 """
 
@@ -153,3 +216,15 @@ def test_case_b_reduce_loads_no_numpy():
     out = json.loads(run_fresh(CASE_B_REDUCE))
     assert (out["code"], out["case"], out["placements"]) == (0, "b", 8_004)
     assert out["numpy"] == []
+    assert out["mpmath"] == []
+
+
+def test_import_and_geometry_commands_load_no_mpmath_until_constants_run():
+    out = json.loads(run_fresh(MPMATH_ON_FIRST_CERTIFICATE))
+    steps = ["import", "pack", "verify", "render", "base", "whitespace", "reduce"]
+    assert out["loaded"] == {step: [] for step in steps}
+    assert out["codes"] == {step: 0 for step in steps[1:]}
+    assert out["placements"] == {"packed.json": 4, "full.json": 178}
+    assert out["case"] == "b"
+    assert out["report"] == [93_752_341, 692_741_307]
+    assert out["after_report"] is True
