@@ -21,11 +21,13 @@ by the first computation in either context, not by ``import moserpack``,
 so the geometry never loads it, nor does :func:`factor_float` unless
 given an mpf.  F and F - 1 are formed from the factor's exact value, not
 from F at working precision, so no digit of F - 1 is lost near F = 1, and
-F > 1 is decided exactly.  Everything feeding a floor is evaluated in
-outward-rounded interval arithmetic (``iv``, e^2 from ``iv.exp``) starting
-at 50 decimal digits and doubling until the enclosure no longer straddles
-an integer, up to 200 digits or the value's integer digits plus 50,
-whichever is more;
+F > 1 is decided exactly.  One call evaluates the chain (F, F - 1, c, c^2)
+once per context and precision, and every value and floor of the call is
+derived from that one evaluation; nothing is kept across calls.
+Everything feeding a floor is evaluated in outward-rounded interval
+arithmetic (``iv``, e^2 from ``iv.exp``) starting at 50 decimal digits and
+doubling until no enclosure straddles an integer, up to 200 digits or the
+straddling value's integer digits plus 50, whichever is more;
 :class:`~moserpack.errors.FloorUncertified` is raised past that point.
 The integral form is floored from its antiderivative in closed form; no
 numerical quadrature runs.  The window (N1, N] is certified to carry
@@ -75,12 +77,16 @@ def _named(F: Factor) -> bool:
 
 
 def _rational(F: Factor):
-    """The exact value of a decimal string, float, int or mpf factor spec, as
-    a ``Fraction``, checked to be finite and to exceed 1.
+    """The exact value of a decimal string, float, int or mpf factor spec,
+    checked to be finite and to exceed 1.
 
-    The check is exact, so a factor 1 + 10^-k passes for every k.
+    The value is a ``Fraction``, except for a decimal string whose exponent
+    exceeds 400: that stays a ``Decimal``, exact at any exponent, so that a
+    spec costs time in proportion to its length.  The check is exact, so a
+    factor 1 + 10^-k passes for every k.
     """
-    # imported on use, so that `import moserpack` and the named factor skip it
+    # imported on use, so that `import moserpack` and the named factor skip them
+    from decimal import Decimal, InvalidOperation
     from fractions import Fraction
 
     exact = None
@@ -89,6 +95,16 @@ def _rational(F: Factor):
             man, exp = F.man_exp  # man carries no sign
             exact = Fraction(man if F > 0 else -man) * Fraction(2) ** exp
     else:
+        if isinstance(F, str):
+            try:
+                dec = Decimal(F)
+            except InvalidOperation:
+                dec = None
+            if dec is not None and dec.is_finite() and abs(dec.as_tuple().exponent) > 400:
+                if dec <= 1:
+                    raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
+                # a negative exponent that large comes with as many digits
+                return dec if dec.as_tuple().exponent > 0 else Fraction(dec)
         try:
             exact = Fraction(F)
         except (ValueError, OverflowError):
@@ -100,25 +116,6 @@ def _rational(F: Factor):
     if exact is None or exact <= 1:
         raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
     return exact
-
-
-def _factor(F: Factor, ctx):
-    """A factor spec in ``ctx`` as the pair (F, F - 1): mpfs under ``mp``,
-    enclosures under ``iv``.
-
-    Accepts the symbolic name ``"novotny"`` for (2 + sqrt(3))/3, a decimal
-    string, or a number.  The factor must be finite and exceed 1.  Both
-    values come from the spec's exact value: (sqrt(3) - 1)/3 for
-    ``"novotny"``, else the rational a decimal string, a float, an int or
-    an mpf stands for.  Subtracting 1 from F at working precision would
-    lose as many digits as F - 1 has leading zeros.
-    """
-    if _named(F):
-        root3 = ctx.sqrt(3)
-        return (2 + root3) / 3, (root3 - 1) / 3
-    exact = _rational(F)
-    den = exact.denominator
-    return ctx.mpf(exact.numerator) / den, ctx.mpf(exact.numerator - den) / den
 
 
 def factor_float(F: Factor) -> float:
@@ -147,20 +144,54 @@ def factor_float(F: Factor) -> float:
         return math.inf
 
 
-def _ctx(x):
-    return iv if isinstance(x, iv.mpf) else mp
+def _evaluate(spec: Factor, ctx) -> tuple:
+    """(F, F - 1, c, c^2) of a factor spec in ``ctx`` at its working precision.
 
-
-def _c_of(e):
-    """c from e = F - 1, for mpf and interval operands.
-
-    The root sqrt((3/10)^2 + x) - 3/10 with x = e/5, written as
-    x / (sqrt((3/10)^2 + x) + 3/10) so that nothing cancels when e is small.
+    F and F - 1 come from the spec's exact value: (2 + sqrt(3))/3 and
+    (sqrt(3) - 1)/3 for ``"novotny"``, else the value :func:`_rational`
+    gives.  Subtracting 1 from F at working precision would lose as many
+    digits as F - 1 has leading zeros, which only a factor beyond 10^400
+    can afford.  c is the root sqrt((3/10)^2 + x) - 3/10 with x = (F - 1)/5,
+    written as x / (sqrt((3/10)^2 + x) + 3/10) so that nothing cancels when
+    F - 1 is small.
     """
-    ctx = _ctx(e)
+    if _named(spec):
+        root3 = ctx.sqrt(3)
+        F, e = (2 + root3) / 3, (root3 - 1) / 3
+    else:
+        exact = _rational(spec)
+        if hasattr(exact, "denominator"):
+            den = exact.denominator
+            F, e = ctx.mpf(exact.numerator) / den, ctx.mpf(exact.numerator - den) / den
+        else:  # a Decimal beyond 10^400
+            _, digits, exp = exact.as_tuple()
+            F = ctx.mpf(int("".join(map(str, digits)))) * ctx.mpf(10) ** exp
+            e = F - 1
     three_tenths = ctx.mpf(3) / 10
     x = e / 5
-    return x / (ctx.sqrt(three_tenths ** 2 + x) + three_tenths)
+    c = x / (ctx.sqrt(three_tenths ** 2 + x) + three_tenths)
+    return F, e, c, c * c
+
+
+class _Chain:
+    """One factor's (F, F - 1, c, c^2), evaluated once per mpmath context and precision.
+
+    A chain serves one call, so no value outlives the call.
+    """
+
+    def __init__(self, F: Factor):
+        self.spec = F
+        self._values: dict = {}
+
+    def __call__(self, ctx) -> tuple:
+        key = (ctx, ctx.prec)
+        if key not in self._values:
+            self._values[key] = _evaluate(self.spec, ctx)
+        return self._values[key]
+
+
+def _ctx(x):
+    return iv if isinstance(x, iv.mpf) else mp
 
 
 def _delta(F, e, V):
@@ -173,15 +204,14 @@ def _delta(F, e, V):
 def compute_c(F: Factor, dps: int = 50) -> mpf:
     """The constant c: positive root of 5 c^2 + 3 c = F - 1."""
     with _workdps(dps):
-        return _c_of(_factor(F, mp)[1])
+        return _Chain(F)(mp)[2]
 
 
 def delta_simple(F: Factor, dps: int = 50) -> mpf:
     """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10)."""
     with _workdps(dps):
-        Fv, e = _factor(F, mp)
-        c = _c_of(e)
-        return _delta(Fv, e, c * c)
+        Fv, e, _, c2 = _Chain(F)(mp)
+        return _delta(Fv, e, c2)
 
 
 def delta_of_V(F: Factor, V: float) -> mpf:
@@ -190,36 +220,47 @@ def delta_of_V(F: Factor, V: float) -> mpf:
     The tail area V must lie in [c^2, 1].
     """
     with _workdps(50):
-        Fv, e = _factor(F, mp)
-        c = _c_of(e)
+        Fv, e, _, c2 = _Chain(F)(mp)
         Vv = mp.mpf(V)
-        if not c * c - _ROOT_TOL <= Vv <= 1 + _ROOT_TOL:
-            raise ValueError(f"V={V} outside [c^2, 1] = [{float(c * c)}, 1]")
+        if not c2 - _ROOT_TOL <= Vv <= 1 + _ROOT_TOL:
+            raise ValueError(f"V={V} outside [c^2, 1] = [{float(c2)}, 1]")
         return _delta(Fv, e, Vv)
 
 
 # --- certified floors -------------------------------------------------------
 
 
-def _certified_floor(make: Callable[[], object], what: str) -> int:
-    """Floor of an interval-valued computation, certified unambiguous.
+class _Straddles(Exception):
+    """An enclosure that may straddle an integer at the working precision."""
 
-    ``make`` is re-run with mp/iv precision doubling from 50 digits until
-    the enclosure [lo, hi] satisfies floor(lo) == floor(hi), i.e. it cannot
-    straddle an integer.  The doubling stops at 200 digits, or at the
-    enclosure's integer digits plus 50 where that is more: a value with d
-    integer digits needs more than d digits before its floor shows.
+
+def _floor(val, what: str) -> int:
+    """Floor of the enclosure ``val``, which must not straddle an integer."""
+    lo, hi = mp.mpf(val.a), mp.mpf(val.b)
+    f_lo = mp.floor(lo)
+    if f_lo != mp.floor(hi):
+        raise _Straddles(what, lo, hi)
+    return int(f_lo)
+
+
+def _certified(derive: Callable[..., object], chain: _Chain):
+    """``derive(F, e, c, c2)`` on the chain's enclosures, every :func:`_floor` in it certified.
+
+    ``derive`` runs at 50 digits, and again at doubled precision while one
+    of its floors straddles an integer; each run evaluates the chain once.
+    The doubling stops at 200 digits, or at the straddling enclosure's
+    integer digits plus 50 where that is more: a value with d integer
+    digits needs more than d digits before its floor shows.
     """
     dps = 50
     while True:
         with _workdps(dps):
-            val = make()
-            lo, hi = mp.mpf(val.a), mp.mpf(val.b)
-            f_lo, f_hi = mp.floor(lo), mp.floor(hi)
-            if f_lo == f_hi:
-                return int(f_lo)
-            size = max(abs(lo), abs(hi))
-            digits = int(mp.log10(size)) + 1 if mp.isfinite(size) and size > 1 else 0
+            try:
+                return derive(*chain(iv))
+            except _Straddles as straddle:
+                what, lo, hi = straddle.args
+                size = max(abs(lo), abs(hi))
+                digits = int(mp.log10(size)) + 1 if mp.isfinite(size) and size > 1 else 0
         cap = max(200, digits + 50)
         if dps >= cap:
             raise FloorUncertified(
@@ -228,16 +269,33 @@ def _certified_floor(make: Callable[[], object], what: str) -> int:
         dps = min(2 * dps, cap)
 
 
+def _n0_simple(F, e, c, c2) -> int:
+    d = _delta(F, e, c2)
+    return max(1, _floor(1 / (d * d), "n0_simple"))
+
+
+def _n0_integral(F, e, c, c2) -> int:
+    val = (100 * F ** 2 * (1 / c2 - 1) + 2 * F * iv.log(1 / c2) + (1 - c2) / 100) / e ** 2
+    return 1 + _floor(val, "n0_integral")
+
+
+def _derive_N(F, e, c, c2, N0: int) -> tuple[int, int]:
+    cands = [iv.mpf(N0), (10 * F + iv.mpf(1) / 10) ** 2, 100 * c2]
+    lo = max(mp.mpf(x.a) for x in cands)
+    hi = max(mp.mpf(x.b) for x in cands)
+    N1 = _floor(iv.mpf([lo, hi]), "N1")
+    N = _floor(iv.exp(2) * N1, "N")
+    mass = _harmonic_lower(N1 + 1, N)
+    if mass < 1:
+        raise MoserpackError(
+            f"harmonic certificate failed: mass over ({N1}, {N}] bounded only by {mass} < 1"
+        )
+    return N1, N
+
+
 def n0_simple(F: Factor) -> int:
     """max(1, floor(1/delta^2)) with the floor interval-certified."""
-
-    def make():
-        Fi, e = _factor(F, iv)
-        c = _c_of(e)
-        d = _delta(Fi, e, c * c)
-        return 1 / (d * d)
-
-    return max(1, _certified_floor(make, "n0_simple"))
+    return _certified(_n0_simple, _Chain(F))
 
 
 def n0_integral(F: Factor) -> int:
@@ -248,13 +306,7 @@ def n0_integral(F: Factor) -> int:
     closed form, evaluated in interval arithmetic, is the certificate: the
     floor is taken from its enclosure.
     """
-
-    def make():
-        Fi, e = _factor(F, iv)
-        a = _c_of(e) ** 2
-        return (100 * Fi ** 2 * (1 / a - 1) + 2 * Fi * iv.log(1 / a) + (1 - a) / 100) / e ** 2
-
-    return 1 + _certified_floor(make, "n0_integral")
+    return _certified(_n0_integral, _Chain(F))
 
 
 def harmonic_range_sum(lo: int, hi: int) -> float:
@@ -278,10 +330,9 @@ def _harmonic_lower(a: int, b: int) -> mpf:
 
     Each term satisfies 1/i >= integral of dx/x over [i, i + 1], so the sum
     is at least ln((b + 1)/a); the result is the lower endpoint of an
-    outward-rounded enclosure of that logarithm at 50 digits.
+    outward-rounded enclosure of that logarithm at the working precision.
     """
-    with _workdps(50):
-        return mp.mpf(iv.log(iv.mpf(b + 1) / a).a)
+    return mp.mpf(iv.log(iv.mpf(b + 1) / a).a)
 
 
 def derive_N(F: Factor, N0: int) -> tuple[int, int]:
@@ -297,23 +348,7 @@ def derive_N(F: Factor, N0: int) -> tuple[int, int]:
     """
     if N0 < 1:
         raise ValueError(f"N0 must be >= 1, got {N0}")
-
-    def make_n1():
-        Fi, e = _factor(F, iv)
-        c = _c_of(e)
-        cands = [iv.mpf(N0), (10 * Fi + iv.mpf(1) / 10) ** 2, 100 * c * c]
-        lo = max(mp.mpf(x.a) for x in cands)
-        hi = max(mp.mpf(x.b) for x in cands)
-        return iv.mpf([lo, hi])
-
-    N1 = _certified_floor(make_n1, "N1")
-    N = _certified_floor(lambda: iv.exp(2) * N1, "N")
-    mass = _harmonic_lower(N1 + 1, N)
-    if mass < 1:
-        raise MoserpackError(
-            f"harmonic certificate failed: mass over ({N1}, {N}] bounded only by {mass} < 1"
-        )
-    return N1, N
+    return _certified(lambda *values: _derive_N(*values, N0), _Chain(F))
 
 
 def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]:
@@ -370,16 +405,20 @@ def delta_refined(F: Factor) -> mpf:
     K is empty when c > 1, i.e. F > 9, and :class:`MoserpackError` is raised.
     """
     with _workdps(50):
-        Fi, e = _factor(F, iv)
-        c2 = _c_of(e) ** 2
-        c2_lo = mp.mpf(c2.a)
-        if c2_lo > 1:
-            raise MoserpackError(f"K is empty for F = {F!r} > 9: c^2 >= {mp.nstr(c2_lo, 15)} > 1")
-        cap = c2 / 10
-        q = (10 * Fi + cap) / 4
-        a = e * c2 / 2
-        f = a / (q + iv.sqrt(q * q - a))
-        return min(mp.mpf(f.a), mp.mpf(cap.a))
+        return _delta_refined(_Chain(F))
+
+
+def _delta_refined(chain: _Chain) -> mpf:
+    Fi, e, _, c2 = chain(iv)
+    c2_lo = mp.mpf(c2.a)
+    if c2_lo > 1:
+        raise MoserpackError(
+            f"K is empty for F = {chain.spec!r} > 9: c^2 >= {mp.nstr(c2_lo, 15)} > 1")
+    cap = c2 / 10
+    q = (10 * Fi + cap) / 4
+    a = e * c2 / 2
+    f = a / (q + iv.sqrt(q * q - a))
+    return min(mp.mpf(f.a), mp.mpf(cap.a))
 
 
 # --- two-square lower bound --------------------------------------------------
@@ -424,11 +463,12 @@ def build_report(F: Factor, *, refined: bool = False,
 
     ``use_integral_n0`` selects which N0 feeds the N1/N chain; both N0
     forms are always computed and reported.  Root and sanity identities
-    are re-checked before the report is returned.
+    are re-checked before the report is returned.  Every value derives
+    from one evaluation of the chain per context and precision.
     """
+    chain = _Chain(F)
     with _workdps(50):
-        Fv, e = _factor(F, mp)
-        c = _c_of(e)
+        Fv, e, c, c2 = chain(mp)
         if not (0 < c < 1):
             raise MoserpackError(f"c = {c} outside (0, 1)")
         if not 4 * c * c <= Fv:
@@ -436,18 +476,20 @@ def build_report(F: Factor, *, refined: bool = False,
         root_resid = abs(5 * c * c + 3 * c - e)
         if root_resid > _ROOT_TOL:
             raise MoserpackError(f"root identity residual {root_resid}")
-        d_simple = _delta(Fv, e, c * c)
+        d_simple = _delta(Fv, e, c2)
         f_str = mp.nstr(Fv, 30)
         c_str = mp.nstr(c, 30)
         d_str = mp.nstr(d_simple, 30)
+        d_ref_str = mp.nstr(_delta_refined(chain), 30) if refined else None
 
-    d_ref_str = mp.nstr(delta_refined(F), 30) if refined else None
-    n0s = n0_simple(F)
-    n0i = n0_integral(F)
-    if n0i > n0s:
-        raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
-    chosen = n0i if use_integral_n0 else n0s
-    N1, N = derive_N(F, chosen)
+    def floors(*values):
+        n0s = _n0_simple(*values)
+        n0i = _n0_integral(*values)
+        if n0i > n0s:
+            raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
+        return (n0s, n0i) + _derive_N(*values, n0i if use_integral_n0 else n0s)
+
+    n0s, n0i, N1, N = _certified(floors, chain)
     certs = {"N0_simple": True, "N0_integral": True, "N1": True, "N": True}
     return ConstantsReport(
         F=f_str, c=c_str, delta_simple=d_str, delta_refined=d_ref_str,

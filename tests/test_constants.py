@@ -7,9 +7,11 @@ mpmath's digamma-based harmonic numbers instead of direct summation.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from mpmath import mp
 
 from moserpack import (
     NOVOTNY,
+    FloorUncertified,
     Instance,
     MoserpackError,
     build_report,
@@ -201,6 +204,26 @@ class TestFactor:
         # n0_simple reads the factor only in interval arithmetic, the rest in mp
         with pytest.raises(ValueError, match="area factor must be finite and exceed 1"):
             func(F)
+
+    def test_huge_exponents_cost_their_length(self, capsys):
+        # the exact values of these specs have 10^6 and 10^9 digits, and
+        # building them once took 0.2 s to 16 s, or 400 MB for 1e999999999
+        start = time.perf_counter()
+        assert factor_float("1e1000000") == math.inf
+        with pytest.raises(MoserpackError) as err:
+            build_report("1e1000000")
+        assert str(err.value) == ("c = 4.4721359549995793928183473374625524708812367192231e+499999"
+                                  " outside (0, 1)")
+        assert cli_dispatch(["constants", "--F", "1e999999999"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "MoserpackError",
+            "message": "c = 1.414213562373095048801688724209698078569671875377e+499999999"
+                       " outside (0, 1)"}
+        for func in (factor_float, build_report):
+            with pytest.raises(ValueError) as err:
+                func("1e-1000000")
+            assert str(err.value) == "area factor must be finite and exceed 1, got '1e-1000000'"
+        assert time.perf_counter() - start < 2.0
 
     def test_cli_reports_non_finite_factor(self, capsys):
         assert cli_dispatch(["constants", "--F", "inf"]) == 1
@@ -415,7 +438,8 @@ class TestHarmonic:
     def test_log_certificate_below_direct_sum(self, ab):
         # the closed-form bound derive_N certifies with never exceeds the sum
         a, b = ab
-        assert _harmonic_lower(a, b) <= harmonic_range_sum(a, b)
+        with constants._workdps(50):
+            assert _harmonic_lower(a, b) <= harmonic_range_sum(a, b)
 
 
 class TestFindSmallIndex:
@@ -568,6 +592,109 @@ class TestReport:
         rep = build_report(1.37, refined=True)
         assert rep.delta_refined is not None
         assert float(rep.delta_refined) >= float(rep.delta_simple)
+
+
+# Factors for the shared-chain checks; the last three need more than 50 digits.
+CHAIN_GRID = [NOVOTNY, "1.001", "1.37", "2", "1.0000001",
+              "1." + "0" * 24 + "1", "1." + "0" * 29 + "1", "1." + "0" * 39 + "1"]
+
+# sha256 of `moserpack constants --F <F>` stdout with no flag, --refined,
+# --integral-n0 and both, in that order, as each factor's floors were
+# certified one public function at a time.
+CLI_DIGESTS = [
+    "9082b46159c68df09bdd1073605e26f94f781e3c8cab04dea646766db4b39fdb",
+    "6ad03358fe5d9487b1cfc6940479853fe3c6421f6e9b7ea1bed8bad488cdee98",
+    "405d36923079b06e92da3ad2d411baea8cfbe451cbfa5a8c794674bd62ce14b3",
+    "de721a657e50cfba36bcc976c9746fb910eb6a1e1c359b54e935952832dabd0b",
+    "8519aa4f0714b77a043cffe0adbf01c66c12288873727f213d80f11aa3bf9024",
+    "f46fd76299a2078b251496795b50b9a551b3e7d7813452675f8e122584435f7f",
+    "d5b926a1f1ea87b61419cda84477462c165a278a2a548a66b89c674445601b63",
+    "0732a8bebd42bd50ad0008b63428a8f25eb1d5cf7f9ae7f6c3e92233e526adf1",
+]
+
+
+class TestSharedChain:
+    @pytest.mark.parametrize("F", CHAIN_GRID)
+    def test_report_equals_public_floors(self, F):
+        simple = build_report(F)
+        integral = build_report(F, use_integral_n0=True)
+        assert simple.N0_simple == integral.N0_simple == n0_simple(F)
+        assert simple.N0_integral == integral.N0_integral == n0_integral(F)
+        assert (simple.N1, simple.N) == derive_N(F, simple.N0_simple)
+        assert (integral.N1, integral.N) == derive_N(F, integral.N0_integral)
+
+    @pytest.mark.parametrize("F, digest", zip(CHAIN_GRID, CLI_DIGESTS))
+    def test_cli_bytes(self, F, digest, capsys):
+        h = hashlib.sha256()
+        for flags in ([], ["--refined"], ["--integral-n0"], ["--refined", "--integral-n0"]):
+            assert cli_dispatch(["constants", "--F", F, *flags]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest
+
+    @staticmethod
+    def _count_chains(monkeypatch) -> list:
+        evaluations = []
+        evaluate = constants._evaluate
+
+        def counting(spec, ctx):
+            evaluations.append((ctx is constants.iv, ctx.dps))
+            return evaluate(spec, ctx)
+
+        monkeypatch.setattr(constants, "_evaluate", counting)
+        return evaluations
+
+    def test_one_chain_per_context_and_precision(self, monkeypatch):
+        evaluations = self._count_chains(monkeypatch)
+        for refined in (False, True):
+            build_report(NOVOTNY, refined=refined)
+            assert sorted(evaluations) == [(False, 50), (True, 50)]
+            evaluations.clear()
+        # past 50 digits, one interval chain per precision the floors reach
+        build_report(CHAIN_GRID[-1], refined=True)
+        assert sorted(evaluations) == [(False, 50), (True, 50), (True, 100), (True, 200),
+                                       (True, 294)]
+
+    def test_no_chain_kept_across_calls(self, monkeypatch):
+        evaluations = self._count_chains(monkeypatch)
+        build_report(NOVOTNY)
+        once = len(evaluations)
+        build_report(NOVOTNY)
+        assert len(evaluations) == 2 * once
+
+
+class TestFloorUncertified:
+    # The enclosure of one floor, widened by [-1, 1], straddles an integer at
+    # every precision; the error names that floor and its enclosure at 200 digits.
+    MESSAGES = {
+        "n0_simple": "[93752340.5639319, 93752342.5639319]",
+        "n0_integral": "[491223.734537023, 491225.734537023]",
+        "N1": "[491224.0, 491226.0]",
+        "N": "[3629688.08219721, 3629690.08219721]",
+    }
+
+    @pytest.mark.parametrize("what, call", [
+        ("n0_simple", lambda: n0_simple(NOVOTNY)),
+        ("n0_integral", lambda: n0_integral(NOVOTNY)),
+        ("N1", lambda: derive_N(NOVOTNY, 491_225)),
+        ("N", lambda: derive_N(NOVOTNY, 491_225)),
+        ("n0_simple", lambda: build_report(NOVOTNY, use_integral_n0=True)),
+        ("n0_integral", lambda: build_report(NOVOTNY, use_integral_n0=True)),
+        ("N1", lambda: build_report(NOVOTNY, use_integral_n0=True)),
+        ("N", lambda: build_report(NOVOTNY, use_integral_n0=True)),
+    ])
+    def test_names_the_straddling_floor(self, what, call, monkeypatch):
+        floor = constants._floor
+
+        def widened(val, name):
+            if name == what:
+                val = val + constants.iv.mpf([-1, 1])
+            return floor(val, name)
+
+        monkeypatch.setattr(constants, "_floor", widened)
+        with pytest.raises(FloorUncertified) as err:
+            call()
+        assert str(err.value) == (f"{what}: enclosure {self.MESSAGES[what]} "
+                                  "straddles an integer at 200 digits")
 
 
 class TestErrorHierarchy:
