@@ -42,6 +42,7 @@ PINNED = {
     ("equal", 1000): "aa48ce9a77ef1bb9a4474681b871658438dea551b891d1b18d3c5dc57bc3ea29",
     ("equal", 3000): "3d735dd2d1154dc820e2981755e9788a3b1e6051edcfa27336314943f2072638",
     ("distinct", 400): "bce0bd8ce2a117df47fdc40d175bc988557275a0dfb73cff336c8022b8e8fd12",
+    ("distinct", 1000): "35fde0562e3a946315a3392c5671ab2602e2ab2b07139b9a1ac2dbe990b4e52b",
     ("distinct", 3000): "a484f2a410aa7d9019e496e355d666f1ec176715ed2e14a66861b9235fa68de9",
 }
 

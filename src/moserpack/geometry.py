@@ -267,15 +267,39 @@ def split_free_rectangles(
     one with both edges at least ``min_edge`` (Jylänki, "A Thousand Ways
     to Pack the Bin", 2010).
 
-    A piece can lie only inside a piece on its own side of the square, so
-    each piece is compared with those alone.  A left piece ``(fx0, fy0,
-    x0, fy1)`` of a free rectangle f that the square overlaps has ``fx0 <
-    x1``, ``fy0 < y1`` and ``fy1 > y0``; a right piece starts at ``x1 >
-    fx0``, a below piece ends at ``y0 < fy1`` and an above piece starts at
-    ``y1 > fy0``, so none of them holds it.  The other three sides follow
-    in the same way.  The argument compares floats and does no arithmetic,
-    so it holds for every free list.  The result lists the untouched
-    rectangles, then the kept pieces grouped by side.
+    A piece can lie only inside a piece on its own side of the square.  A
+    left piece ``(fx0, fy0, x0, fy1)`` of a free rectangle f that the
+    square overlaps has ``fx0 < x1``, ``fy0 < y1`` and ``fy1 > y0``; a
+    right piece starts at ``x1 > fx0``, a below piece ends at ``y0 < fy1``
+    and an above piece starts at ``y1 > fy0``, so none of them holds it.
+    The other three sides follow in the same way.
+
+    A missed rectangle g can hold a piece only if it touches the square on
+    that piece's side.  If g holds the left piece above, it spans [fy0,
+    fy1], which overlaps the square's y-span, and it reaches from ``fx0 <
+    x1`` to at least ``x0``; so it misses the square only by ending at
+    ``x0``, and with its right edge ``>= x0`` that edge is exactly ``x0``.
+    Likewise g holds a right piece only with left edge ``x1``, a below
+    piece only with top ``y0``, and an above piece only with bottom
+    ``y1``; a g that holds a below or above piece overlaps the square's
+    x-span, so it misses neither on the left nor on the right.  So the
+    miss test, which tries left, right, below and above in turn, keeps as
+    holders the missed rectangles whose edge equals the square's on the
+    first side they miss on.
+
+    Each side's pieces are sorted by ``(x0, y0, -x1, -y1)``, which puts
+    every container before what it holds and equal pieces together, and a
+    kept piece becomes a holder.  A piece is dropped when a holder holds
+    it.  A container that was dropped lies inside a holder, which holds
+    the piece too, or fails ``min_edge``, which the piece inside it then
+    fails as well (a rounded difference of nested edges is no larger).  So
+    a piece inside a missed rectangle or another piece is dropped, and of
+    equal pieces the first is kept.  The holders of other sides never hold
+    the piece; skipping them would cost more lists than it saves
+    comparisons.  The arguments compare floats and do no arithmetic beyond
+    the edge differences, so they hold for every free list.  The result
+    lists the untouched rectangles, then the kept pieces side by side
+    (left, right, below, above), each side in sort order.
 
     The square's edges are ``x0 = x`` and ``x1 = x + side`` (likewise in
     y), the floats the midpoint shrink adds s/2 to.
@@ -285,54 +309,56 @@ def split_free_rectangles(
     x0, y0 = x, y
     x1 = x0 + side
     y1 = y0 + side
-    missed: list[_Part] = []
+    out: list[_Part] = []
+    holders: list[_Part] = []
     left: list[_Part] = []
     right: list[_Part] = []
     below: list[_Part] = []
     above: list[_Part] = []
-    hits = 0
     for f in free:
         fx0, fy0, fx1, fy1 = f
-        if fx1 <= x0 or x1 <= fx0 or fy1 <= y0 or y1 <= fy0:
-            missed.append(f)
+        if fx1 <= x0:
+            if fx1 == x0:
+                holders.append(f)
+        elif x1 <= fx0:
+            if x1 == fx0:
+                holders.append(f)
+        elif fy1 <= y0:
+            if fy1 == y0:
+                holders.append(f)
+        elif y1 <= fy0:
+            if y1 == fy0:
+                holders.append(f)
+        else:
+            # Each difference is the one the piece's own edges give.
+            if fy1 - fy0 >= min_edge:
+                if x0 > fx0 and x0 - fx0 >= min_edge:
+                    left.append((fx0, fy0, x0, fy1))
+                if x1 < fx1 and fx1 - x1 >= min_edge:
+                    right.append((x1, fy0, fx1, fy1))
+            if fx1 - fx0 >= min_edge:
+                if y0 > fy0 and y0 - fy0 >= min_edge:
+                    below.append((fx0, fy0, fx1, y0))
+                if y1 < fy1 and fy1 - y1 >= min_edge:
+                    above.append((fx0, y1, fx1, fy1))
             continue
-        hits += 1
-        if x0 > fx0:
-            left.append((fx0, fy0, x0, fy1))
-        if x1 < fx1:
-            right.append((x1, fy0, fx1, fy1))
-        if y0 > fy0:
-            below.append((fx0, fy0, fx1, y0))
-        if y1 < fy1:
-            above.append((fx0, y1, fx1, fy1))
-    kept: list[_Part] = []
+        out.append(f)
     for pieces in (left, right, below, above):
-        if not pieces:
-            continue
+        if len(pieces) > 1:
+            pieces.sort(key=_container_first)
         for p in pieces:
             a0, b0, a1, b1 = p
-            if a1 - a0 < min_edge or b1 - b0 < min_edge:
-                continue
-            for c0, d0, c1, d1 in missed:
+            for c0, d0, c1, d1 in holders:
                 if c0 <= a0 and d0 <= b0 and a1 <= c1 and b1 <= d1:
                     break
             else:
-                # The pieces of one free rectangle lie on different sides,
-                # so with one rectangle hit there is nothing to compare.
-                # Pieces on different sides are never equal, so ``kept``
-                # holds an equal piece only if this side kept it already.
-                if hits > 1:
-                    for q in pieces:
-                        if (q[0] <= a0 and q[1] <= b0 and a1 <= q[2] and b1 <= q[3]
-                                and q != p):
-                            break
-                    else:
-                        if p not in kept:
-                            kept.append(p)
-                else:
-                    kept.append(p)
-    missed += kept
-    return missed
+                holders.append(p)
+                out.append(p)
+    return out
+
+
+def _container_first(p: _Part) -> tuple[float, float, float, float]:
+    return (p[0], p[1], -p[2], -p[3])
 
 
 def feasible_midpoint_region(
@@ -367,7 +393,7 @@ def feasible_midpoint_region(
     tests, so the two regions are the same set and have the same
     :func:`region_lexicomin`.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"square side must be >= 0, got {s}")
     if s > rect.min_edge:
         raise PreconditionViolated(

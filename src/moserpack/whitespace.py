@@ -59,8 +59,8 @@ class WhitespaceJob:
         problems: list[str] = []
         if not (0 < self.c < 1):
             problems.append(f"c must lie in (0, 1), got {self.c}")
-        if self.F <= 1:
-            problems.append(f"area factor must exceed 1, got {self.F}")
+        if not 1 < self.F < math.inf:
+            problems.append(f"area factor must be finite and exceed 1, got {self.F}")
         r = self.base.rect
         W, H = sorted((r.width, r.height))
         if W < 0.1 - EPS_GEOM:

@@ -367,12 +367,16 @@ class TestFeasibleMidpointRegion:
         assert region_area(region) == pytest.approx(0.0, abs=1e-12)
 
     def test_side_exceeding_edge_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            feasible_midpoint_region(Rectangle(1.0, 2.0), [], 1.0 + 1e-6)
+        for s in (1.0 + 1e-6, math.inf):
+            with pytest.raises(PreconditionViolated, match="exceeds the smaller enclosing edge"):
+                feasible_midpoint_region(Rectangle(1.0, 2.0), [], s)
 
     def test_negative_side_rejected(self):
         with pytest.raises(ValueError):
             feasible_midpoint_region(Rectangle(1.0, 1.0), [], -0.1)
+        # nan fails both comparisons, so it must be caught explicitly
+        with pytest.raises(ValueError, match="square side must be >= 0, got nan"):
+            feasible_midpoint_region(Rectangle(1.0, 1.0), [], math.nan)
 
     def test_zero_side_obstacles_ignored(self):
         rect = Rectangle(1.0, 1.0)
@@ -510,6 +514,12 @@ class TestSplitFreeRectangles:
         out = split_free_rectangles(free, 1.0, 1.0, 1.0)
         assert sorted(out) == [(0.0, 0.0, 1.0, 4.0), (0.0, 0.0, 4.0, 1.0),
                                (0.0, 2.0, 4.0, 4.0), (2.0, 0.0, 4.0, 4.0)]
+        # interleaved copies of two rectangles, one of whose pieces nests
+        a, b = (0.0, 0.0, 4.0, 4.0), (1.0, 1.5, 5.0, 3.5)
+        square = Placement(1.0, 2.0, 2.0)
+        out = split_free_rectangles([a, b, a, b], square.side, square.x, square.y)
+        assert len(out) == len(set(out)) == 7
+        assert sorted(out) == sorted(reference_split_free_rectangles([a, b, a, b], square))
 
     def test_min_edge_drops_narrow_pieces(self):
         out = split_free_rectangles([(0.0, 0.0, 4.0, 4.0)], 1.0, 0.5, 2.0, 1.0)
@@ -535,6 +545,51 @@ class TestSplitFreeRectangles:
             (3.0, 0.0, 3.5, 4.0), (3.0, 1.0, 4.0, 3.0),
         ]
         assert sorted(out) == sorted(reference_split_free_rectangles(free, square))
+
+    @staticmethod
+    def _split(free, square, min_edge=0.0):
+        out = split_free_rectangles(free, square.side, square.x, square.y, min_edge)
+        assert sorted(out) == sorted(reference_split_free_rectangles(free, square, min_edge))
+        return out
+
+    @pytest.mark.parametrize("where", ["left", "right", "below", "above"])
+    def test_touching_missed_rectangle_holds_its_piece(self, where):
+        # edges that are not dyadic: x1 = 0.30000000000000004, y1 = 0.8999999999999999
+        square = Placement(0.2, 0.1, 0.7)
+        x0, y0, x1, y1 = square.x, square.y, square.x2, square.y2
+        hit = (0.0, 0.0, 1.0, 1.5)
+        piece, touching, moved = {
+            "left": ((0.0, 0.0, x0, 1.5), (-1.0, -1.0, x0, 2.0),
+                     (-1.0, -1.0, math.nextafter(x0, -math.inf), 2.0)),
+            "right": ((x1, 0.0, 1.0, 1.5), (x1, -1.0, 2.0, 2.0),
+                      (math.nextafter(x1, math.inf), -1.0, 2.0, 2.0)),
+            "below": ((0.0, 0.0, 1.0, y0), (-1.0, -1.0, 2.0, y0),
+                      (-1.0, -1.0, 2.0, math.nextafter(y0, -math.inf))),
+            "above": ((0.0, y1, 1.0, 1.5), (-1.0, y1, 2.0, 2.0),
+                      (-1.0, math.nextafter(y1, math.inf), 2.0, 2.0)),
+        }[where]
+        out = self._split([hit, touching], square)
+        assert touching in out and piece not in out
+        # one ulp away the rectangle still misses the square but no longer holds the piece
+        out = self._split([hit, moved], square)
+        assert moved in out and piece in out
+
+    def test_container_arriving_last_is_sorted_first(self):
+        # every piece of the first rectangle lies in the second one's piece
+        # on the same side, and differs from it only in x1 or y1
+        small, big = (0.0, 0.0, 3.5, 3.5), (0.0, 0.0, 4.0, 4.0)
+        square = Placement(1.0, 2.0, 2.0)
+        out = self._split([small, big], square)
+        assert sorted(out) == [(0.0, 0.0, 2.0, 4.0), (0.0, 0.0, 4.0, 2.0),
+                               (0.0, 3.0, 4.0, 4.0), (3.0, 0.0, 4.0, 4.0)]
+
+    def test_container_failing_min_edge_drops_what_it_holds(self):
+        # the big rectangle's left and above pieces are one ulp too narrow;
+        # the small one's lie inside them, so they are too narrow as well
+        big, small = (0.0, 0.0, 5.0, 5.0), (0.0, 1.0, 5.0, 4.0)
+        square = Placement(0.5, 2.0, 2.5)
+        out = self._split([small, big], square, math.nextafter(2.0, math.inf))
+        assert sorted(out) == [(0.0, 0.0, 5.0, 2.5), (2.5, 0.0, 5.0, 5.0)]
 
     @settings(max_examples=400, deadline=None)
     @given(split_configs())

@@ -148,6 +148,13 @@ class TestJobValidation:
             WhitespaceJob(base=job.base, tail=job.tail, c=1.5, F=job.F).validate()
         with pytest.raises(PreconditionViolated, match="area factor"):
             WhitespaceJob(base=job.base, tail=job.tail, c=job.c, F=0.9).validate()
+        # nan fails every comparison, so no other check catches it
+        for F in (math.nan, math.inf):
+            bad = WhitespaceJob(base=job.base, tail=job.tail, c=job.c, F=F)
+            with pytest.raises(PreconditionViolated, match="must be finite and exceed 1"):
+                bad.validate()
+            with pytest.raises(PreconditionViolated, match="must be finite and exceed 1"):
+                whitespace_pack(bad)
 
     def test_problems_are_collected(self):
         job = make_job()
