@@ -9,6 +9,7 @@ stdout with exit code 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from array import array
@@ -34,9 +35,55 @@ from .shelf import meir_moser_pack, moon_moser_pack, small_s1_pack
 from .whitespace import WhitespaceJob, whitespace_pack
 
 
+class _FloatMemo(dict):
+    """Token to ``float(token)``, each spelling parsed on its first lookup."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
+def _mostly_repeats(text: str) -> bool:
+    """Whether at most a fifth of the items sampled from a JSON text are
+    distinct.
+
+    The sample is the items between json's ``", "`` separators in eight
+    windows spread over the text, each 2 KiB or a 64th of the text; in a
+    packing an item is one key and its float.  A window holds up to 25
+    placements, so the sample sees the repeats a shelf lays side by side
+    (its side and its y).  It misses x offsets that recur only from one
+    long shelf to the next, and a pool of thousands of values scattered
+    over the text.
+    """
+    width = min(2048, len(text) // 64)
+    sample = []
+    for start in range(0, len(text), len(text) // 8 or 1)[:8]:
+        # the first and last item of a window may be cut
+        sample += text[start:start + width].split(", ")[1:-1]
+    return bool(sample) and 5 * len(set(sample)) <= len(sample)
+
+
 def _read_json(path: str) -> dict:
+    """``json.load`` of a file, with each distinct float token parsed once
+    where repeats are common.
+
+    A shelf packing repeats few values (a case-b ``reduce`` of 8,004 squares
+    writes 181 distinct floats among 24,012).  Where
+    :func:`_mostly_repeats`, json's ``parse_float`` is a memo's
+    ``__getitem__``, so a repeated token is one dict lookup in C.
+    Otherwise plain ``json.loads`` parses the text: each miss is a call
+    into Python and keeps its token alive, and on 10**5 placements
+    repeated in runs the memo stops saving memory near a fifth distinct
+    and time between a fifth and a third.  Through the memo, a pool of
+    thousands of values in random order is slower still.  ``float(token)`` is what json parses by
+    default, so both give the same values, and the memo's keys keep
+    ``-0.0`` apart from ``0.0``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    if _mostly_repeats(text):
+        return json.loads(text, parse_float=_FloatMemo().__getitem__)
+    return json.loads(text)
 
 
 def _read_packing(path: str) -> Packing:
@@ -206,7 +253,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no
+    state in it between calls."""
     parser = _Parser(
         prog="moserpack",
         description="Square packing toolkit: shelf packers, whitespace packing, "

@@ -104,7 +104,7 @@ class Instance:
     @cached_property
     def total_area(self) -> float:
         """The exactly rounded sum of the squared sides, computed once."""
-        return math.fsum(s * s for s in self.sides)
+        return math.fsum(map(operator.mul, self.sides, self.sides))
 
     @property
     def max_side(self) -> float:

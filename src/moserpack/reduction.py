@@ -20,6 +20,7 @@ its own preconditions before any placement work.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -189,7 +190,8 @@ def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
     if sides[0] <= params.s1_threshold + 1e-15:
         return ReduceResult("a", small_s1_pack(inst, params.F), params)
 
-    late_area = math.fsum(s * s for s in sides[params.N1:])
+    late = sides[params.N1:]
+    late_area = math.fsum(map(operator.mul, late, late))
     if late_area >= params.c * params.c:
         packing = glue_pack(inst, params.N0, params)
         return ReduceResult("b", packing, params, split_index=params.N0)

@@ -8,8 +8,10 @@ import io
 import json
 import math
 import random
+import tempfile
 import xml.etree.ElementTree as ET
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,8 @@ from moserpack import (
     verify_packing,
     whitespace_pack,
 )
-from moserpack.cli import _emit_json, cli_dispatch
+import moserpack.cli
+from moserpack.cli import _emit_json, _read_json, cli_dispatch
 
 from conftest import packing_of
 from test_whitespace import make_job
@@ -269,6 +272,19 @@ class TestCli:
         assert err["error"]["type"] == "ValueError"
         assert "--packing" in err["error"]["message"]
         assert captured.err == ""
+
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        # one parser serves every call: a flag or a usage error of one call
+        # must not reach the next
+        pair = self.overlapping_pair(tmp_path)
+        assert cli_dispatch(["verify", "--packing", pair, "--tol", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        assert cli_dispatch(["verify", "--packing", pair]) == 1
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+        assert cli_dispatch(["verify", "--tol", "0.5"]) == 1
+        assert "error" in json.loads(capsys.readouterr().out)
+        assert cli_dispatch(["verify", "--packing", pair, "--tol", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -711,8 +727,67 @@ def _written(data: dict) -> str:
     return buf.getvalue()
 
 
+#: Number tokens as a JSON text may spell them: json's own float spellings
+#: (NaN and the infinities among them), exponents in any case and sign, ones
+#: that overflow to inf or underflow to a signed zero, and integers.
+_NUMBER_TOKENS = st.one_of(
+    st.floats().map(json.dumps),
+    st.sampled_from(["1e999", "-1e999", "1E5", "-0.0", "0.0", "-0e0", "2.5e-3",
+                     "1.0E+2", "1e-400", "-1e-400", "0.1", "-0"]),
+    st.integers(-10**20, 10**20).map(str),
+)
+
+
+@st.composite
+def _json_texts(draw) -> str:
+    """A JSON text of nested arrays and objects whose numbers are drawn from
+    a few tokens (so they repeat) or afresh (so they differ)."""
+    pool = draw(st.lists(_NUMBER_TOKENS, min_size=1, max_size=6))
+    leaves = st.sampled_from(pool) | _NUMBER_TOKENS | st.sampled_from(
+        ["true", "false", "null", '"0.5"', '"k"'])
+    keys = st.sampled_from(['"side"', '"x"', '"1e5"', '""'])
+    return draw(st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=40).map(lambda xs: "[" + ", ".join(xs) + "]"),
+        st.lists(st.tuples(keys, kids), max_size=6).map(
+            lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}"),
+    ), max_leaves=200))
+
+
+def _pool_packing(distinct: int) -> Packing:
+    """3,000 placements whose 9,000 floats are drawn in turn from a pool of
+    ``distinct`` values."""
+    rng = random.Random(distinct)
+    pool = [rng.uniform(-1e3, 1e3) for _ in range(distinct)]
+    column = array("d", (pool[i % distinct] for i in range(9_000)))
+    return Packing(Rectangle(7, 3), array("d", map(abs, column[::3])),
+                   column[1::3], column[2::3])
+
+
+def _runs_packing(run: int) -> Packing:
+    """3,000 placements in runs of ``run`` equal ones, so ``1 / run`` of the
+    floats are distinct in the file and in any stretch of it."""
+    rng = random.Random(run)
+    pool = [rng.uniform(0, 1e3) for _ in range(9_000 // run)]
+    column = array("d", (pool[i // (3 * run) * 3 + i % 3] for i in range(9_000)))
+    return Packing(Rectangle(7, 3), column[::3], column[1::3], column[2::3])
+
+
+def _read_logging_branch(path, monkeypatch) -> tuple:
+    """``repr`` of what ``_read_json`` reads from ``path``, and for each
+    ``json.loads`` call it made, whether that call took the memo."""
+    memo_used, loads = [], json.loads
+
+    def spy(text, **kw):
+        memo_used.append("parse_float" in kw)
+        return loads(text, **kw)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return repr(_read_json(str(path))), memo_used
+
+
 class TestJsonWire:
-    """The CLI's writer against the stdlib encoder it stands in for."""
+    """The CLI's writer and reader against the stdlib encoder and decoder
+    they stand in for."""
 
     @settings(max_examples=300, deadline=None)
     @given(_wire_packings())
@@ -745,14 +820,65 @@ class TestJsonWire:
 
     @pytest.mark.parametrize("distinct", [1, 60, 1_500, 2_999, 9_000])
     def test_writer_matches_dumps_at_any_share_of_repeats(self, distinct):
-        # 3,000 placements hold 9,000 floats drawn in turn from a pool of
-        # `distinct` values; the writer's sample of every other placement
-        # sees at most half distinct up to 1,500 (the memo spells them) and
-        # more at 2,999 and 9,000 (json.dumps writes them all)
-        rng = random.Random(distinct)
-        pool = [rng.uniform(-1e3, 1e3) for _ in range(distinct)]
-        column = array("d", (pool[i % distinct] for i in range(9_000)))
-        packing = Packing(Rectangle(7, 3), array("d", map(abs, column[::3])),
-                          column[1::3], column[2::3])
-        data = result_to_dict(ReduceResult("b", packing, PackParams.certified("novotny"), 4))
+        # the writer's sample of every other placement sees at most half
+        # distinct up to 1,500 (the memo spells them) and more at 2,999 and
+        # 9,000 (json.dumps writes them all)
+        data = result_to_dict(ReduceResult("b", _pool_packing(distinct),
+                                           PackParams.certified("novotny"), 4))
         assert _written(data) == json.dumps(data) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_texts(), st.booleans())
+    def test_reader_matches_load(self, text, memo):
+        # Either branch, whatever the sample says; repr tells -0.0 from 0.0
+        # and an int from a float, and spells nan.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/doc.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with open(path, encoding="utf-8") as fh:
+                expected = json.load(fh)
+            with mock.patch.object(moserpack.cli, "_mostly_repeats", return_value=memo):
+                assert repr(_read_json(path)) == repr(expected)
+
+    @pytest.mark.parametrize("packing, memo", [
+        (_pool_packing(1), True), (_pool_packing(60), True),
+        (_pool_packing(1_500), False), (_pool_packing(9_000), False),
+        (_runs_packing(8), True), (_runs_packing(4), False),
+    ], ids=["pool-1", "pool-60", "pool-1500", "distinct", "runs-of-8", "runs-of-4"])
+    def test_reader_matches_load_on_either_branch(self, tmp_path, monkeypatch,
+                                                  packing, memo):
+        # The reader samples eight windows of about 75 key-and-float items
+        # and takes the memo where at most a fifth of them are distinct.  A
+        # pool of 60 repeats across the windows, while one of 1,500 drawn
+        # in turn looks half distinct.  Runs of 8 equal placements are 1/8
+        # distinct and runs of 4 are 1/4, either side of that cutoff.
+        path = tmp_path / "packing.json"
+        path.write_text(_written(packing_to_dict(packing)))
+        expected = json.loads(path.read_text())
+        assert _read_logging_branch(path, monkeypatch) == (repr(expected), [memo])
+
+    @pytest.mark.parametrize("separators, indent", [((",", ":"), None), (None, 1)])
+    def test_reader_without_sample_takes_json_loads(self, tmp_path, monkeypatch,
+                                                    separators, indent):
+        # Compact or indented json holds no ", ", so the sample is empty and
+        # the reader does not risk the memo on the text.
+        data = packing_to_dict(_pool_packing(9_000))
+        path = tmp_path / "packing.json"
+        path.write_text(json.dumps(data, separators=separators, indent=indent))
+        assert _read_logging_branch(path, monkeypatch) == (repr(data), [False])
+
+    @pytest.mark.parametrize("raw, error", [
+        (b'{"sides": [0.1, 0.1, 0.1, 0.1', "JSONDecodeError"),
+        (b'{"sides": [0.1, 0.2, 0.3,]}', "JSONDecodeError"),
+        (b'{"sides": [0.1, 0.1, 0.1]} 0.1', "JSONDecodeError"),
+        (b'{"sides": [0.1, 0.1, 0.1\xff]}', "UnicodeDecodeError"),
+        (b'{"sides": [0.25, 0.5, 0.75], "\xc3": 1}', "UnicodeDecodeError"),
+    ], ids=["truncated", "trailing-comma", "extra-data", "bad-byte", "cut-sequence"])
+    def test_reader_errors_take_the_json_error_path(self, tmp_path, capsys, raw, error):
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(raw)
+        assert cli_dispatch(["reduce", "--instance", str(inst), "--F", "novotny"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == error
