@@ -11,7 +11,6 @@ import math
 from moserpack import (
     Instance,
     Rectangle,
-    circumference_admits,
     meir_moser_pack,
     moon_moser_pack,
     verify_packing,
@@ -37,7 +36,7 @@ for p in packing.placements:
 F, V, C = 1.25, 1 / 12, 3.0
 x = 0.006
 print(f"circumference test at F={F}, V={V:.4f}, C={C}, x={x}:"
-      f" {circumference_admits(F, V, C, x)}")
+      f" {x <= (F - 1) * V / C}")
 m = math.floor(V / x**2)
 sides = [x] * m + [math.sqrt(V - m * x**2)]
 side = math.sqrt(F * V)

@@ -39,7 +39,6 @@ from .geometry import (
 from .reduction import PackParams, ReduceResult, reduce_and_pack, result_to_dict
 from .render import render_svg
 from .shelf import (
-    circumference_admits,
     meir_moser_pack,
     moon_moser_pack,
     small_s1_pack,
@@ -66,7 +65,6 @@ __all__ = [
     "Violation",
     "WhitespaceJob",
     "build_report",
-    "circumference_admits",
     "compute_c",
     "delta_refined",
     "delta_simple",

@@ -318,8 +318,10 @@ def cli_dispatch(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
+    # ArithmeticError: float() of a JSON integer beyond the largest float;
+    # RecursionError: the decoder on arrays or objects nested too deep.
     except (MoserpackError, ValueError, TypeError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+            ArithmeticError, RecursionError) as exc:
         sys.stdout.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
             + "\n"

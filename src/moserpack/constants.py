@@ -43,7 +43,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
 from .errors import FloorUncertified, MoserpackError
-from .geometry import Instance
 
 # mpmath's contexts and its real type, bound by the first `_workdps`: only
 # a certified computation needs them, so `import moserpack` loads no mpmath.
@@ -122,17 +121,11 @@ def factor_float(F: Factor) -> float:
     """Float64 value of a factor spec (accepts ``"novotny"``), correctly rounded.
 
     Only an mpf spec reaches mpmath, which its caller has loaded already.
-    (2 + sqrt(3))/3 is pinned between two rationals from the integer
-    square root of 3 * 4^k, with k doubling until both round alike.
+    For ``"novotny"``, ``(2 + math.sqrt(3)) / 3`` is already the correctly
+    rounded value of (2 + sqrt(3))/3; the tests prove it.
     """
     if _named(F):
-        k = 64
-        while True:
-            root = math.isqrt(3 << 2 * k)  # floor(sqrt(3) * 2^k)
-            lo, hi = ((2 << k) + root) / (3 << k), ((2 << k) + root + 1) / (3 << k)
-            if lo == hi:
-                return lo
-            k *= 2
+        return (2 + math.sqrt(3)) / 3
     if isinstance(F, (str, float, int)):
         exact = _rational(F)
     else:
@@ -190,15 +183,13 @@ class _Chain:
         return self._values[key]
 
 
-def _ctx(x):
-    return iv if isinstance(x, iv.mpf) else mp
-
-
 def _delta(F, e, V):
-    """delta(V) = e / (10 F / V + 1/10) with e = F - 1, for float, mpf or interval operands."""
-    in_mpmath = mpf is not None and isinstance(F, (mpf, iv.mpf))
-    tenth = _ctx(F).mpf(1) / 10 if in_mpmath else 0.1
-    return e / (10 * F / V + tenth)
+    """delta(V) = e / (10 F / V + 1/10) with e = F - 1, written as 10 e V / (100 F + V).
+
+    Its constants are integers, so it runs unchanged on floats, mpf values
+    and intervals.
+    """
+    return 10 * e * V / (100 * F + V)
 
 
 def compute_c(F: Factor, dps: int = 50) -> mpf:
@@ -212,19 +203,6 @@ def delta_simple(F: Factor, dps: int = 50) -> mpf:
     with _workdps(dps):
         Fv, e, _, c2 = _Chain(F)(mp)
         return _delta(Fv, e, c2)
-
-
-def delta_of_V(F: Factor, V: float) -> mpf:
-    """Per-area edge bound delta(V) = (F - 1) / (10 F / V + 1/10).
-
-    The tail area V must lie in [c^2, 1].
-    """
-    with _workdps(50):
-        Fv, e, _, c2 = _Chain(F)(mp)
-        Vv = mp.mpf(V)
-        if not c2 - _ROOT_TOL <= Vv <= 1 + _ROOT_TOL:
-            raise ValueError(f"V={V} outside [c^2, 1] = [{float(c2)}, 1]")
-        return _delta(Fv, e, Vv)
 
 
 # --- certified floors -------------------------------------------------------
@@ -349,33 +327,6 @@ def derive_N(F: Factor, N0: int) -> tuple[int, int]:
     if N0 < 1:
         raise ValueError(f"N0 must be >= 1, got {N0}")
     return _certified(lambda *values: _derive_N(*values, N0), _Chain(F))
-
-
-def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]:
-    """Smallest n in (N1, N] with s_n < c / sqrt(n), treating missing sides as 0.
-
-    Returns None when no such index exists (possible only if the instance
-    carries at least N positive-or-zero sides all at or above the bound).
-    """
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
-    if not 0 <= N1 < N:
-        raise ValueError(f"need 0 <= N1 < N, got N1={N1}, N={N}")
-    sides = inst.sides
-    m = len(sides)
-    hi = min(N, m)
-    if N1 + 1 <= hi:
-        # imported on use, so that `import moserpack` loads no numpy
-        import numpy as np
-
-        idx = np.arange(N1 + 1, hi + 1, dtype=np.float64)
-        vals = np.asarray(sides[N1:hi], dtype=np.float64)
-        hits = np.nonzero(vals < c / np.sqrt(idx))[0]
-        if hits.size:
-            return N1 + 1 + int(hits[0])
-    if m < N:
-        return max(N1 + 1, m + 1)
-    return None
 
 
 # --- refined edge bound over the compact K ----------------------------------

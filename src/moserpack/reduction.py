@@ -25,7 +25,7 @@ from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .constants import _delta, build_report, compute_c, factor_float, find_small_index
+from .constants import _delta, build_report, compute_c, factor_float
 from .errors import MoserpackError, PackFailure, PreconditionViolated
 from .geometry import EPS_GEOM, Instance, Packing, Rectangle, packing_to_dict
 from .shelf import meir_moser_holds, meir_moser_pack, small_s1_pack
@@ -179,6 +179,33 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
     tail_xs = array("d", [Hp + x for x in tp.xs])
     merged = Rectangle(Hp + H2, W)
     return Packing(merged, rp.sides + tp.sides, rp.xs + tail_xs, rp.ys + tp.ys)
+
+
+def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]:
+    """Smallest n in (N1, N] with s_n < c / sqrt(n), treating missing sides as 0.
+
+    Returns None when no such index exists (possible only if the instance
+    carries at least N positive-or-zero sides all at or above the bound).
+    """
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+    if not 0 <= N1 < N:
+        raise ValueError(f"need 0 <= N1 < N, got N1={N1}, N={N}")
+    sides = inst.sides
+    m = len(sides)
+    hi = min(N, m)
+    if N1 + 1 <= hi:
+        # imported on use, so that `import moserpack` loads no numpy
+        import numpy as np
+
+        idx = np.arange(N1 + 1, hi + 1, dtype=np.float64)
+        vals = np.asarray(sides[N1:hi], dtype=np.float64)
+        hits = np.nonzero(vals < c / np.sqrt(idx))[0]
+        if hits.size:
+            return N1 + 1 + int(hits[0])
+    if m < N:
+        return max(N1 + 1, m + 1)
+    return None
 
 
 def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:

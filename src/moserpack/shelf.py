@@ -42,22 +42,6 @@ def meir_moser_holds(V: float, x: float, a1: float, a2: float) -> bool:
     return min(a1, a2) >= x - EPS_GEOM and V <= bound + EPS_GEOM
 
 
-def circumference_admits(F: float, V: float, C: float, x: float) -> bool:
-    """True when x <= (F - 1) V / C.
-
-    Any instance of total area V and maximal edge x passing this test
-    satisfies the meir-moser inequality on every rectangle of area F V
-    whose half-circumference a1 + a2 is at most C (with both edges >= x).
-    """
-    if not 1 < F < math.inf:
-        raise ValueError(f"area factor must be finite and exceed 1, got F={F}")
-    if not (0 < V < math.inf and 0 < C < math.inf):
-        raise ValueError(f"V and C must be positive and finite, got V={V}, C={C}")
-    if not 0 <= x < math.inf:
-        raise ValueError(f"max edge must be finite and >= 0, got x={x}")
-    return x <= (F - 1) * V / C
-
-
 def _smallest_positive(sides: tuple[float, ...]) -> float:
     """The smallest positive side of non-increasing ``sides``, or 0.0 if none.
 

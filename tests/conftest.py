@@ -22,14 +22,14 @@ from moserpack import (
     reduce_and_pack,
     whitespace_pack,
 )
-from moserpack.constants import find_small_index, harmonic_range_sum
+from moserpack.constants import harmonic_range_sum
 from moserpack.geometry import (
     EPS_GEOM,
     RectilinearRegion,
     region_lexicomin,
     split_free_rectangles,
 )
-from moserpack.reduction import default_prefix_packer
+from moserpack.reduction import default_prefix_packer, find_small_index
 
 
 def packing_of(rect: Rectangle, placements) -> Packing:
@@ -358,6 +358,26 @@ def two_square_ternary_search(steps: int = 200) -> tuple[float, float]:
             b = m2
     s = (a + b) / 2
     return s, g(s)
+
+
+def circumference_admits(F: float, V: float, C: float, x: float) -> bool:
+    """True when x <= (F - 1) V / C.
+
+    Any instance of total area V and maximal edge x passing this test
+    satisfies the meir-moser inequality on every rectangle of area F V
+    whose half-circumference a1 + a2 is at most C (with both edges >= x).
+    The tail rectangle W x (F V / W) of ``glue_pack`` has its larger edge
+    at most 10 F, so its half-circumference is at most C = 10 F + V/10,
+    where the cutoff (F - 1) V / C is delta(V): an oracle for the edge
+    bound ``glue_pack`` checks.
+    """
+    if not 1 < F < math.inf:
+        raise ValueError(f"area factor must be finite and exceed 1, got F={F}")
+    if not (0 < V < math.inf and 0 < C < math.inf):
+        raise ValueError(f"V and C must be positive and finite, got V={V}, C={C}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"max edge must be finite and >= 0, got x={x}")
+    return x <= (F - 1) * V / C
 
 
 def harmonic_bounds(n: int) -> tuple[float, float, float]:

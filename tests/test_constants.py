@@ -36,17 +36,21 @@ from moserpack import (
 from moserpack import constants
 from moserpack.cli import cli_dispatch
 from moserpack.constants import (
-    delta_of_V,
     derive_N,
-    find_small_index,
     harmonic_range_sum,
     n0_integral,
     n0_simple,
     two_square_worst_case,
 )
 from moserpack.constants import _harmonic_lower
+from moserpack.reduction import find_small_index
 
-from conftest import harmonic_bounds, k_sample_grid, two_square_ternary_search
+from conftest import (
+    circumference_admits,
+    harmonic_bounds,
+    k_sample_grid,
+    two_square_ternary_search,
+)
 
 F_GRID = [factor_float(NOVOTNY), 1.26, 1.28, 1.30, 1.33, 1.37]
 
@@ -132,10 +136,22 @@ class TestFactor:
         assert factor_float(1.37) == 1.37
 
     def test_named_factor_is_correctly_rounded(self):
+        # sqrt(3) 2^k lies strictly between r = isqrt(3 4^k) and r + 1, so
+        # (2 + sqrt(3))/3 lies strictly between the two rationals below.
+        # Rounding is monotone: once both round to one float, so does it.
+        want = (2 + math.sqrt(3)) / 3
+        k = 64
+        while True:
+            root = math.isqrt(3 << 2 * k)
+            lo = Fraction((2 << k) + root, 3 << k)
+            hi = Fraction((2 << k) + root + 1, 3 << k)
+            if float(lo) == float(hi):
+                break
+            k *= 2
+        assert float(lo) == want == 1.2440169358562925
         with mp.workdps(60):
-            want = float((2 + mp.sqrt(3)) / 3)
-        assert factor_float(NOVOTNY) == want == 1.2440169358562925
-        assert factor_float(" Novotny ") == want
+            assert float((2 + mp.sqrt(3)) / 3) == want
+        assert factor_float(NOVOTNY) == factor_float(" Novotny ") == want
 
     def test_decimal_strings_round_exactly(self):
         # 1 to 40 significant digits, with and without an exponent
@@ -196,10 +212,8 @@ class TestFactor:
 
     @pytest.mark.parametrize("F", ["inf", "Infinity", math.inf, "nan"], ids=repr)
     @pytest.mark.parametrize("func", [
-        compute_c, factor_float, delta_simple, lambda F: delta_of_V(F, 0.5),
-        n0_simple, build_report,
-    ], ids=["compute_c", "factor_float", "delta_simple", "delta_of_V", "n0_simple",
-            "build_report"])
+        compute_c, factor_float, delta_simple, n0_simple, build_report,
+    ], ids=["compute_c", "factor_float", "delta_simple", "n0_simple", "build_report"])
     def test_non_finite_factor_rejected(self, func, F):
         # n0_simple reads the factor only in interval arithmetic, the rest in mp
         with pytest.raises(ValueError, match="area factor must be finite and exceed 1"):
@@ -253,6 +267,23 @@ class TestC:
         assert cs == sorted(cs)
 
 
+def edge_bound(F: float, V: float) -> float:
+    """The edge bound glue_pack checks a tail of area V against, in float."""
+    return constants._delta(F, F - 1, V)
+
+
+def _edge_grid() -> list:
+    """(F, the V grid on [c^2, 1]) for F across (1, 9], where c <= 1."""
+    grid = []
+    for F in (1 + 1e-6, 1.01, factor_float(NOVOTNY), 1.3, 1.5, 2.0, 3.0, 5.0, 8.5):
+        c2 = float(compute_c(F)) ** 2
+        grid.append((F, [float(V) for V in np.linspace(c2, 1.0, 9)]))
+    return grid + [(9.0, [1.0])]
+
+
+EDGE_GRID = _edge_grid()
+
+
 class TestDelta:
     def test_published_value(self):
         assert float(delta_simple(NOVOTNY)) == pytest.approx(1.0327826613e-4, abs=1e-9)
@@ -266,28 +297,32 @@ class TestDelta:
 
     def test_delta_of_full_area(self):
         # V = 1 collapses to (F-1)/(10F + 1/10)
-        val = float(delta_of_V(NOVOTNY, 1.0))
         F = factor_float(NOVOTNY)
-        assert val == pytest.approx((F - 1) / (10 * F + 0.1), abs=1e-15)
+        val = edge_bound(F, 1.0)
+        assert val == pytest.approx((F - 1) / (10 * F + 0.1), rel=1e-15)
         assert val == pytest.approx(0.019459, abs=1e-6)
 
     def test_delta_of_V_monotone(self):
-        F = 1.3
-        c2 = float(compute_c(F)) ** 2
-        vals = [float(delta_of_V(F, V)) for V in np.linspace(c2, 1.0, 7)]
-        assert vals == sorted(vals)
-
-    def test_delta_of_V_domain(self):
-        with pytest.raises(ValueError):
-            delta_of_V(NOVOTNY, 1e-6)
-        with pytest.raises(ValueError):
-            delta_of_V(NOVOTNY, 1.5)
+        for F, Vs in EDGE_GRID:
+            vals = [edge_bound(F, V) for V in Vs]
+            assert all(a < b for a, b in zip(vals, vals[1:])), F
 
     def test_delta_at_c_squared_is_delta_simple(self):
-        c2 = float(compute_c(NOVOTNY)) ** 2
-        assert float(delta_of_V(NOVOTNY, c2)) == pytest.approx(
-            float(delta_simple(NOVOTNY)), rel=1e-12
-        )
+        for F, Vs in EDGE_GRID:
+            assert edge_bound(F, Vs[0]) == pytest.approx(float(delta_simple(F)), rel=1e-12), F
+
+    def test_edge_bound_matches_both_oracles(self):
+        for F, Vs in EDGE_GRID:
+            for V in Vs:
+                got = edge_bound(F, V)
+                with mp.workdps(50):
+                    Fv = mp.mpf(F)
+                    want = (Fv - 1) / (10 * Fv / V + mp.mpf(1) / 10)
+                assert abs(got - want) <= 1e-15 * want, (F, V)
+                # the circumference lemma at the tail rectangle's C = 10 F + V/10
+                C = 10 * F + V / 10
+                assert circumference_admits(F, V, C, got * (1 - 1e-14)), (F, V)
+                assert not circumference_admits(F, V, C, got * (1 + 1e-14)), (F, V)
 
 
 class TestNearOne:
@@ -700,8 +735,9 @@ class TestFloorUncertified:
 class TestErrorHierarchy:
     def test_domain_errors_are_plain_value_errors(self):
         # bad numeric domains raise ValueError, not the package base error
-        with pytest.raises(ValueError):
-            delta_of_V(NOVOTNY, 2.0)
+        with pytest.raises(ValueError, match="N0 must be >= 1") as err:
+            derive_N(NOVOTNY, 0)
+        assert not isinstance(err.value, MoserpackError)
 
     def test_package_errors_share_a_base(self):
         from moserpack import (

@@ -574,6 +574,45 @@ class TestCli:
         assert word in err["message"]
         assert not out.exists()
 
+    def error_of(self, tmp_path, capsys, command, text):
+        """The one JSON error line a command prints for the input ``text``."""
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = tmp_path / "out.svg"
+        argv = {"verify": ["verify", "--packing", str(path)],
+                "render": ["render", "--packing", str(path), "--scale", "100", "-o", str(out)],
+                "reduce": ["reduce", "--instance", str(path), "--F", "novotny"]}[command]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert captured.err == ""
+        assert not out.exists()
+        return json.loads(lines[0])["error"]
+
+    @staticmethod
+    def input_with(command, value: str) -> str:
+        """An instance whose sides, or a packing whose placements, are ``value``."""
+        if command == "reduce":
+            return f'{{"sides": {value}}}'
+        return f'{{"rect": {{"w": 1.0, "h": 1.0}}, "placements": {value}}}'
+
+    @pytest.mark.parametrize("command", ["verify", "render", "reduce"])
+    def test_integer_beyond_float_maps_to_error_json(self, tmp_path, capsys, command):
+        huge = "1" * 401
+        value = (f"[0.5, {huge}]" if command == "reduce"
+                 else f'[{{"side": 0.5, "x": {huge}, "y": 0.0}}]')
+        err = self.error_of(tmp_path, capsys, command, self.input_with(command, value))
+        assert err == {"type": "OverflowError", "message": "int too large to convert to float"}
+
+    @pytest.mark.parametrize("command", ["verify", "render", "reduce"])
+    def test_deep_nesting_maps_to_error_json(self, tmp_path, capsys, command):
+        depth = 10 ** 5  # a 200 KB file
+        value = "[" * depth + "]" * depth
+        err = self.error_of(tmp_path, capsys, command, self.input_with(command, value))
+        assert err["type"] == "RecursionError"
+        assert "recursion" in err["message"]
+
     def test_packed_output_survives_verification_round_trip(self, tmp_path):
         from moserpack import packing_from_dict
 

@@ -15,7 +15,6 @@ from moserpack import (
     PackFailure,
     PreconditionViolated,
     Rectangle,
-    circumference_admits,
     PackParams,
     compute_c,
     meir_moser_pack,
@@ -27,6 +26,7 @@ from moserpack import (
 from moserpack.geometry import EPS_GEOM
 from moserpack.shelf import meir_moser_holds, moon_moser_holds
 from conftest import (
+    circumference_admits,
     random_meir_moser_case,
     random_moon_moser_case,
     reference_shelf_positions,
