@@ -612,7 +612,10 @@ def _overlapping_pairs(x, y, x2, y2, tol: float, keep: int):
 
 
 def packing_to_dict(packing: Packing) -> dict:
-    """Serialize a packing: the rectangle's edges and every square's corner."""
+    """Serialize a packing: the rectangle's edges and every square's corner.
+
+    The API's dict form and the oracle of the CLI, which does not call it:
+    the CLI spells the same text straight from the columns."""
     r = packing.rect
     return {
         "rect": {"w": r.width, "h": r.height},

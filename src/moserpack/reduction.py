@@ -246,6 +246,8 @@ def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
 
 
 def result_to_dict(result: ReduceResult) -> dict:
+    """The dict form of a ``reduce`` result: the API's form and the oracle
+    the CLI's writer is tested against.  The CLI does not call it."""
     out = {
         "case": result.case,
         "packing": packing_to_dict(result.packing),

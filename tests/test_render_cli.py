@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from array import array
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +37,13 @@ from moserpack import (
     whitespace_pack,
 )
 import moserpack.cli
-from moserpack.cli import _emit_json, _read_json, cli_dispatch
+from moserpack.cli import (
+    _emit_json,
+    _packing_pieces,
+    _read_json,
+    _result_pieces,
+    cli_dispatch,
+)
 
 from conftest import packing_of
 from test_whitespace import make_job
@@ -477,6 +484,39 @@ class TestCli:
         assert texts[0] == texts[1]
         assert json.loads(texts[0])["params"]["N0"] == 4
 
+    def test_reduce_integral_n0_is_not_for_toy_params(self, tmp_path, capsys):
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
+        toy = self.write(tmp_path, "toy.json",
+                         {"c": 0.07256326599821739, "N0": 4, "N1": 158, "N": 1167})
+        out = tmp_path / "result.json"
+        code = cli_dispatch(
+            ["reduce", "--instance", inst, "--F", "novotny", "--toy-params", toy,
+             "--integral-n0", "-o", str(out)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert "--integral-n0" in err["message"]
+        assert not out.exists()
+
+    def test_reduce_integral_n0_reaches_case_b_at_paper_scale(self, tmp_path):
+        # test_c10's instance and pin, through the CLI and back: the
+        # integral chain splits at N0 = N1 = 491,225.
+        n = 10**6
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.5] + [math.sqrt(0.75 / n)] * n})
+        out = tmp_path / "result.json"
+        assert cli_dispatch(["reduce", "--instance", inst, "--F", "novotny",
+                             "--integral-n0", "-o", str(out)]) == 0
+        data = _read_json(str(out))
+        assert (data["case"], data["split_index"]) == ("b", 491_225)
+        assert (data["params"]["N0"], data["params"]["N"]) == (491_225, 3_629_689)
+        packing = packing_from_dict(data.pop("packing"))
+        rows = np.column_stack([np.frombuffer(c) for c in (packing.sides, packing.xs, packing.ys)])
+        assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == \
+            "65be89e4ae2df59fcb9f47901a6e8bffdea847d346f0cac2f522758832d9ba19"
+
     def test_reduce_output_is_single_line_result_dict(self, tmp_path):
         sides = [math.sqrt((1 - k / 400) / 200.5) for k in range(400)]
         inst = self.write(tmp_path, "inst.json", {"sides": sides})
@@ -759,11 +799,37 @@ def _wire_packings(draw) -> Packing:
     return Packing(rect, array("d", sides), array("d", draw(column)), array("d", draw(column)))
 
 
-def _written(data: dict) -> str:
+def _written(item) -> str:
+    """What the CLI writes for a packing or a ``reduce`` result."""
+    pieces = (_packing_pieces if isinstance(item, Packing) else _result_pieces)(item)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _emit_json(data, None)
+        _emit_json(pieces, None)
     return buf.getvalue()
+
+
+def _writing_spells(item, monkeypatch) -> tuple:
+    """What the CLI writes for ``item``, and for each list of floats it
+    handed to ``json.dumps``, that list's length: the distinct floats on
+    the memo branch, every float of the columns otherwise."""
+    spelled, dumps = [], json.dumps
+
+    def spy(obj, **kw):
+        if isinstance(obj, list):
+            spelled.append(len(obj))
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    text = _written(item)
+    monkeypatch.undo()
+    return text, spelled
+
+
+def _column_packing(column: list) -> Packing:
+    """The packing whose sides, xs and ys are the thirds of ``column``."""
+    n = len(column) // 3
+    return Packing(Rectangle(7, 3), array("d", column[:n]), array("d", column[n:2 * n]),
+                   array("d", column[2 * n:]))
 
 
 #: Number tokens as a JSON text may spell them: json's own float spellings
@@ -831,9 +897,8 @@ class TestJsonWire:
     @settings(max_examples=300, deadline=None)
     @given(_wire_packings())
     def test_writer_matches_dumps_on_packings(self, packing):
-        data = packing_to_dict(packing)
-        written = _written(data)
-        assert written == json.dumps(data) + "\n"
+        written = _written(packing)
+        assert written == json.dumps(packing_to_dict(packing)) + "\n"
         # The wire is the identity: every bit of every column comes back,
         # so -0.0 stays apart from 0.0.
         read = packing_from_dict(json.loads(written))
@@ -847,24 +912,66 @@ class TestJsonWire:
            st.sampled_from(["a", "b", "c"]), st.none() | st.integers(0, 10**6))
     def test_writer_matches_dumps_on_results(self, packing, F, c, case, split):
         params = PackParams.toy_params(F=F, c=c, N0=4, N1=158, N=1167)
-        data = result_to_dict(ReduceResult(case, packing, params, split))
-        assert _written(data) == json.dumps(data) + "\n"
+        result = ReduceResult(case, packing, params, split)
+        assert _written(result) == json.dumps(result_to_dict(result)) + "\n"
 
     def test_writer_keeps_zero_signs_apart(self):
         packing = Packing(Rectangle(1, 1), array("d", [0.0, -0.0, 0.5]),
                           array("d", [-0.0, 0.0, -0.0]), array("d", [0.0, 0.0, -0.0]))
-        text = _written(packing_to_dict(packing))
+        text = _written(packing)
         assert text == json.dumps(packing_to_dict(packing)) + "\n"
         assert text.count("-0.0") == 4
 
-    @pytest.mark.parametrize("distinct", [1, 60, 1_500, 2_999, 9_000])
-    def test_writer_matches_dumps_at_any_share_of_repeats(self, distinct):
-        # the writer's sample of every other placement sees at most half
-        # distinct up to 1,500 (the memo spells them) and more at 2,999 and
-        # 9,000 (json.dumps writes them all)
-        data = result_to_dict(ReduceResult("b", _pool_packing(distinct),
-                                           PackParams.certified("novotny"), 4))
-        assert _written(data) == json.dumps(data) + "\n"
+    @pytest.mark.parametrize("distinct, spelled", [
+        (1, 2), (60, 60), (1_500, 1_500), (2_999, 4_494), (9_000, 9_000),
+    ], ids=["1", "60", "1500", "2999", "9000"])
+    def test_writer_matches_dumps_at_any_share_of_repeats(self, monkeypatch, distinct,
+                                                          spelled):
+        # A pool of k < 9,000 values drawn in turn: the memo spells the
+        # distinct floats.  A pool of 2,999 lays every value into each
+        # column, and abs() gives the negative sides their own spellings:
+        # 4,494 of 9,000, just under half.  A pool of 9,000 sends all 9,000
+        # to json.dumps.
+        result = ReduceResult("b", _pool_packing(distinct),
+                              PackParams.certified("novotny"), 4)
+        text, lists = _writing_spells(result, monkeypatch)
+        assert text == json.dumps(result_to_dict(result)) + "\n"
+        assert lists == [spelled]
+
+    @pytest.mark.parametrize("distinct, spelled", [(149, 149), (150, 150), (151, 300)])
+    def test_writer_cutoff_at_half_distinct(self, monkeypatch, distinct, spelled):
+        # 300 floats, the fill repeating the first: the memo spells at most
+        # 150 distinct ones, and one more sends the whole column to json.dumps.
+        column = [1 + k / 7 for k in range(distinct)]
+        packing = _column_packing(column + [1.0] * (300 - distinct))
+        text, lists = _writing_spells(packing, monkeypatch)
+        assert text == json.dumps(packing_to_dict(packing)) + "\n"
+        assert lists == [spelled]
+
+    @pytest.mark.parametrize("others, spelled", [
+        ([0.5] * 40, 3), ([0.5 + k / 64 for k in range(40)], 60),
+    ], ids=["memo", "plain"])
+    def test_writer_keeps_zero_signs_apart_on_either_branch(self, monkeypatch, others,
+                                                            spelled):
+        # ten of each zero beside 40 others: 3 distinct floats among 60, or 42
+        packing = _column_packing([0.0, -0.0] * 10 + others)
+        text, lists = _writing_spells(packing, monkeypatch)
+        assert text == json.dumps(packing_to_dict(packing)) + "\n"
+        assert lists == [spelled]
+        assert text.count("-0.0") == 10
+        read = packing_from_dict(json.loads(text))
+        assert [c.tobytes() for c in (read.sides, read.xs, read.ys)] == \
+            [c.tobytes() for c in (packing.sides, packing.xs, packing.ys)]
+
+    def test_writer_counts_long_shelves_exactly(self, monkeypatch):
+        # 10^4 equal squares in 12 shelves of up to 834: 834 distinct floats
+        # among 30,000.  A sample of every ninth placement reads 25 %
+        # distinct; on test_c10's case b, with shelves of 1,138 squares, a
+        # sample of every 976th read 57 % against 0.07 %.
+        packing = meir_moser_pack(Instance((0.01,) * 10_000), Rectangle(10.05, 0.12))
+        text, lists = _writing_spells(packing, monkeypatch)
+        assert text == json.dumps(packing_to_dict(packing)) + "\n"
+        assert lists == [834]
 
     @settings(max_examples=300, deadline=None)
     @given(_json_texts(), st.booleans())
@@ -893,7 +1000,7 @@ class TestJsonWire:
         # in turn looks half distinct.  Runs of 8 equal placements are 1/8
         # distinct and runs of 4 are 1/4, either side of that cutoff.
         path = tmp_path / "packing.json"
-        path.write_text(_written(packing_to_dict(packing)))
+        path.write_text(_written(packing))
         expected = json.loads(path.read_text())
         assert _read_logging_branch(path, monkeypatch) == (repr(expected), [memo])
 
