@@ -68,8 +68,8 @@ def ladder_job(base_kind: str, n: int) -> WhitespaceJob:
 def placement_digest(packing) -> str:
     """sha256 of every placement's (side, x, y) as little-endian doubles."""
     h = hashlib.sha256()
-    for p in packing.placements:
-        h.update(struct.pack("<3d", p.side, p.x, p.y))
+    for s, x, y in zip(packing.sides, packing.xs, packing.ys):
+        h.update(struct.pack("<3d", s, x, y))
     return h.hexdigest()
 
 

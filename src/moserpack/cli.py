@@ -17,7 +17,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from .constants import build_report, factor_float, report_to_dict
-from .errors import MoserpackError
+from .errors import MoserpackError, PreconditionViolated
 from .geometry import (
     EPS_GEOM,
     Packing,
@@ -203,6 +203,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_whitespace(args: argparse.Namespace) -> int:
     base = _read_packing(args.base)
+    # whitespace_pack trusts its base; an overlapping one would come back
+    # with exit code 0 and fail `verify`
+    if not verify_packing(base).valid:
+        raise PreconditionViolated("base packing is not valid: `moserpack verify` lists why")
     tail = instance_from_dict(_read_json(args.tail))
     job = WhitespaceJob(base, tail, c=args.c, F=factor_float(args.F))
     _emit_json(_packing_pieces(whitespace_pack(job)), args.output)

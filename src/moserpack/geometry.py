@@ -238,12 +238,13 @@ def region_lexicomin(region: RectilinearRegion) -> Optional[tuple[float, float]]
     and left of it, so the smallest bottom edge y* in the band is the
     lowest y of the union's band.  Likewise the smallest left edge among
     the band's parts with bottom y* is the leftmost x of the union on the
-    line y = y* within the band.
+    line y = y* within the band.  x* is the left edge of the smallest part
+    as a tuple, a ``min`` that compares tuples without a list of edges.
     """
     parts = region.parts
     if not parts:
         return None
-    band = min([p[0] for p in parts]) + EPS_GEOM
+    band = min(parts)[0] + EPS_GEOM
     y, x = min([(p[1], p[0]) for p in parts if p[0] <= band])
     return (x, y)
 
@@ -285,21 +286,32 @@ def split_free_rectangles(
     x-span, so it misses neither on the left nor on the right.  So the
     miss test, which tries left, right, below and above in turn, keeps as
     holders the missed rectangles whose edge equals the square's on the
-    first side they miss on.
+    first side they miss on, each under that side.
 
-    Each side's pieces are sorted by ``(x0, y0, -x1, -y1)``, which puts
-    every container before what it holds and equal pieces together, and a
-    kept piece becomes a holder.  A piece is dropped when a holder holds
-    it.  A container that was dropped lies inside a holder, which holds
-    the piece too, or fails ``min_edge``, which the piece inside it then
-    fails as well (a rounded difference of nested edges is no larger).  So
-    a piece inside a missed rectangle or another piece is dropped, and of
-    equal pieces the first is kept.  The holders of other sides never hold
-    the piece; skipping them would cost more lists than it saves
-    comparisons.  The arguments compare floats and do no arithmetic beyond
-    the edge differences, so they hold for every free list.  The result
-    lists the untouched rectangles, then the kept pieces side by side
-    (left, right, below, above), each side in sort order.
+    Each side keeps its own holders: the missed rectangles that touch the
+    square on that side, then the side's kept pieces.  A piece is stored
+    as its sort key, ``(x0, y0, -x1, -y1)`` without the edge every piece
+    of the side shares with the square: ``(fx0, fy0, -fy1)`` on the left,
+    ``(fy0, -fx1, -fy1)`` on the right, ``(fx0, fy0, -fx1)`` below and
+    ``(fx0, -fx1, -fy1)`` above.  Left out, that edge ties every pair, so
+    a plain sort of the keys gives the full key's order, which puts every
+    container before what it holds and equal pieces together (equal keys
+    are equal pieces).  A piece is rebuilt only when it is kept; negating
+    twice gives back every float bit for bit, ``-0.0`` included.  Every
+    holder of a side has the shared edge too, so the containment test
+    compares the other three edges.  A piece is dropped when a holder
+    holds it.  A container that was dropped lies inside a holder, which
+    holds the piece too, or fails ``min_edge``, which the piece inside it
+    then fails as well (a rounded difference of nested edges is no
+    larger).  So a piece inside a missed rectangle or another piece is
+    dropped, and of equal pieces the first is kept.  Per-side lists pay
+    because the keys are built with the pieces: the sort calls no key
+    function, and a piece meets only its own side's holders, each with one
+    comparison fewer.  The
+    arguments compare floats and do no arithmetic beyond the edge
+    differences, so they hold for every free list.  The result lists the
+    untouched rectangles, then the kept pieces side by side (left, right,
+    below, above), each side in key order.
 
     The square's edges are ``x0 = x`` and ``x1 = x + side`` (likewise in
     y), the floats the midpoint shrink adds s/2 to.
@@ -310,55 +322,91 @@ def split_free_rectangles(
     x1 = x0 + side
     y1 = y0 + side
     out: list[_Part] = []
-    holders: list[_Part] = []
-    left: list[_Part] = []
-    right: list[_Part] = []
-    below: list[_Part] = []
-    above: list[_Part] = []
+    left_holders: list[_Part] = []
+    right_holders: list[_Part] = []
+    below_holders: list[_Part] = []
+    above_holders: list[_Part] = []
+    left: list[tuple[float, float, float]] = []
+    right: list[tuple[float, float, float]] = []
+    below: list[tuple[float, float, float]] = []
+    above: list[tuple[float, float, float]] = []
     for f in free:
         fx0, fy0, fx1, fy1 = f
         if fx1 <= x0:
             if fx1 == x0:
-                holders.append(f)
+                left_holders.append(f)
         elif x1 <= fx0:
             if x1 == fx0:
-                holders.append(f)
+                right_holders.append(f)
         elif fy1 <= y0:
             if fy1 == y0:
-                holders.append(f)
+                below_holders.append(f)
         elif y1 <= fy0:
             if y1 == fy0:
-                holders.append(f)
+                above_holders.append(f)
         else:
             # Each difference is the one the piece's own edges give.
             if fy1 - fy0 >= min_edge:
                 if x0 > fx0 and x0 - fx0 >= min_edge:
-                    left.append((fx0, fy0, x0, fy1))
+                    left.append((fx0, fy0, -fy1))
                 if x1 < fx1 and fx1 - x1 >= min_edge:
-                    right.append((x1, fy0, fx1, fy1))
+                    right.append((fy0, -fx1, -fy1))
             if fx1 - fx0 >= min_edge:
                 if y0 > fy0 and y0 - fy0 >= min_edge:
-                    below.append((fx0, fy0, fx1, y0))
+                    below.append((fx0, fy0, -fx1))
                 if y1 < fy1 and fy1 - y1 >= min_edge:
-                    above.append((fx0, y1, fx1, fy1))
+                    above.append((fx0, -fx1, -fy1))
             continue
         out.append(f)
-    for pieces in (left, right, below, above):
-        if len(pieces) > 1:
-            pieces.sort(key=_container_first)
-        for p in pieces:
-            a0, b0, a1, b1 = p
-            for c0, d0, c1, d1 in holders:
-                if c0 <= a0 and d0 <= b0 and a1 <= c1 and b1 <= d1:
+    # One block per side: a key holds its far edges negated, and each test
+    # leaves out the edge that the side's holders share.
+    if left:
+        left.sort()
+        for a0, b0, b1 in left:
+            b1 = -b1
+            for c0, d0, _, d1 in left_holders:
+                if c0 <= a0 and d0 <= b0 and b1 <= d1:
                     break
             else:
-                holders.append(p)
+                p = (a0, b0, x0, b1)
+                left_holders.append(p)
+                out.append(p)
+    if right:
+        right.sort()
+        for b0, a1, b1 in right:
+            a1 = -a1
+            b1 = -b1
+            for _, d0, c1, d1 in right_holders:
+                if d0 <= b0 and a1 <= c1 and b1 <= d1:
+                    break
+            else:
+                p = (x1, b0, a1, b1)
+                right_holders.append(p)
+                out.append(p)
+    if below:
+        below.sort()
+        for a0, b0, a1 in below:
+            a1 = -a1
+            for c0, d0, c1, _ in below_holders:
+                if c0 <= a0 and d0 <= b0 and a1 <= c1:
+                    break
+            else:
+                p = (a0, b0, a1, y0)
+                below_holders.append(p)
+                out.append(p)
+    if above:
+        above.sort()
+        for a0, a1, b1 in above:
+            a1 = -a1
+            b1 = -b1
+            for c0, _, c1, d1 in above_holders:
+                if c0 <= a0 and a1 <= c1 and b1 <= d1:
+                    break
+            else:
+                p = (a0, y1, a1, b1)
+                above_holders.append(p)
                 out.append(p)
     return out
-
-
-def _container_first(p: _Part) -> tuple[float, float, float, float]:
-    return (p[0], p[1], -p[2], -p[3])
 
 
 def feasible_midpoint_region(

@@ -137,6 +137,71 @@ def reference_split_free_rectangles(free, square: Placement, min_edge: float = 0
     return missed + kept
 
 
+def container_first_split(free, side: float, x: float, y: float, min_edge: float = 0.0) -> list:
+    """``geometry.split_free_rectangles`` with one holder list and a sort key function.
+
+    The missed rectangles that touch the square on the side they miss on
+    are holders of every side; each side's pieces are built as rectangles,
+    sorted by ``(x0, y0, -x1, -y1)`` and compared on all four edges with
+    every holder, and a kept piece becomes a holder.  The result lists the
+    untouched rectangles, then the kept pieces left, right, below and
+    above, each side in sort order: the same list, in the same order.
+    """
+    if side <= 0:
+        return list(free)
+    x0, y0 = x, y
+    x1 = x0 + side
+    y1 = y0 + side
+    out: list = []
+    holders: list = []
+    left: list = []
+    right: list = []
+    below: list = []
+    above: list = []
+    for f in free:
+        fx0, fy0, fx1, fy1 = f
+        if fx1 <= x0:
+            if fx1 == x0:
+                holders.append(f)
+        elif x1 <= fx0:
+            if x1 == fx0:
+                holders.append(f)
+        elif fy1 <= y0:
+            if fy1 == y0:
+                holders.append(f)
+        elif y1 <= fy0:
+            if y1 == fy0:
+                holders.append(f)
+        else:
+            if fy1 - fy0 >= min_edge:
+                if x0 > fx0 and x0 - fx0 >= min_edge:
+                    left.append((fx0, fy0, x0, fy1))
+                if x1 < fx1 and fx1 - x1 >= min_edge:
+                    right.append((x1, fy0, fx1, fy1))
+            if fx1 - fx0 >= min_edge:
+                if y0 > fy0 and y0 - fy0 >= min_edge:
+                    below.append((fx0, fy0, fx1, y0))
+                if y1 < fy1 and fy1 - y1 >= min_edge:
+                    above.append((fx0, y1, fx1, fy1))
+            continue
+        out.append(f)
+    for pieces in (left, right, below, above):
+        pieces.sort(key=_container_first)
+        for p in pieces:
+            a0, b0, a1, b1 = p
+            for c0, d0, c1, d1 in holders:
+                if c0 <= a0 and d0 <= b0 and a1 <= c1 and b1 <= d1:
+                    break
+            else:
+                holders.append(p)
+                out.append(p)
+    return out
+
+
+def _container_first(p) -> tuple:
+    return (p[0], p[1], -p[2], -p[3])
+
+
 def grid_region_area(rect: Rectangle, obstacles, s: float, samples: int = 1_000_000,
                      seed: int = 0) -> float:
     """Independent area estimate of the feasible-midpoint region.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 import tracemalloc
 import warnings
 from array import array
@@ -41,6 +42,7 @@ from moserpack.geometry import (
 )
 from conftest import (
     Cut,
+    container_first_split,
     free_rectangles,
     grid_region_area,
     packing_of,
@@ -597,6 +599,66 @@ class TestSplitFreeRectangles:
         free, square, min_edge = config
         out = split_free_rectangles(free, square.side, square.x, square.y, min_edge)
         assert sorted(out) == sorted(reference_split_free_rectangles(free, square, min_edge))
+
+    @staticmethod
+    def _bits(rects) -> list:
+        """Each rectangle's edges as bytes, so that ``-0.0`` and ``0.0`` differ."""
+        return [struct.pack("<4d", *r) for r in rects]
+
+    def _ordered(self, free, square, min_edge=0.0):
+        """The split, checked float for float and in order against the oracle."""
+        out = split_free_rectangles(free, square.side, square.x, square.y, min_edge)
+        expected = container_first_split(free, square.side, square.x, square.y, min_edge)
+        assert self._bits(out) == self._bits(expected)
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_configs())
+    def test_matches_container_first_oracle_in_order(self, config):
+        self._ordered(*config)
+
+    def test_corner_touching_rectangle_holds_only_left_pieces(self):
+        # g ends at the square's x0 and tops out at its y0: the miss test
+        # files it on the left, and it holds no piece below
+        square = Placement(1.0, 1.0, 1.0)
+        hit = (0.0, 0.0, 3.0, 3.0)
+        corner = (-1.0, -1.0, 1.0, 1.0)
+        out = self._ordered([hit, corner], square)
+        assert out == [corner, (0.0, 0.0, 1.0, 3.0), (2.0, 0.0, 3.0, 3.0),
+                       (0.0, 0.0, 3.0, 1.0), (0.0, 2.0, 3.0, 3.0)]
+        # taller, it holds the left piece, and still none below
+        tall = (-1.0, -1.0, 1.0, 4.0)
+        out = self._ordered([hit, tall], square)
+        assert out == [tall, (2.0, 0.0, 3.0, 3.0), (0.0, 0.0, 3.0, 1.0),
+                       (0.0, 2.0, 3.0, 3.0)]
+
+    def test_negative_zero_edges_keep_their_signs(self):
+        # near edges and far edges of -0.0: a key negates the far ones
+        # once and the kept piece negates them back
+        square = Placement(1.0, -3.0, -3.0)
+        out = self._ordered([(-4.0, -4.0, -0.0, -0.0)], square)
+        assert self._bits(out) == self._bits([
+            (-4.0, -4.0, -3.0, -0.0), (-2.0, -4.0, -0.0, -0.0),
+            (-4.0, -4.0, -0.0, -3.0), (-4.0, -2.0, -0.0, -0.0),
+        ])
+        square = Placement(1.0, 1.0, 1.0)
+        out = self._ordered([(-0.0, -0.0, 3.0, 3.0)], square)
+        assert self._bits(out) == self._bits([
+            (-0.0, -0.0, 1.0, 3.0), (2.0, -0.0, 3.0, 3.0),
+            (-0.0, -0.0, 3.0, 1.0), (-0.0, 2.0, 3.0, 3.0),
+        ])
+
+    def test_equal_pieces_of_two_rectangles_kept_once(self):
+        # both left pieces are (0, 0, 1, 4); the first in the list is kept,
+        # down to the sign of its zero
+        square = Placement(1.0, 1.0, 1.0)
+        first, second = (0.0, 0.0, 3.0, 4.0), (-0.0, 0.0, 4.0, 4.0)
+        out = self._ordered([first, second], square)
+        left = [p for p in out if p[2] == square.x]
+        assert self._bits(left) == self._bits([(0.0, 0.0, 1.0, 4.0)])
+        out = self._ordered([second, first], square)
+        left = [p for p in out if p[2] == square.x]
+        assert self._bits(left) == self._bits([(-0.0, 0.0, 1.0, 4.0)])
 
 
 @st.composite

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from moserpack import (
     Instance,
@@ -401,6 +401,22 @@ class TestCli:
         assert err["error"]["type"] == "PreconditionViolated"
         assert "base count 0" in err["error"]["message"]
 
+    def test_whitespace_overlapping_base_maps_to_error_json(self, tmp_path, capsys):
+        # a base the job accepts, but with its first two squares overlapping
+        job = make_job(n_tail=8, tail_scale=0.9)
+        base = packing_to_dict(job.base)
+        base["placements"][1]["x"] = 0.5 * base["placements"][1]["x"]
+        base_file = self.write(tmp_path, "base.json", base)
+        tail = self.write(tmp_path, "tail.json", {"sides": list(job.tail.sides)})
+        out = tmp_path / "full.json"
+        code = cli_dispatch(["whitespace", "--base", base_file, "--tail", tail,
+                             "--c", repr(job.c), "--F", repr(job.F), "-o", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "PreconditionViolated"
+        assert "base packing is not valid" in err["error"]["message"]
+        assert not out.exists()
+
     def test_reduce_toy(self, tmp_path):
         inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
         toy = self.write(
@@ -665,6 +681,152 @@ class TestCli:
         assert code == 0
         packing = packing_from_dict(json.loads(out.read_text()))
         assert verify_packing(packing).valid
+
+
+# Keys the CLI reads, so that arbitrary documents reach past the first lookup.
+_CLI_KEYS = ["sides", "total_area", "rect", "w", "h", "placements", "side", "x", "y",
+             "packing", "c", "N0", "N1", "N", "s1_threshold"]
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.integers(-10**400, 10**400),
+    st.sampled_from([0.0, -0.0, 0.25, 1.0, 1e308, -1e308, 5e-324,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+#: Any JSON document, ``NaN`` and ``Infinity`` tokens included.
+_JSON_DOCS = st.recursive(_JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.dictionaries(st.sampled_from(_CLI_KEYS) | st.text(max_size=3), kids, max_size=4),
+), max_leaves=12)
+
+#: What a retyped value becomes.
+_RETYPED = st.sampled_from(["0.5", None, True, [], {}, 10**400, -0.0, 1e308,
+                            math.nan, math.inf])
+
+
+def _paths(doc, path=()):
+    """The path of every member and item in ``doc``, outermost first."""
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _near_valid(draw, doc):
+    """``doc`` with one member or item dropped, retyped or nested one level deeper."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = draw(st.sampled_from(["drop", "retype", "nest"]))
+    if action == "drop":
+        del parent[key]
+    elif action == "retype":
+        parent[key] = draw(_RETYPED)
+    else:
+        parent[key] = draw(st.sampled_from([[parent[key]], {"v": parent[key]}]))
+    return doc
+
+
+def _valid_documents() -> dict:
+    """One valid input file of each kind the CLI reads, small enough to run in milliseconds."""
+    job = make_job(n_tail=8, tail_scale=0.9)
+    big, small = 1 / math.sqrt(2), math.sqrt(1 / 6)
+    return {
+        "shelf": {"sides": [0.4, 0.3, 0.3, 0.2]},
+        "small": {"sides": [0.1] * 100},
+        "instance": {"sides": [big, small, small, small]},
+        "params": {"c": 0.07256326599821739, "N0": 4, "N1": 158, "N": 1167,
+                   "s1_threshold": 0.1},
+        "packing": packing_to_dict(sample_packing()),
+        "base": packing_to_dict(job.base),
+        "tail": {"sides": list(job.tail.sides)},
+        "c": repr(job.c),
+    }
+
+
+_VALID = _valid_documents()
+
+#: Each command line, with ``{name}`` for the file of that kind.
+_COMMANDS = {
+    "pack moon-moser": ["pack", "--mode", "moon-moser", "--instance", "{shelf}",
+                        "--rect", "0.8x1.0", "-o", "{out}"],
+    "pack meir-moser": ["pack", "--mode", "meir-moser", "--instance", "{shelf}",
+                        "--rect", "0.8x1.0", "-o", "{out}"],
+    "pack small-s1": ["pack", "--mode", "small-s1", "--instance", "{small}",
+                      "--F", "novotny", "-o", "{out}"],
+    "verify": ["verify", "--packing", "{packing}"],
+    "whitespace": ["whitespace", "--base", "{base}", "--tail", "{tail}",
+                   "--c", _VALID["c"], "--F", "novotny", "-o", "{out}"],
+    "reduce": ["reduce", "--instance", "{instance}", "--F", "novotny", "-o", "{out}"],
+    "reduce toy": ["reduce", "--instance", "{instance}", "--F", "novotny",
+                   "--toy-params", "{params}", "-o", "{out}"],
+    "render": ["render", "--packing", "{packing}", "--scale", "100", "-o", "{out}"],
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    """A command and the files it reads, one of them arbitrary or near-valid JSON."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = _COMMANDS[command]
+    kinds = [a[1:-1] for a in argv if a.startswith("{") and a != "{out}"]
+    docs = {kind: _VALID[kind] for kind in kinds}
+    kind = draw(st.sampled_from(kinds))
+    docs[kind] = draw(_JSON_DOCS | _near_valid(_VALID[kind]))
+    return command, docs
+
+
+class TestCliErrorContract:
+    """Every subcommand, on any JSON input, exits 0 or 1 and never raises.
+
+    On 1, stdout is one JSON line: an error with its type and message, or
+    (from ``verify``) a report that calls the packing invalid.  On 0, a
+    written packing is one that ``verify`` calls valid.
+    """
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_cli_calls())
+    def test_exit_code_and_output(self, tmp_path, call):
+        command, docs = call
+        names = {"out": str(tmp_path / "out")}
+        for kind, doc in docs.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            names[kind] = str(path)
+        argv = [a.format(**names) if a.startswith("{") else a for a in _COMMANDS[command]]
+        (tmp_path / "out").unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_dispatch(argv)
+        assert code in (0, 1)
+        assert stderr.getvalue() == ""
+        lines = stdout.getvalue().splitlines()
+        if code == 1:
+            assert len(lines) == 1
+            answer = json.loads(lines[0])
+            if command == "verify" and "valid" in answer:
+                assert answer["valid"] is False
+            else:
+                assert set(answer) == {"error"}
+                assert isinstance(answer["error"]["type"], str)
+                assert isinstance(answer["error"]["message"], str)
+            return
+        if command == "verify":
+            assert json.loads(lines[0])["valid"] is True
+            return
+        assert lines == []
+        if command != "render":
+            with contextlib.redirect_stdout(io.StringIO()) as verdict:
+                assert cli_dispatch(["verify", "--packing", names["out"]]) == 0
+            assert json.loads(verdict.getvalue())["valid"] is True
 
 
 def _shelf_packing() -> Packing:
