@@ -4,9 +4,10 @@ The base packing fills a sqrt(F) x sqrt(F) square with 1000 equal squares of
 total area 1 - c**2; the tail holds 1000 more squares of side c/sqrt(1000),
 the worst admissible size. Each tail square goes to the lexicographically
 smallest feasible midpoint, and the on_step hook lets us watch the feasible
-region shrink while staying above the certified area bound. Each step
-splits the free rectangles it carries over by the square placed before it;
-the run takes well under a second.
+region shrink while staying above the certified area bound. The base
+splits the free rectangles once per run of abutting equal squares, as one
+box (each shelf row of the base is one run), and each step splits
+them by the square placed before it; the run takes well under a second.
 """
 
 import math

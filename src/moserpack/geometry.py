@@ -250,48 +250,46 @@ def region_lexicomin(region: RectilinearRegion) -> Optional[tuple[float, float]]
 
 
 def split_free_rectangles(
-    free: Sequence[_Part], side: float, x: float, y: float, min_edge: float = 0.0
+    free: Sequence[_Part], x0: float, y0: float, x1: float, y1: float, min_edge: float = 0.0
 ) -> list[_Part]:
-    """The free rectangles left once a square is placed (MaxRects).
+    """The free rectangles left once the box [x0, x1] x [y0, y1] is placed (MaxRects).
 
-    The square has edge ``side`` and its lower-left corner at (x, y).
-
-    Each free rectangle that the square overlaps (touching edges do not
+    Each free rectangle that the box overlaps (touching edges do not
     count) splits into up to four full-extent pieces: left of, right of,
-    below and above the square.  A piece that lies inside a free rectangle
-    the square misses, or inside another piece, is dropped; of equal
+    below and above the box.  A piece that lies inside a free rectangle
+    the box misses, or inside another piece, is dropped; of equal
     pieces one is kept.  Pieces with an edge shorter than ``min_edge`` are
     dropped too.  Every empty rectangle inside a free rectangle before the
     split lies inside a piece or an untouched free rectangle after it,
-    since it lies wholly to one side of the square; so when ``free`` holds
+    since it lies wholly to one side of the box; so when ``free`` holds
     a container for every empty rectangle, so does the result, for every
     one with both edges at least ``min_edge`` (Jylänki, "A Thousand Ways
     to Pack the Bin", 2010).
 
-    A piece can lie only inside a piece on its own side of the square.  A
+    A piece can lie only inside a piece on its own side of the box.  A
     left piece ``(fx0, fy0, x0, fy1)`` of a free rectangle f that the
-    square overlaps has ``fx0 < x1``, ``fy0 < y1`` and ``fy1 > y0``; a
+    box overlaps has ``fx0 < x1``, ``fy0 < y1`` and ``fy1 > y0``; a
     right piece starts at ``x1 > fx0``, a below piece ends at ``y0 < fy1``
     and an above piece starts at ``y1 > fy0``, so none of them holds it.
     The other three sides follow in the same way.
 
-    A missed rectangle g can hold a piece only if it touches the square on
+    A missed rectangle g can hold a piece only if it touches the box on
     that piece's side.  If g holds the left piece above, it spans [fy0,
-    fy1], which overlaps the square's y-span, and it reaches from ``fx0 <
-    x1`` to at least ``x0``; so it misses the square only by ending at
+    fy1], which overlaps the box's y-span, and it reaches from ``fx0 <
+    x1`` to at least ``x0``; so it misses the box only by ending at
     ``x0``, and with its right edge ``>= x0`` that edge is exactly ``x0``.
     Likewise g holds a right piece only with left edge ``x1``, a below
     piece only with top ``y0``, and an above piece only with bottom
-    ``y1``; a g that holds a below or above piece overlaps the square's
+    ``y1``; a g that holds a below or above piece overlaps the box's
     x-span, so it misses neither on the left nor on the right.  So the
     miss test, which tries left, right, below and above in turn, keeps as
-    holders the missed rectangles whose edge equals the square's on the
+    holders the missed rectangles whose edge equals the box's on the
     first side they miss on, each under that side.
 
     Each side keeps its own holders: the missed rectangles that touch the
-    square on that side, then the side's kept pieces.  A piece is stored
+    box on that side, then the side's kept pieces.  A piece is stored
     as its sort key, ``(x0, y0, -x1, -y1)`` without the edge every piece
-    of the side shares with the square: ``(fx0, fy0, -fy1)`` on the left,
+    of the side shares with the box: ``(fx0, fy0, -fy1)`` on the left,
     ``(fy0, -fx1, -fy1)`` on the right, ``(fx0, fy0, -fx1)`` below and
     ``(fx0, -fx1, -fy1)`` above.  Left out, that edge ties every pair, so
     a plain sort of the keys gives the full key's order, which puts every
@@ -313,14 +311,11 @@ def split_free_rectangles(
     untouched rectangles, then the kept pieces side by side (left, right,
     below, above), each side in key order.
 
-    The square's edges are ``x0 = x`` and ``x1 = x + side`` (likewise in
-    y), the floats the midpoint shrink adds s/2 to.
+    Nothing above uses ``x1 - x0 == y1 - y0``.  A square of side s at
+    (x, y) is the box ``x, y, x + s, y + s``, the floats the midpoint
+    shrink adds s/2 to.  Callers drop squares of side <= 0; a positive side
+    that rounds away (``x + s == x``) still splits.
     """
-    if side <= 0:
-        return list(free)
-    x0, y0 = x, y
-    x1 = x0 + side
-    y1 = y0 + side
     out: list[_Part] = []
     left_holders: list[_Part] = []
     right_holders: list[_Part] = []
@@ -430,7 +425,8 @@ def feasible_midpoint_region(
     ``[rect]``.  It must stand for ``rect`` minus some earlier obstacles a:
     every entry is empty, that is inside ``rect`` and interior-disjoint
     from a, and every empty rectangle with both edges at least some t <= s
-    lies inside an entry.  ``[rect]`` split by each of a in turn with
+    lies inside an entry.  ``[rect]`` split by each of a in turn, or by
+    each run of abutting equal squares of a as one box, with
     :func:`split_free_rectangles` and a ``min_edge`` of t is such a list.
     The region of ``feasible_midpoint_region(rect, b, s, start=start)`` is
     then that of ``feasible_midpoint_region(rect, a + b, s)``.
@@ -450,7 +446,7 @@ def feasible_midpoint_region(
     free = [(0.0, 0.0, rect.width, rect.height)] if start is None else start
     for ob in obstacles:
         if ob.side > 0:
-            free = split_free_rectangles(free, ob.side, ob.x, ob.y)
+            free = split_free_rectangles(free, ob.x, ob.y, ob.x + ob.side, ob.y + ob.side)
     half = s / 2.0
     parts = []
     for x0, y0, x1, y1 in free:

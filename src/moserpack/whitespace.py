@@ -6,11 +6,11 @@ every tail square (largest first) is centered on the lexicographically
 smallest feasible midpoint.  The maximal empty rectangles of the base
 rectangle minus the placed squares do not depend on the side, so one list
 of them is kept from start to end: it starts as the base rectangle, each
-base square and each placed tail square splits it once, and each step
-shrinks it by half its side to get its feasible-midpoint region (MaxRects,
-Jylänki 2010; bottom-left, Chazelle 1983).  A tail of n distinct sides
-therefore costs one split per step, not a rebuild from all placed squares
-per side.
+run of abutting equal base squares splits it once as one box, each placed
+tail square splits it once, and each step shrinks it by half its side to
+get its feasible-midpoint region (MaxRects, Jylänki 2010; bottom-left,
+Chazelle 1983).  A tail of n distinct sides therefore costs one split per
+step, not a rebuild from all placed squares per side.
 
 The guarantee that the region never empties comes from an area count: the
 midpoints lost to the boundary frame and to the inflation frames of the
@@ -113,12 +113,13 @@ def whitespace_pack(
     midpoint of the region left by everything placed so far.  The result
     is a copy of the base columns with each tail square's side and corner
     appended in tail order.  The free rectangles start as the base
-    rectangle, split by every base square and then by each tail square as
-    it is placed.  Sides are non-increasing, so a free rectangle with an
-    edge shorter than the smallest positive tail side can hold no tail
-    square, and the splits drop it.  ``on_step(k, side, region_area,
-    bound)`` is invoked once per positive tail square with the area of the
-    full region, mostly so tests can watch the region-vs-bound margin.
+    rectangle, split by each run of abutting equal base squares as one box
+    and then by each tail square as it is placed.  Sides are
+    non-increasing, so a free rectangle with an edge shorter than the
+    smallest positive tail side can hold no tail square, and the splits
+    drop it.  ``on_step(k, side, region_area, bound)`` is invoked once per
+    positive tail square with the area of the full region, mostly so tests
+    can watch the region-vs-bound margin.
     Raises :class:`EmptyRegionError` if a region comes up empty, which
     cannot happen while the job invariants hold.
     """
@@ -129,9 +130,27 @@ def whitespace_pack(
     # With no positive side no free rectangle is needed, and the splits keep none.
     smallest = min((s for s in job.tail.sides if s > 0.0), default=math.inf)
     free = [(0.0, 0.0, rect.width, rect.height)]
-    for side, x, y in zip(base.sides, base.xs, base.ys):
-        free = split_free_rectangles(free, side, x, y, smallest)
-    sides, xs, ys = array("d", base.sides), array("d", base.xs), array("d", base.ys)
+    sides, xs, ys = base.sides, base.xs, base.ys
+    k = 0
+    while k < n:
+        s, x0, y0 = sides[k], xs[k], ys[k]
+        k += 1
+        if s <= 0.0:
+            continue
+        x1, y1 = x0 + s, y0 + s
+        # A run of equal squares abutting in a row or a column covers
+        # exactly its box, so it splits the list once.
+        row = column = True
+        while k < n and sides[k] == s:
+            if row and ys[k] == y0 and xs[k] == x1:
+                x1, column = xs[k] + s, False
+            elif column and xs[k] == x0 and ys[k] == y1:
+                y1, row = ys[k] + s, False
+            else:
+                break
+            k += 1
+        free = split_free_rectangles(free, x0, y0, x1, y1, smallest)
+    sides, xs, ys = array("d", sides), array("d", xs), array("d", ys)
     for k, s in enumerate(job.tail.sides):
         if s <= 0.0:
             # Zero squares influence nothing; park them at the origin, as
@@ -148,7 +167,7 @@ def whitespace_pack(
                 )
             x = point[0] - s / 2.0
             y = point[1] - s / 2.0
-            free = split_free_rectangles(free, s, x, y, smallest)
+            free = split_free_rectangles(free, x, y, x + s, y + s, smallest)
         sides.append(s)
         xs.append(x)
         ys.append(y)

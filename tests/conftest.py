@@ -26,6 +26,7 @@ from moserpack.constants import harmonic_range_sum
 from moserpack.geometry import (
     EPS_GEOM,
     RectilinearRegion,
+    feasible_midpoint_region,
     region_lexicomin,
     split_free_rectangles,
 )
@@ -87,12 +88,81 @@ def _cut_parts(parts, cut) -> list:
     return out
 
 
+def split_square(free, side: float, x: float, y: float, min_edge: float = 0.0) -> list:
+    """``free`` split by the square of edge ``side`` at (x, y), passed as its box.
+
+    A square of side <= 0 has an empty interior and leaves the list as it
+    is, as every caller of ``split_free_rectangles`` drops it.
+    """
+    if side <= 0:
+        return list(free)
+    return split_free_rectangles(free, x, y, x + side, y + side, min_edge)
+
+
 def free_rectangles(rect: Rectangle, obstacles, min_edge: float = 0.0) -> list:
-    """``[rect]`` split by each obstacle in turn with ``split_free_rectangles``."""
+    """``[rect]`` split by each obstacle in turn, square by square."""
     free = [(0.0, 0.0, rect.width, rect.height)]
     for ob in obstacles:
-        free = split_free_rectangles(free, ob.side, ob.x, ob.y, min_edge)
+        free = split_square(free, ob.side, ob.x, ob.y, min_edge)
     return free
+
+
+def abutting_runs(packing: Packing) -> list:
+    """Boxes (x0, y0, x1, y1) of the maximal runs of abutting equal squares.
+
+    A run is consecutive squares of one positive side s laid edge to edge
+    in a row (equal y, each x the previous x + s) or in a column (equal x,
+    each y the previous y + s), compared as floats.  Its box ends at the
+    last square's x + s (or y + s).  Squares of side <= 0 are skipped and
+    end a run.
+    """
+    boxes: list = []
+    run = None  # (side, "row" / "column" / None) of the open run
+    for s, x, y in zip(packing.sides, packing.xs, packing.ys):
+        if s > 0 and run is not None and run[0] == s:
+            x0, y0, x1, y1 = boxes[-1]
+            if run[1] != "column" and y == y0 and x == x1:
+                boxes[-1], run = (x0, y0, x + s, y1), (s, "row")
+                continue
+            if run[1] != "row" and x == x0 and y == y1:
+                boxes[-1], run = (x0, y0, x1, y + s), (s, "column")
+                continue
+        if s > 0:
+            boxes.append((x, y, x + s, y + s))
+            run = (s, None)
+        else:
+            run = None
+    return boxes
+
+
+def box_free_rectangles(rect: Rectangle, boxes, min_edge: float = 0.0) -> list:
+    """``[rect]`` split by each box in turn with ``split_free_rectangles``."""
+    free = [(0.0, 0.0, rect.width, rect.height)]
+    for box in boxes:
+        free = split_free_rectangles(free, *box, min_edge)
+    return free
+
+
+def per_square_whitespace_pack(job) -> Packing:
+    """:func:`moserpack.whitespace_pack` with the base split square by square.
+
+    The base free list is :func:`free_rectangles` of the base placements;
+    the tail steps are the packer's own: the lexicomin of the region that
+    list gives, then one split by the placed square.
+    """
+    rect = job.base.rect
+    smallest = min((s for s in job.tail.sides if s > 0.0), default=math.inf)
+    free = free_rectangles(rect, job.base.placements, smallest)
+    placed = list(job.base.placements)
+    for s in job.tail.sides:
+        if s <= 0.0:
+            placed.append(Placement(0.0, 0.0, 0.0))
+            continue
+        point = region_lexicomin(feasible_midpoint_region(rect, (), s, start=free))
+        x, y = point[0] - s / 2.0, point[1] - s / 2.0
+        free = split_square(free, s, x, y, smallest)
+        placed.append(Placement(s, x, y))
+    return packing_of(rect, placed)
 
 
 def reference_split_free_rectangles(free, square: Placement, min_edge: float = 0.0) -> list:

@@ -42,6 +42,8 @@ from moserpack.geometry import (
 )
 from conftest import (
     Cut,
+    abutting_runs,
+    box_free_rectangles,
     container_first_split,
     free_rectangles,
     grid_region_area,
@@ -53,6 +55,7 @@ from conftest import (
     reference_split_free_rectangles,
     reference_verify_packing,
     region_subtract,
+    split_square,
 )
 
 
@@ -513,33 +516,47 @@ class TestSplitFreeRectangles:
     def test_equal_pieces_kept_once(self):
         # two copies of one free rectangle give two copies of each piece
         free = [(0.0, 0.0, 4.0, 4.0)] * 2
-        out = split_free_rectangles(free, 1.0, 1.0, 1.0)
+        out = split_square(free, 1.0, 1.0, 1.0)
         assert sorted(out) == [(0.0, 0.0, 1.0, 4.0), (0.0, 0.0, 4.0, 1.0),
                                (0.0, 2.0, 4.0, 4.0), (2.0, 0.0, 4.0, 4.0)]
         # interleaved copies of two rectangles, one of whose pieces nests
         a, b = (0.0, 0.0, 4.0, 4.0), (1.0, 1.5, 5.0, 3.5)
         square = Placement(1.0, 2.0, 2.0)
-        out = split_free_rectangles([a, b, a, b], square.side, square.x, square.y)
+        out = split_square([a, b, a, b], square.side, square.x, square.y)
         assert len(out) == len(set(out)) == 7
         assert sorted(out) == sorted(reference_split_free_rectangles([a, b, a, b], square))
 
     def test_min_edge_drops_narrow_pieces(self):
-        out = split_free_rectangles([(0.0, 0.0, 4.0, 4.0)], 1.0, 0.5, 2.0, 1.0)
+        out = split_square([(0.0, 0.0, 4.0, 4.0)], 1.0, 0.5, 2.0, 1.0)
         # the piece left of the square is 0.5 wide
         assert sorted(out) == [(0.0, 0.0, 4.0, 2.0), (0.0, 3.0, 4.0, 4.0),
                                (1.5, 0.0, 4.0, 4.0)]
 
     def test_missed_and_zero_squares_leave_the_list(self):
         free = [(0.0, 0.0, 1.0, 1.0)]
-        assert split_free_rectangles(free, 1.0, 1.0, 0.0) == free
-        assert split_free_rectangles(free, 0.0, 0.5, 0.5) == free
+        assert split_free_rectangles(free, 1.0, 0.0, 2.0, 1.0) == free
+        # the split takes a box; its callers drop squares of side 0
+        rect = Rectangle(1.0, 1.0)
+        assert split_square(free, 0.0, 0.5, 0.5) == free
+        assert free_rectangles(rect, [Placement(0.0, 0.5, 0.5)]) == free
+        zero = Placement(0.0, 0.25, 0.5)
+        assert (feasible_midpoint_region(rect, [zero], 0.5)
+                == feasible_midpoint_region(rect, [], 0.5))
+
+    def test_side_that_rounds_away_still_splits(self):
+        # a positive side is no zero square even when x + s == x: its box,
+        # the point (1, 1), splits the rectangle around it
+        assert 1.0 + 1e-17 == 1.0
+        out = split_square([(0.0, 0.0, 4.0, 4.0)], 1e-17, 1.0, 1.0)
+        assert out == [(0.0, 0.0, 1.0, 4.0), (1.0, 0.0, 4.0, 4.0),
+                       (0.0, 0.0, 4.0, 1.0), (0.0, 1.0, 4.0, 4.0)]
 
     def test_nested_left_pieces_keep_the_widest(self):
         # three hit rectangles whose left pieces nest; the other sides'
         # pieces of the first two do not, so they all stay
         free = [(0.0, 0.0, 3.5, 4.0), (0.5, 1.0, 4.0, 3.0), (1.0, 1.5, 2.5, 2.5)]
         square = Placement(1.0, 2.0, 1.5)
-        out = split_free_rectangles(free, square.side, square.x, square.y)
+        out = split_square(free, square.side, square.x, square.y)
         assert [p for p in out if p[2] == square.x] == [(0.0, 0.0, 2.0, 4.0)]
         assert sorted(out) == [
             (0.0, 0.0, 2.0, 4.0), (0.0, 0.0, 3.5, 1.5), (0.0, 2.5, 3.5, 4.0),
@@ -550,7 +567,7 @@ class TestSplitFreeRectangles:
 
     @staticmethod
     def _split(free, square, min_edge=0.0):
-        out = split_free_rectangles(free, square.side, square.x, square.y, min_edge)
+        out = split_square(free, square.side, square.x, square.y, min_edge)
         assert sorted(out) == sorted(reference_split_free_rectangles(free, square, min_edge))
         return out
 
@@ -597,7 +614,7 @@ class TestSplitFreeRectangles:
     @given(split_configs())
     def test_matches_all_pairs_oracle(self, config):
         free, square, min_edge = config
-        out = split_free_rectangles(free, square.side, square.x, square.y, min_edge)
+        out = split_square(free, square.side, square.x, square.y, min_edge)
         assert sorted(out) == sorted(reference_split_free_rectangles(free, square, min_edge))
 
     @staticmethod
@@ -607,7 +624,7 @@ class TestSplitFreeRectangles:
 
     def _ordered(self, free, square, min_edge=0.0):
         """The split, checked float for float and in order against the oracle."""
-        out = split_free_rectangles(free, square.side, square.x, square.y, min_edge)
+        out = split_square(free, square.side, square.x, square.y, min_edge)
         expected = container_first_split(free, square.side, square.x, square.y, min_edge)
         assert self._bits(out) == self._bits(expected)
         return out
@@ -659,6 +676,95 @@ class TestSplitFreeRectangles:
         out = self._ordered([second, first], square)
         left = [p for p in out if p[2] == square.x]
         assert self._bits(left) == self._bits([(-0.0, 0.0, 1.0, 4.0)])
+
+
+@st.composite
+def shelf_run_packings(draw):
+    """A shelf packing with runs of equal sides, in a tall or a wide rectangle.
+
+    Sides come from a few values, most not dyadic, each 1 to 40 times;
+    the rectangle has twice their area and aspect 1 to 3, so the shelf
+    engine packs them, laying rows when it is tall and columns when it
+    is wide.
+    """
+    values = draw(st.lists(st.sampled_from([0.1, 0.07, 0.0625, 0.2 / 3, 0.05, 0.03, 0.011]),
+                           min_size=1, max_size=4, unique=True))
+    sides = []
+    for v in sorted(values, reverse=True):
+        sides += [v] * draw(st.integers(1, 40))
+    inst = Instance(tuple(sides))
+    aspect = draw(st.floats(1.0, 3.0))
+    short = max(math.sqrt(2 * inst.total_area / aspect), inst.max_side)
+    long = max(2 * inst.total_area / short, short)
+    rect = Rectangle(long, short) if draw(st.booleans()) else Rectangle(short, long)
+    packing = meir_moser_pack(inst, rect, require_precondition=False)
+    min_edge = draw(st.sampled_from([0.0, 0.01, min(values), 0.06]))
+    return packing, min_edge
+
+
+class TestSplitByRuns:
+    """A run of abutting equal squares splits the free list once, as its box.
+
+    The run's union is exactly the box, so the split keeps the same
+    maximal empty rectangles, maybe in another order.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(shelf_run_packings())
+    def test_run_boxes_split_like_their_squares(self, config):
+        packing, min_edge = config
+        rect = packing.rect
+        boxes = abutting_runs(packing)
+        assert len(boxes) <= len(packing.sides)
+        assert (sorted(box_free_rectangles(rect, boxes, min_edge))
+                == sorted(free_rectangles(rect, packing.placements, min_edge)))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_tall_rectangles_have_rows_and_wide_ones_columns(self, wide):
+        inst = Instance((0.1,) * 30 + (0.07,) * 40)
+        rect = Rectangle(2.0, 1.0) if wide else Rectangle(1.0, 2.0)
+        packing = meir_moser_pack(inst, rect)
+        boxes = abutting_runs(packing)
+        long = [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes]
+        assert len(boxes) < 10
+        assert all((w < h) if wide else (w > h) for w, h in long)
+        for min_edge in (0.0, 0.07):
+            assert (sorted(box_free_rectangles(rect, boxes, min_edge))
+                    == sorted(free_rectangles(rect, packing.placements, min_edge)))
+
+    @staticmethod
+    def _apart(rect, placements, merged_box) -> list:
+        """Squares that form no run: the split by the box that would join them differs."""
+        packing = packing_of(rect, placements)
+        boxes = abutting_runs(packing)
+        assert len(boxes) == len(placements)
+        free = free_rectangles(rect, placements)
+        assert sorted(box_free_rectangles(rect, boxes)) == sorted(free)
+        assert sorted(box_free_rectangles(rect, [merged_box])) != sorted(free)
+        return free
+
+    def test_one_ulp_gap_ends_a_run(self):
+        s = 0.1
+        x = math.nextafter(s, math.inf)
+        free = self._apart(Rectangle(1.0, 1.0), [Placement(s, 0.0, 0.0), Placement(s, x, 0.0)],
+                           (0.0, 0.0, x + s, s))
+        # the gap stays free, one ulp wide
+        assert (s, 0.0, x, 1.0) in free
+
+    def test_unequal_side_ends_a_run(self):
+        self._apart(Rectangle(1.0, 1.0), [Placement(0.1, 0.0, 0.0), Placement(0.07, 0.1, 0.0)],
+                    (0.0, 0.0, 0.17, 0.1))
+
+    def test_next_shelf_starts_a_new_run(self):
+        # five squares of 0.3 in a 1 x 1 square: three on the first shelf, two on the next
+        rect = Rectangle(1.0, 1.0)
+        packing = meir_moser_pack(Instance((0.3,) * 5), rect)
+        third, fourth = packing.placements[2:4]
+        assert (third.y, fourth.x, fourth.y) == (0.0, 0.0, 0.3)
+        boxes = abutting_runs(packing)
+        assert [(y0, y1) for _, y0, _, y1 in boxes] == [(0.0, 0.3), (0.3, 0.6)]
+        assert (sorted(box_free_rectangles(rect, boxes))
+                == sorted(free_rectangles(rect, packing.placements)))
 
 
 @st.composite

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -27,7 +28,14 @@ from moserpack import (
 )
 from moserpack.geometry import feasible_midpoint_region, region_area, region_lexicomin
 from moserpack.reduction import default_prefix_packer
-from conftest import packing_of, random_midpoint_config, reference_whitespace_pack
+from conftest import (
+    abutting_runs,
+    free_rectangles,
+    packing_of,
+    per_square_whitespace_pack,
+    random_midpoint_config,
+    reference_whitespace_pack,
+)
 
 F_REF = (2 + math.sqrt(3)) / 3
 C_REF = float(compute_c(F_REF))
@@ -352,6 +360,151 @@ class TestRegionReuse:
         job = WhitespaceJob(base=make_job(n_tail=0).base, tail=tail, c=C_REF, F=F_REF)
         seen = self._obstacles_handed_over(job, monkeypatch)
         assert len(seen) == n_tail
+
+
+def _tail(n: int, count: int = 40) -> Instance:
+    """``count`` distinct sides in [0.5, 1) * c/sqrt(n), largest first."""
+    cap = C_REF / math.sqrt(n)
+    return Instance(tuple((1.0 - 0.5 * i / count) * cap for i in range(count)))
+
+
+def _equal_base(rect: Rectangle, n: int = 158) -> Packing:
+    """n equal squares of total area 1 - c^2, shelf-packed into ``rect``."""
+    side = math.sqrt((1.0 - C_REF * C_REF) / n)
+    return meir_moser_pack(Instance((side,) * n), rect)
+
+
+def _square_rect() -> Rectangle:
+    return Rectangle(math.sqrt(F_REF), F_REF / math.sqrt(F_REF))
+
+
+def _with_zero_sides() -> Packing:
+    placements = list(_equal_base(_square_rect()).placements)
+    for k in (100, 50, 5, 5):
+        placements.insert(k, Placement(0.0, 0.0, 0.0))
+    return packing_of(_square_rect(), placements)
+
+
+def _in_columns() -> Packing:
+    h = math.sqrt(F_REF / 1.6)
+    return _equal_base(Rectangle(F_REF / h, h))
+
+
+def _ulp_gap(base: Packing, across, along) -> array:
+    """``along`` with the last square of the first shelf one ulp from its neighbour.
+
+    ``across`` and ``along`` are the base's corner columns across and
+    along its shelves (``ys, xs`` for rows, ``xs, ys`` for columns).
+    """
+    last = max(k for k, v in enumerate(across) if v == 0.0)
+    moved = array("d", along)
+    moved[last] = math.nextafter(moved[last - 1] + base.sides[last], math.inf)
+    return moved
+
+
+def _with_ulp_gap() -> Packing:
+    base = _equal_base(_square_rect())
+    return Packing(base.rect, base.sides, _ulp_gap(base, base.ys, base.xs), base.ys)
+
+
+def _with_ulp_gap_in_a_column() -> Packing:
+    base = _in_columns()
+    return Packing(base.rect, base.sides, base.xs, _ulp_gap(base, base.xs, base.ys))
+
+
+def _with_two_sides() -> Packing:
+    """100 squares of side a, then 60 of 0.8 a on the shelf where the first run ends."""
+    a = math.sqrt((1.0 - C_REF * C_REF) / (100 + 60 * 0.64))
+    return meir_moser_pack(Instance((a,) * 100 + (0.8 * a,) * 60), _square_rect())
+
+
+def _with_negative_zero() -> Packing:
+    base = _equal_base(_square_rect())
+
+    def flip(column) -> array:
+        return array("d", (-0.0 if v == 0.0 else v for v in column))
+
+    return Packing(base.rect, base.sides, flip(base.xs), flip(base.ys))
+
+
+class TestBaseRuns:
+    """Each run of abutting equal base squares splits the free list once, as its box."""
+
+    @staticmethod
+    def _recorded(job, monkeypatch):
+        """The packing, the boxes of the base splits and the base free list."""
+        boxes: list = []
+        starts: list = []
+        split = whitespace_module.split_free_rectangles
+        region = whitespace_module.feasible_midpoint_region
+
+        def recording_split(free, x0, y0, x1, y1, min_edge=0.0):
+            if not starts:
+                boxes.append((x0, y0, x1, y1))
+            return split(free, x0, y0, x1, y1, min_edge)
+
+        def recording_region(rect, obstacles, s, start=None):
+            starts.append(start)
+            return region(rect, obstacles, s, start=start)
+
+        monkeypatch.setattr(whitespace_module, "split_free_rectangles", recording_split)
+        monkeypatch.setattr(whitespace_module, "feasible_midpoint_region", recording_region)
+        return whitespace_pack(job), boxes, starts[0]
+
+    @pytest.mark.parametrize("make_base", [_with_zero_sides, _in_columns, _with_ulp_gap,
+                                           _with_ulp_gap_in_a_column, _with_two_sides,
+                                           _with_negative_zero])
+    def test_placements_match_per_square_splits(self, make_base, monkeypatch):
+        base = make_base()
+        n = len(base.sides)
+        job = WhitespaceJob(base=base, tail=_tail(n), c=C_REF, F=F_REF)
+        packing, boxes, start = self._recorded(job, monkeypatch)
+        assert boxes == abutting_runs(base)
+        assert len(boxes) < n / 5
+        smallest = min(job.tail.sides)
+        assert sorted(start) == sorted(free_rectangles(base.rect, base.placements, smallest))
+        assert placement_digest(packing) == placement_digest(per_square_whitespace_pack(job))
+        assert verify_packing(packing).valid
+
+    def test_ulp_gap_and_zero_sides_end_runs(self):
+        square = abutting_runs(_equal_base(_square_rect()))
+        wide = abutting_runs(_in_columns())
+        assert len(abutting_runs(_with_ulp_gap())) == len(square) + 1
+        assert len(abutting_runs(_with_ulp_gap_in_a_column())) == len(wide) + 1
+        # the second side starts on the first run's last shelf, right after it
+        two = _with_two_sides()
+        assert (two.ys[100], two.xs[100]) == (two.ys[99], two.xs[99] + two.sides[99])
+        # a zero side inside a run splits it in two; two in a row, once
+        assert len(abutting_runs(_with_zero_sides())) == len(square) + 3
+        assert len(abutting_runs(_with_negative_zero())) == len(square)
+        rows = {(x1 - x0 > y1 - y0) for x0, y0, x1, y1 in square}
+        columns = {(x1 - x0 < y1 - y0) for x0, y0, x1, y1 in wide}
+        assert rows == columns == {True}
+
+    def test_whitespace_equal_base_splits_once_per_run(self, monkeypatch):
+        """The 201-square base of perfbench's ``whitespace_equal`` splits 15 times.
+
+        200 equal base squares and 200 equal tail squares of area 0.99 c^2;
+        the reduction's case c packs the largest 201 with its prefix packer.
+        """
+        tail_side = math.sqrt(0.99 * C_REF * C_REF / 200)
+        base_side = math.sqrt((1.0 - 200 * tail_side * tail_side) / 200)
+        prefix = Instance((base_side,) * 200 + (tail_side,))
+        base = default_prefix_packer(prefix, F_REF / prefix.total_area)
+        assert len(base.sides) == 201
+        job = WhitespaceJob(base=base, tail=Instance((tail_side,) * 199), c=C_REF, F=F_REF)
+        calls = []
+        split = whitespace_module.split_free_rectangles
+
+        def counting(free, *box):
+            calls.append(box)
+            return split(free, *box)
+
+        monkeypatch.setattr(whitespace_module, "split_free_rectangles", counting)
+        packing = whitespace_pack(job)
+        assert len(packing.sides) == 400
+        assert len(calls) == 15 + 199
+        assert calls[:15] == [box + (tail_side,) for box in abutting_runs(base)]
 
 
 def placement_digest(packing: Packing) -> str:
