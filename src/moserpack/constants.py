@@ -21,14 +21,20 @@ by the first computation in either context, not by ``import moserpack``,
 so the geometry never loads it, nor does :func:`factor_float` unless
 given an mpf.  F and F - 1 are formed from the factor's exact value, not
 from F at working precision, so no digit of F - 1 is lost near F = 1, and
-F > 1 is decided exactly.  One call evaluates the chain (F, F - 1, c, c^2)
-once per context and precision, and every value and floor of the call is
-derived from that one evaluation; nothing is kept across calls.
+F > 1 is decided exactly.  Each pass of :func:`_certified` evaluates the
+chain (F, F - 1, c, c^2) once and hands it to every floor of the pass, so
+a call evaluates it once per context and precision by construction, with
+no cache object and nothing kept across calls.
 Everything feeding a floor is evaluated in outward-rounded interval
 arithmetic (``iv``, e^2 from ``iv.exp``) starting at 50 decimal digits and
 doubling until no enclosure straddles an integer, up to 200 digits or the
 straddling value's integer digits plus 50, whichever is more;
 :class:`~moserpack.errors.FloorUncertified` is raised past that point.
+An ``iv`` operation on a Python int converts the int first, at about the
+cost of the operation itself, so the floors square by a product and make
+an operand that recurs an interval once (``iv.one``, ``ten``, ``hundred``).
+The enclosures are those of the plain form: the integers are exact, F + F
+doubles exactly, and every interval squared is positive.
 The integral form is floored from its antiderivative in closed form; no
 numerical quadrature runs.  The window (N1, N] is certified to carry
 harmonic mass at least 1 by the closed-form bound
@@ -59,6 +65,8 @@ _ROOT_TOL = 1e-12
 @contextmanager
 def _workdps(dps: int):
     global mp, iv, mpf
+    if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
+        raise ValueError(f"dps must be an int >= 1, got {dps!r}")
     if mp is None:
         from mpmath import iv, mp, mpf
     old_mp, old_iv = mp.dps, iv.dps
@@ -148,9 +156,10 @@ def _evaluate(spec: Factor, ctx) -> tuple:
     written as x / (sqrt((3/10)^2 + x) + 3/10) so that nothing cancels when
     F - 1 is small.
     """
+    three = ctx.mpf(3)
     if _named(spec):
-        root3 = ctx.sqrt(3)
-        F, e = (2 + root3) / 3, (root3 - 1) / 3
+        root3 = ctx.sqrt(three)
+        F, e = (2 + root3) / three, (root3 - ctx.one) / three
     else:
         exact = _rational(spec)
         if hasattr(exact, "denominator"):
@@ -160,27 +169,10 @@ def _evaluate(spec: Factor, ctx) -> tuple:
             _, digits, exp = exact.as_tuple()
             F = ctx.mpf(int("".join(map(str, digits)))) * ctx.mpf(10) ** exp
             e = F - 1
-    three_tenths = ctx.mpf(3) / 10
+    three_tenths = three / 10
     x = e / 5
-    c = x / (ctx.sqrt(three_tenths ** 2 + x) + three_tenths)
+    c = x / (ctx.sqrt(three_tenths * three_tenths + x) + three_tenths)
     return F, e, c, c * c
-
-
-class _Chain:
-    """One factor's (F, F - 1, c, c^2), evaluated once per mpmath context and precision.
-
-    A chain serves one call, so no value outlives the call.
-    """
-
-    def __init__(self, F: Factor):
-        self.spec = F
-        self._values: dict = {}
-
-    def __call__(self, ctx) -> tuple:
-        key = (ctx, ctx.prec)
-        if key not in self._values:
-            self._values[key] = _evaluate(self.spec, ctx)
-        return self._values[key]
 
 
 def _delta(F, e, V):
@@ -195,13 +187,13 @@ def _delta(F, e, V):
 def compute_c(F: Factor, dps: int = 50) -> mpf:
     """The constant c: positive root of 5 c^2 + 3 c = F - 1."""
     with _workdps(dps):
-        return _Chain(F)(mp)[2]
+        return _evaluate(F, mp)[2]
 
 
 def delta_simple(F: Factor, dps: int = 50) -> mpf:
     """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10)."""
     with _workdps(dps):
-        Fv, e, _, c2 = _Chain(F)(mp)
+        Fv, e, _, c2 = _evaluate(F, mp)
         return _delta(Fv, e, c2)
 
 
@@ -221,8 +213,8 @@ def _floor(val, what: str) -> int:
     return int(f_lo)
 
 
-def _certified(derive: Callable[..., object], chain: _Chain):
-    """``derive(F, e, c, c2)`` on the chain's enclosures, every :func:`_floor` in it certified.
+def _certified(derive: Callable[..., object], spec: Factor):
+    """``derive(F, e, c, c2)`` on the enclosures of ``spec``'s chain, its floors certified.
 
     ``derive`` runs at 50 digits, and again at doubled precision while one
     of its floors straddles an integer; each run evaluates the chain once.
@@ -234,7 +226,7 @@ def _certified(derive: Callable[..., object], chain: _Chain):
     while True:
         with _workdps(dps):
             try:
-                return derive(*chain(iv))
+                return derive(*_evaluate(spec, iv))
             except _Straddles as straddle:
                 what, lo, hi = straddle.args
                 size = max(abs(lo), abs(hi))
@@ -249,16 +241,21 @@ def _certified(derive: Callable[..., object], chain: _Chain):
 
 def _n0_simple(F, e, c, c2) -> int:
     d = _delta(F, e, c2)
-    return max(1, _floor(1 / (d * d), "n0_simple"))
+    return max(1, _floor(iv.one / (d * d), "n0_simple"))
 
 
 def _n0_integral(F, e, c, c2) -> int:
-    val = (100 * F ** 2 * (1 / c2 - 1) + 2 * F * iv.log(1 / c2) + (1 - c2) / 100) / e ** 2
+    one, hundred = iv.one, iv.mpf(100)
+    inv_c2 = one / c2
+    val = ((hundred * (F * F) * (inv_c2 - one) + (F + F) * iv.log(inv_c2) + (one - c2) / hundred)
+           / (e * e))
     return 1 + _floor(val, "n0_integral")
 
 
 def _derive_N(F, e, c, c2, N0: int) -> tuple[int, int]:
-    cands = [iv.mpf(N0), (10 * F + iv.mpf(1) / 10) ** 2, 100 * c2]
+    ten = iv.mpf(10)
+    edge = ten * F + iv.one / ten
+    cands = [iv.mpf(N0), edge * edge, 100 * c2]
     lo = max(mp.mpf(x.a) for x in cands)
     hi = max(mp.mpf(x.b) for x in cands)
     N1 = _floor(iv.mpf([lo, hi]), "N1")
@@ -273,7 +270,7 @@ def _derive_N(F, e, c, c2, N0: int) -> tuple[int, int]:
 
 def n0_simple(F: Factor) -> int:
     """max(1, floor(1/delta^2)) with the floor interval-certified."""
-    return _certified(_n0_simple, _Chain(F))
+    return _certified(_n0_simple, F)
 
 
 def n0_integral(F: Factor) -> int:
@@ -284,7 +281,7 @@ def n0_integral(F: Factor) -> int:
     closed form, evaluated in interval arithmetic, is the certificate: the
     floor is taken from its enclosure.
     """
-    return _certified(_n0_integral, _Chain(F))
+    return _certified(_n0_integral, F)
 
 
 def harmonic_range_sum(lo: int, hi: int) -> float:
@@ -326,7 +323,7 @@ def derive_N(F: Factor, N0: int) -> tuple[int, int]:
     """
     if N0 < 1:
         raise ValueError(f"N0 must be >= 1, got {N0}")
-    return _certified(lambda *values: _derive_N(*values, N0), _Chain(F))
+    return _certified(lambda *values: _derive_N(*values, N0), F)
 
 
 # --- refined edge bound over the compact K ----------------------------------
@@ -356,15 +353,14 @@ def delta_refined(F: Factor) -> mpf:
     K is empty when c > 1, i.e. F > 9, and :class:`MoserpackError` is raised.
     """
     with _workdps(50):
-        return _delta_refined(_Chain(F))
+        return _delta_refined(*_evaluate(F, iv), F)
 
 
-def _delta_refined(chain: _Chain) -> mpf:
-    Fi, e, _, c2 = chain(iv)
+def _delta_refined(Fi, e, c, c2, spec: Factor) -> mpf:
     c2_lo = mp.mpf(c2.a)
     if c2_lo > 1:
         raise MoserpackError(
-            f"K is empty for F = {chain.spec!r} > 9: c^2 >= {mp.nstr(c2_lo, 15)} > 1")
+            f"K is empty for F = {spec!r} > 9: c^2 >= {mp.nstr(c2_lo, 15)} > 1")
     cap = c2 / 10
     q = (10 * Fi + cap) / 4
     a = e * c2 / 2
@@ -414,33 +410,34 @@ def build_report(F: Factor, *, refined: bool = False,
 
     ``use_integral_n0`` selects which N0 feeds the N1/N chain; both N0
     forms are always computed and reported.  Root and sanity identities
-    are re-checked before the report is returned.  Every value derives
-    from one evaluation of the chain per context and precision.
+    are re-checked before the report is returned.  By construction, with
+    no cache, the chain is evaluated once in ``mp`` at 50 digits for the
+    strings and checks, and once in ``iv`` per precision the floors reach;
+    the refined edge comes from the floors' own enclosures.
     """
-    chain = _Chain(F)
     with _workdps(50):
-        Fv, e, c, c2 = chain(mp)
+        Fv, e, c, c2 = _evaluate(F, mp)
         if not (0 < c < 1):
             raise MoserpackError(f"c = {c} outside (0, 1)")
-        if not 4 * c * c <= Fv:
-            raise MoserpackError(f"4 c^2 = {4 * c * c} exceeds F = {Fv}")
-        root_resid = abs(5 * c * c + 3 * c - e)
+        if not 4 * c2 <= Fv:
+            raise MoserpackError(f"4 c^2 = {4 * c2} exceeds F = {Fv}")
+        root_resid = abs(5 * c2 + 3 * c - e)
         if root_resid > _ROOT_TOL:
             raise MoserpackError(f"root identity residual {root_resid}")
-        d_simple = _delta(Fv, e, c2)
         f_str = mp.nstr(Fv, 30)
         c_str = mp.nstr(c, 30)
-        d_str = mp.nstr(d_simple, 30)
-        d_ref_str = mp.nstr(_delta_refined(chain), 30) if refined else None
+        d_str = mp.nstr(_delta(Fv, e, c2), 30)
 
     def floors(*values):
+        d_ref = _delta_refined(*values, F) if refined else None
         n0s = _n0_simple(*values)
         n0i = _n0_integral(*values)
         if n0i > n0s:
             raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
-        return (n0s, n0i) + _derive_N(*values, n0i if use_integral_n0 else n0s)
+        return (d_ref, n0s, n0i) + _derive_N(*values, n0i if use_integral_n0 else n0s)
 
-    n0s, n0i, N1, N = _certified(floors, chain)
+    d_ref, n0s, n0i, N1, N = _certified(floors, F)
+    d_ref_str = None if d_ref is None else mp.nstr(d_ref, 30)
     certs = {"N0_simple": True, "N0_integral": True, "N1": True, "N": True}
     return ConstantsReport(
         F=f_str, c=c_str, delta_simple=d_str, delta_refined=d_ref_str,

@@ -31,6 +31,7 @@ from moserpack import (
     whitespace_pack,
 )
 from moserpack.constants import harmonic_range_sum, two_square_worst_case
+from moserpack.reduction import default_prefix_packer
 from moserpack.geometry import feasible_midpoint_region, region_area
 from conftest import (
     grid_region_area,
@@ -225,3 +226,45 @@ def test_c10_case_b_at_paper_scale():
         and digest == "65be89e4ae2df59fcb9f47901a6e8bffdea847d346f0cac2f522758832d9ba19"
     )
     report(10, f"case b at 10^6 squares under the integral chain, packed in {pack_s:.2f} s", ok)
+
+
+def test_c11_case_c_at_paper_scale():
+    """The certified integral chain on a case-c instance with a whitespace tail.
+
+    One square of 1/2, 491,224 equal squares, and 10^4 squares of side
+    10^-4: the area past N1 = 491,225 is 10^-4, below c^2, and the first
+    index past N1 with edge below c/sqrt(n) is 491,226.  So the first
+    491,226 squares form the base and the other 9,999 go into its
+    whitespace.  The sha256 pins every placement's (side, x, y) as
+    little-endian doubles, as in ``test_c10``.  The job is then rebuilt
+    from the driver's own steps to watch every step's margin (region area
+    minus ``midpoint_area_bound``) through ``on_step``.
+    """
+    n, k, s = 491_224, 10**4, 1e-4
+    inst = Instance((0.5,) + (math.sqrt((0.75 - k * s * s) / n),) * n + (s,) * k)
+    params = PackParams.certified(use_integral_n0=True)
+    start = time.perf_counter()
+    result = reduce_and_pack(inst, params)
+    pack_s = time.perf_counter() - start
+    packing = result.packing
+    split = result.split_index
+    rows = np.column_stack([np.frombuffer(c) for c in (packing.sides, packing.xs, packing.ys)])
+    digest = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()
+
+    prefix = Instance(inst.sides[:split])
+    base = default_prefix_packer(prefix, params.F / prefix.total_area)
+    margins: list[float] = []
+    job = WhitespaceJob(base, Instance(inst.sides[split:]), params.c, params.F)
+    rebuilt = whitespace_pack(job, on_step=lambda i, side, a, b: margins.append(a - b))
+    ok = (
+        result.case == "c"
+        and split == 491_226
+        and sorted(packing.sides, reverse=True) == list(inst.sides)
+        and verify_packing(packing).valid
+        and digest == "156eeb4f3c180222841ae8fa264ca2c13268148010f02349fefe3d3aca2f05ea"
+        and len(margins) == k - 1
+        and min(margins) >= 0.0
+        and rebuilt == packing
+    )
+    report(11, f"case c at 491,226 + {k - 1} squares under the integral chain, packed in "
+               f"{pack_s:.2f} s, smallest margin {min(margins):.3f}", ok)

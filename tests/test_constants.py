@@ -266,6 +266,18 @@ class TestC:
         cs = [float(compute_c(F)) for F in F_GRID]
         assert cs == sorted(cs)
 
+    @pytest.mark.parametrize("func", [compute_c, delta_simple])
+    @pytest.mark.parametrize("dps", [0, -5, True, False, 2.5, "50", None])
+    def test_rejects_bad_dps(self, func, dps):
+        before = mp.dps
+        with pytest.raises(ValueError, match="dps must be an int >= 1"):
+            func(NOVOTNY, dps=dps)
+        assert mp.dps == before
+
+    @pytest.mark.parametrize("func", [compute_c, delta_simple])
+    def test_one_digit(self, func):
+        assert float(func(NOVOTNY, dps=1)) == pytest.approx(float(func(NOVOTNY)), rel=0.1)
+
 
 def edge_bound(F: float, V: float) -> float:
     """The edge bound glue_pack checks a tail of area V against, in float."""
@@ -695,6 +707,38 @@ class TestSharedChain:
         once = len(evaluations)
         build_report(NOVOTNY)
         assert len(evaluations) == 2 * once
+
+    # Each public function at the last factor, whose floors need up to 294
+    # digits: an mp chain at 50 digits for a value, one iv chain per
+    # precision its floors reach, and the same again on a second call.
+    PUBLIC_CHAINS = {
+        "compute_c": [(False, 50)],
+        "delta_simple": [(False, 50)],
+        "delta_refined": [(True, 50)],
+        "n0_simple": [(True, 50), (True, 100), (True, 200), (True, 294)],
+        "n0_integral": [(True, 50), (True, 100), (True, 200)],
+        "derive_N": [(True, 50), (True, 100), (True, 200), (True, 294)],
+        "build_report": [(False, 50), (True, 50), (True, 100), (True, 200), (True, 294)],
+    }
+
+    @pytest.mark.parametrize("name", PUBLIC_CHAINS)
+    def test_public_functions_evaluate_once_per_precision(self, name, monkeypatch):
+        F = CHAIN_GRID[-1]
+        n0 = n0_simple(F)
+        call = {
+            "compute_c": lambda: compute_c(F),
+            "delta_simple": lambda: delta_simple(F),
+            "delta_refined": lambda: delta_refined(F),
+            "n0_simple": lambda: n0_simple(F),
+            "n0_integral": lambda: n0_integral(F),
+            "derive_N": lambda: derive_N(F, n0),
+            "build_report": lambda: build_report(F, refined=True),
+        }[name]
+        evaluations = self._count_chains(monkeypatch)
+        for _ in range(2):
+            call()
+            assert sorted(evaluations) == self.PUBLIC_CHAINS[name]
+            evaluations.clear()
 
 
 class TestFloorUncertified:
