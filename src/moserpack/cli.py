@@ -174,16 +174,9 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_pack(args: argparse.Namespace) -> int:
     inst = instance_from_dict(_read_json(args.instance))
     if args.mode == "small-s1":
-        if args.F is not None:
-            F = factor_float(args.F)
-        elif args.rect is not None:
-            r = _parse_rect(args.rect)
-            if abs(r.width - r.height) > 1e-9:
-                raise ValueError("small-s1 packs into a square; --rect must be WxW")
-            F = r.width * r.height
-        else:
-            raise ValueError("small-s1 needs --F or a square --rect")
-        packing = small_s1_pack(inst, F)
+        if args.F is None:
+            raise ValueError("small-s1 packs into a square of area F and needs --F")
+        packing = small_s1_pack(inst, factor_float(args.F))
     else:
         if args.rect is None:
             raise ValueError(f"mode {args.mode} needs --rect WxH")
@@ -278,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=["moon-moser", "meir-moser", "small-s1"])
     p.add_argument("--instance", required=True)
-    p.add_argument("--rect", help="target rectangle as WxH")
+    p.add_argument("--rect", help="target rectangle as WxH (moon-moser, meir-moser)")
     p.add_argument("--F", help="area factor for small-s1 (number or 'novotny')")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_pack)

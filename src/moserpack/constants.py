@@ -8,8 +8,11 @@ For an area factor F > 1 the chain of constants is
     delta1 min(f(c^2, 10 F), c^2 / 10)             (refined edge, F <= 9)
     N0     max(1, floor(1 / delta^2))             (simple form)
     N0'    1 + floor( integral of delta(V)^-2 dV over [c^2, 1] )
-    N1     floor(max(N0, (10 F + 1/10)^2, 100 c^2))
+    N1     floor(max(N0, (10 F + 1/10)^2))
     N      floor(e^2 * N1)
+
+The paper's N1 also takes 100 c^2, which never binds: 5 c^2 + 3 c = F - 1
+gives 100 c^2 < 20 (F - 1) < (10 F + 1/10)^2.
 
 with delta(V) = (F - 1) / (10 F / V + 1/10) and f(V, H) the smaller root of
 x^2 + (H - x)(F V / H - x) = V, minimized over its domain K at the corner
@@ -18,13 +21,14 @@ x^2 + (H - x)(F V / H - x) = V, minimized over its domain K at the corner
 Each formula is written once and evaluates in either mpmath context:
 ``mp`` for reported values, ``iv`` for certificates.  mpmath is imported
 by the first computation in either context, not by ``import moserpack``,
-so the geometry never loads it, nor does :func:`factor_float` unless
-given an mpf.  F and F - 1 are formed from the factor's exact value, not
-from F at working precision, so no digit of F - 1 is lost near F = 1, and
-F > 1 is decided exactly.  Each pass of :func:`_certified` evaluates the
-chain (F, F - 1, c, c^2) once and hands it to every floor of the pass, so
-a call evaluates it once per context and precision by construction, with
-no cache object and nothing kept across calls.
+so the geometry never loads it, nor does :func:`factor_float`.  A factor
+spec is a decimal string, an int, a float or ``"novotny"``.  F and F - 1
+come from its exact value, not from F at working precision, so no digit
+of F - 1 is lost near F = 1, and F > 1 is decided exactly.  Each pass of
+:func:`_certified` evaluates the chain (F, F - 1, c, c^2) once and hands it
+to every floor of the pass, so a call evaluates it once per context and
+precision by construction, with no cache object and nothing kept across
+calls.
 Everything feeding a floor is evaluated in outward-rounded interval
 arithmetic (``iv``, e^2 from ``iv.exp``) starting at 50 decimal digits and
 doubling until no enclosure straddles an integer, up to 200 digits or the
@@ -46,15 +50,18 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import FloorUncertified, MoserpackError
 
-# mpmath's contexts and its real type, bound by the first `_workdps`: only
-# a certified computation needs them, so `import moserpack` loads no mpmath.
-mp = iv = mpf = None
+if TYPE_CHECKING:
+    from mpmath import mpf
 
-Factor = Union[str, float, int, "mpf"]
+# mpmath's contexts, bound by the first `_workdps`: only a certified
+# computation needs them, so `import moserpack` loads no mpmath.
+mp = iv = None
+
+Factor = Union[str, float, int]
 
 #: Symbolic factor name accepted everywhere a factor is: (2 + sqrt(3))/3.
 NOVOTNY = "novotny"
@@ -64,11 +71,11 @@ _ROOT_TOL = 1e-12
 
 @contextmanager
 def _workdps(dps: int):
-    global mp, iv, mpf
+    global mp, iv
     if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
         raise ValueError(f"dps must be an int >= 1, got {dps!r}")
     if mp is None:
-        from mpmath import iv, mp, mpf
+        from mpmath import iv, mp
     old_mp, old_iv = mp.dps, iv.dps
     mp.dps = dps
     iv.dps = dps
@@ -84,7 +91,7 @@ def _named(F: Factor) -> bool:
 
 
 def _rational(F: Factor):
-    """The exact value of a decimal string, float, int or mpf factor spec,
+    """The exact value of a decimal string, float or int factor spec,
     checked to be finite and to exceed 1.
 
     The value is a ``Fraction``, except for a decimal string whose exponent
@@ -96,30 +103,24 @@ def _rational(F: Factor):
     from decimal import Decimal, InvalidOperation
     from fractions import Fraction
 
-    exact = None
-    if mpf is not None and isinstance(F, mpf):
-        if mp.isfinite(F):
-            man, exp = F.man_exp  # man carries no sign
-            exact = Fraction(man if F > 0 else -man) * Fraction(2) ** exp
-    else:
-        if isinstance(F, str):
-            try:
-                dec = Decimal(F)
-            except InvalidOperation:
-                dec = None
-            if dec is not None and dec.is_finite() and abs(dec.as_tuple().exponent) > 400:
-                if dec <= 1:
-                    raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
-                # a negative exponent that large comes with as many digits
-                return dec if dec.as_tuple().exponent > 0 else Fraction(dec)
+    if isinstance(F, str):
         try:
-            exact = Fraction(F)
-        except (ValueError, OverflowError):
-            # a NaN or an infinity: a float, or a string as mpmath spells one
-            if not (isinstance(F, (str, float))
-                    and str(F).strip().lower() in ("nan", "inf", "+inf", "-inf")):
-                raise ValueError(f"area factor must be finite and exceed 1 ({NOVOTNY!r} "
-                                 f"or a decimal number), got {F!r}") from None
+            dec = Decimal(F)
+        except InvalidOperation:
+            dec = None
+        if dec is not None and dec.is_finite() and abs(dec.as_tuple().exponent) > 400:
+            if dec <= 1:
+                raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
+            # a negative exponent that large comes with as many digits
+            return dec if dec.as_tuple().exponent > 0 else Fraction(dec)
+    try:
+        exact = Fraction(F)
+    except (ValueError, OverflowError, TypeError):
+        # a float NaN or infinity, a string as mpmath spells one, or no spec type
+        if isinstance(F, str) and F.strip().lower() not in ("nan", "inf", "+inf", "-inf"):
+            raise ValueError(f"area factor must be finite and exceed 1 ({NOVOTNY!r} "
+                             f"or a decimal number), got {F!r}") from None
+        exact = None
     if exact is None or exact <= 1:
         raise ValueError(f"area factor must be finite and exceed 1, got {F!r}")
     return exact
@@ -128,19 +129,13 @@ def _rational(F: Factor):
 def factor_float(F: Factor) -> float:
     """Float64 value of a factor spec (accepts ``"novotny"``), correctly rounded.
 
-    Only an mpf spec reaches mpmath, which its caller has loaded already.
-    For ``"novotny"``, ``(2 + math.sqrt(3)) / 3`` is already the correctly
-    rounded value of (2 + sqrt(3))/3; the tests prove it.
+    It never loads mpmath.  For ``"novotny"``, ``(2 + math.sqrt(3)) / 3`` is
+    already the correctly rounded value of (2 + sqrt(3))/3; the tests prove it.
     """
     if _named(F):
         return (2 + math.sqrt(3)) / 3
-    if isinstance(F, (str, float, int)):
-        exact = _rational(F)
-    else:
-        with _workdps(50):
-            exact = _rational(F)
     try:
-        return float(exact)
+        return float(_rational(F))
     except OverflowError:  # beyond the largest float, which rounds to inf
         return math.inf
 
@@ -252,13 +247,19 @@ def _n0_integral(F, e, c, c2) -> int:
     return 1 + _floor(val, "n0_integral")
 
 
-def _derive_N(F, e, c, c2, N0: int) -> tuple[int, int]:
-    ten = iv.mpf(10)
-    edge = ten * F + iv.one / ten
-    cands = [iv.mpf(N0), edge * edge, 100 * c2]
-    lo = max(mp.mpf(x.a) for x in cands)
-    hi = max(mp.mpf(x.b) for x in cands)
-    N1 = _floor(iv.mpf([lo, hi]), "N1")
+def _derive_N(F, e, c, c2, N0: int, spec: Factor) -> tuple[int, int]:
+    exact = None if _named(spec) else _rational(spec)
+    if hasattr(exact, "denominator"):
+        # x = (10F + 1/10)^2 is rational, and an enclosure of an integer x
+        # straddles it: floor(x) in its place keeps floor(max(N0, x))
+        square = iv.mpf((100 * exact + 1) ** 2 // 100)
+    else:
+        ten = iv.mpf(10)
+        edge = ten * F + iv.one / ten
+        square = edge * edge
+    # max(N0, x) over the enclosure [a, b] of x is N0 where b <= N0 and x
+    # where a >= N0; while a < N0 < b the floor of [a, b] straddles N0
+    N1 = _floor(square if square.b > N0 else iv.mpf(N0), "N1")
     N = _floor(iv.exp(2) * N1, "N")
     mass = _harmonic_lower(N1 + 1, N)
     if mass < 1:
@@ -313,7 +314,8 @@ def _harmonic_lower(a: int, b: int) -> mpf:
 def derive_N(F: Factor, N0: int) -> tuple[int, int]:
     """(N1, N) from N0: the two outer floors, interval-certified.
 
-    N1 = floor(max(N0, (10F + 1/10)^2, 100 c^2)) and N = floor(e^2 N1).
+    N1 = floor(max(N0, (10F + 1/10)^2)) and N = floor(e^2 N1); the paper's
+    100 c^2 never binds, as 5 c^2 + 3 c = F - 1 gives 100 c^2 < 20 (F - 1).
     The window (N1, N] carries harmonic mass sum_{i=N1+1}^{N} 1/i >= 1,
     which ensures an index with edge below c/sqrt(n) exists in it whenever
     the tail area is below c^2.  That always holds: the mass is at least
@@ -323,7 +325,7 @@ def derive_N(F: Factor, N0: int) -> tuple[int, int]:
     """
     if N0 < 1:
         raise ValueError(f"N0 must be >= 1, got {N0}")
-    return _certified(lambda *values: _derive_N(*values, N0), F)
+    return _certified(lambda *values: _derive_N(*values, N0, F), F)
 
 
 # --- refined edge bound over the compact K ----------------------------------
@@ -434,7 +436,7 @@ def build_report(F: Factor, *, refined: bool = False,
         n0i = _n0_integral(*values)
         if n0i > n0s:
             raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
-        return (d_ref, n0s, n0i) + _derive_N(*values, n0i if use_integral_n0 else n0s)
+        return (d_ref, n0s, n0i) + _derive_N(*values, n0i if use_integral_n0 else n0s, F)
 
     d_ref, n0s, n0i, N1, N = _certified(floors, F)
     d_ref_str = None if d_ref is None else mp.nstr(d_ref, 30)

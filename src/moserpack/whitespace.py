@@ -46,7 +46,8 @@ class WhitespaceJob:
 
     * the base rectangle has 1/10 <= W <= H and W * H = F within ``EPS_GEOM``,
     * base total placed area is at most 1,
-    * n = number of base placements satisfies n >= max((10F + 1/10)^2, 100 c^2),
+    * n = number of base placements satisfies n >= (10F + 1/10)^2, which
+      exceeds the paper's other term 100 c^2 as c < 1 < F,
     * tail max side <= c / sqrt(n) and tail total area <= c^2.
     """
 
@@ -70,7 +71,7 @@ class WhitespaceJob:
         if self.base.total_placed_area > 1.0 + EPS_GEOM:
             problems.append(f"base placed area {self.base.total_placed_area} exceeds 1")
         n = len(self.base.sides)
-        n_floor = max((10 * self.F + 0.1) ** 2, 100 * self.c * self.c)
+        n_floor = (10 * self.F + 0.1) ** 2
         if n < n_floor:
             problems.append(f"base count {n} below required {n_floor}")
         if self.tail.sides:
@@ -91,8 +92,9 @@ def midpoint_area_bound(F: float, n: int, c: float, s_k: float) -> float:
     """Lower bound on the feasible-midpoint area for a side-s_k square.
 
     Equals F - 1 - 4 c^2 - 3 sqrt(n) s_k - n s_k^2, which is
-    non-negative for all s_k <= c / sqrt(n) once n >= max((10F + 1/10)^2,
-    100 c^2), and exactly zero at s_k = c / sqrt(n).
+    non-negative for all s_k <= c / sqrt(n) once n >= (10F + 1/10)^2 (the
+    paper's other term, 100 c^2 < 20 (F - 1), is smaller), and exactly zero
+    at s_k = c / sqrt(n).
     """
     if n < 1:
         raise ValueError(f"base count must be >= 1, got {n}")

@@ -515,6 +515,11 @@ def circumference_admits(F: float, V: float, C: float, x: float) -> bool:
     return x <= (F - 1) * V / C
 
 
+def paper_count_floor(F: float, c: float) -> float:
+    """The paper's whitespace base count max((10F + 1/10)^2, 100 c^2), in floats."""
+    return max((10 * F + 0.1) ** 2, 100 * c * c)
+
+
 def harmonic_bounds(n: int) -> tuple[float, float, float]:
     """(ln(n+1), H_n, ln(n) + 1): the harmonic number with its log bounds."""
     if n < 1:

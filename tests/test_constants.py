@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from moserpack import (
@@ -43,7 +43,7 @@ from moserpack.constants import (
     two_square_worst_case,
 )
 from moserpack.constants import _harmonic_lower
-from moserpack.reduction import find_small_index
+from moserpack.reduction import PackParams, find_small_index
 
 from conftest import (
     circumference_admits,
@@ -170,14 +170,22 @@ class TestFactor:
         assert factor_float(F) == want
 
     @pytest.mark.parametrize("spec", ["1.5", "1.3", "1.2440169358562925048", "9.75"])
-    def test_mpf_round_trips(self, spec, monkeypatch):
+    def test_mpf_is_rejected(self, spec, monkeypatch):
+        # a factor spec is a decimal string, an int, a float or "novotny";
+        # an mpf would be a second spelling of a "p/q" string
         with mp.workdps(60):
             F = mp.mpf(spec)
-        assert factor_float(F) == float(F)
-        # the same from a process whose constants layer has not bound mpmath yet
-        for name in ("mp", "iv", "mpf"):
+        for func in (factor_float, compute_c, build_report, PackParams.certified):
+            with pytest.raises(ValueError) as err:
+                func(F)
+            assert str(err.value).startswith("area factor must be finite and exceed 1, got mpf(")
+        # the same from a process whose constants layer has not bound
+        # mpmath yet, and factor_float leaves it unbound
+        for name in ("mp", "iv"):
             monkeypatch.setattr(constants, name, None)
-        assert factor_float(F) == float(F)
+        with pytest.raises(ValueError, match="area factor must be finite and exceed 1, got mpf"):
+            factor_float(F)
+        assert constants.mp is None
 
     @pytest.mark.parametrize("F, got", [
         ("1", "'1'"), ("0.5", "'0.5'"), ("-1.5", "'-1.5'"), ("nan", "'nan'"),
@@ -186,7 +194,7 @@ class TestFactor:
         (mpmath.mpf("nan"), "mpf('nan')"), (mpmath.mpf("inf"), "mpf('+inf')"),
     ], ids=repr)
     def test_rejection_text(self, F, got):
-        # an mpf's sign counts: -1.5 is no factor although its magnitude exceeds 1
+        # an mpf is no factor spec, whatever its value
         for func in (factor_float, compute_c):
             with pytest.raises(ValueError) as err:
                 func(F)
@@ -487,6 +495,50 @@ class TestHarmonic:
         a, b = ab
         with constants._workdps(50):
             assert _harmonic_lower(a, b) <= harmonic_range_sum(a, b)
+
+
+def oracle_N(N1: int) -> int:
+    """floor(e^2 N1) at 60 digits."""
+    with mp.workdps(60):
+        return int(mp.floor(mp.e ** 2 * N1))
+
+
+class TestTwoTermN1:
+    """N1 = floor(max(N0, (10F + 1/10)^2)): the paper's 100 c^2 never binds."""
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["simple", "integral"])
+    def test_integer_square_factors_certify(self, integral):
+        # F = k/10 - 1/100 makes (10F + 1/10)^2 exactly k^2, whose enclosure
+        # straddles k^2 at every precision: the rational floor takes it
+        for k in range(11, 91):
+            F = f"{k / 10 - 0.01:.2f}"
+            rep = build_report(F, use_integral_n0=integral)
+            n0 = rep.N0_integral if integral else rep.N0_simple
+            assert rep.N1 == max(n0, k * k), F
+            assert rep.N == oracle_N(rep.N1), F
+            assert derive_N(F, n0) == (rep.N1, rep.N), F
+
+    @pytest.mark.parametrize("F, flags, N1, N", [
+        ("4.99", [], 2_500, 18_472), ("4.99", ["--integral-n0"], 2_500, 18_472),
+        ("8.99", [], 8_100, 59_851), ("8.99", ["--integral-n0"], 8_100, 59_851),
+        ("3.19", ["--integral-n0"], 1_024, 7_566),
+    ])
+    def test_integer_square_cli(self, F, flags, N1, N, capsys):
+        assert cli_dispatch(["constants", "--F", F, *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["N1"], report["N"]) == (N1, N)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.decimals(min_value=1, max_value=10 ** 6, allow_nan=False, allow_infinity=False)
+           .filter(lambda d: d > 1).map(str))
+    @example(NOVOTNY)
+    @example("1." + "0" * 39 + "1")
+    def test_hundred_c_squared_never_binds(self, spec):
+        # 100 c^2 < 20 (F - 1) < (10F + 1/10)^2, by 5 c^2 + 3 c = F - 1
+        with constants._workdps(50):
+            F, _, _, c2 = constants._evaluate(spec, constants.iv)
+            edge = 10 * F + constants.iv.one / 10
+            assert (100 * c2).b < (edge * edge).a
 
 
 class TestFindSmallIndex:

@@ -310,7 +310,8 @@ class TestCli:
         packed = json.loads(out.read_text())
         assert packed["rect"]["w"] == pytest.approx(math.sqrt((2 + math.sqrt(3)) / 3))
 
-    def test_pack_small_s1_with_square_rect(self, tmp_path):
+    def test_pack_small_s1_needs_factor(self, tmp_path, capsys):
+        # F comes from --F alone; a square --rect is no second way to give it
         inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
         out = tmp_path / "packed.json"
         side = repr(math.sqrt(1.3))
@@ -318,7 +319,12 @@ class TestCli:
             ["pack", "--mode", "small-s1", "--instance", inst,
              "--rect", f"{side}x{side}", "-o", str(out)]
         )
-        assert code == 0
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError" and "--F" in err["message"]
+        assert not out.exists()
 
     def test_pack_requires_rect_for_moon_moser(self, tmp_path, capsys):
         inst = self.write(tmp_path, "inst.json", {"sides": [0.5]})

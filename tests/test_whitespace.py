@@ -32,6 +32,7 @@ from conftest import (
     abutting_runs,
     free_rectangles,
     packing_of,
+    paper_count_floor,
     per_square_whitespace_pack,
     random_midpoint_config,
     reference_whitespace_pack,
@@ -124,6 +125,30 @@ class TestJobValidation:
         with pytest.raises(PreconditionViolated, match="base count 0 below") as err:
             WhitespaceJob(base=empty, tail=job.tail, c=job.c, F=job.F).validate()
         assert "tail max side" not in str(err.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0, 1, exclude_min=True, exclude_max=True),
+           st.floats(1, 1e6, exclude_min=True))
+    def test_count_floor_is_the_papers(self, c, F):
+        # c < 1 < F gives 100 c^2 < 100 < (10F + 1/10)^2: one term is the max
+        rect = Rectangle(math.sqrt(F), F / math.sqrt(F))
+        with pytest.raises(PreconditionViolated) as err:
+            WhitespaceJob(base=packing_of(rect, ()), tail=Instance(()), c=c, F=F).validate()
+        assert f"base count 0 below required {paper_count_floor(F, c)!r}" in str(err.value)
+
+    @pytest.mark.parametrize("F", [F_REF, 1.5, 2.0])
+    @pytest.mark.parametrize("c", [C_REF, 0.5, math.nextafter(1.0, 0.0)])
+    def test_count_floor_edge(self, F, c):
+        need = math.ceil(paper_count_floor(F, c))
+        rect = Rectangle(math.sqrt(F), F / math.sqrt(F))
+        for n in (need - 1, need):
+            base = packing_of(rect, [Placement(0.001, 0.0, 0.0)] * n)
+            job = WhitespaceJob(base=base, tail=Instance(()), c=c, F=F)
+            if n < need:
+                with pytest.raises(PreconditionViolated, match="base count"):
+                    job.validate()
+            else:
+                job.validate()
 
     def test_narrow_rectangle(self):
         placements = tuple(Placement(0.005, 0.0, 0.01 * i) for i in range(158))
