@@ -2,9 +2,9 @@
 
 Derives c, the per-square whitespace guarantee delta, and the index
 thresholds N0 <= N1 <= N, once with the closed-form N0 and once with the
-sharper integral variant. Floor certificates show how far each floored
-quantity sits from the nearest integer, which is what makes the floors
-trustworthy at 50 digits of working precision.
+sharper integral variant. The floor certificates record that each floor
+was certified: its interval enclosure, at 50 digits and doubled until it
+does not straddle an integer, lies between two consecutive integers.
 """
 
 from moserpack import NOVOTNY, build_report, report_to_dict

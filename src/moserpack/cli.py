@@ -172,17 +172,16 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    # each mode reads one of --F and --rect; the other is an error, not a flag dropped
+    reads, unread = ("F", "rect") if args.mode == "small-s1" else ("rect", "F")
+    if getattr(args, reads) is None or getattr(args, unread) is not None:
+        raise ValueError(f"mode {args.mode} needs --{reads} and takes no --{unread}")
     inst = instance_from_dict(_read_json(args.instance))
     if args.mode == "small-s1":
-        if args.F is None:
-            raise ValueError("small-s1 packs into a square of area F and needs --F")
         packing = small_s1_pack(inst, factor_float(args.F))
     else:
-        if args.rect is None:
-            raise ValueError(f"mode {args.mode} needs --rect WxH")
-        rect = _parse_rect(args.rect)
         packer = moon_moser_pack if args.mode == "moon-moser" else meir_moser_pack
-        packing = packer(inst, rect)
+        packing = packer(inst, _parse_rect(args.rect))
     _emit_json(_packing_pieces(packing), args.output)
     return 0
 

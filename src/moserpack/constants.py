@@ -5,7 +5,7 @@ For an area factor F > 1 the chain of constants is
     c      positive root of 5 c^2 + 3 c = F - 1,
            i.e. x / (sqrt((3/10)^2 + x) + 3/10) with x = (F - 1)/5
     delta  (F - 1) / (10 F / c^2 + 1/10)          (worst admissible edge)
-    delta1 min(f(c^2, 10 F), c^2 / 10)             (refined edge, F <= 9)
+    delta1 min(f(c^2, 10 F), c^2 / 10)             (refined edge)
     N0     max(1, floor(1 / delta^2))             (simple form)
     N0'    1 + floor( integral of delta(V)^-2 dV over [c^2, 1] )
     N1     floor(max(N0, (10 F + 1/10)^2))
@@ -24,7 +24,10 @@ by the first computation in either context, not by ``import moserpack``,
 so the geometry never loads it, nor does :func:`factor_float`.  A factor
 spec is a decimal string, an int, a float or ``"novotny"``.  F and F - 1
 come from its exact value, not from F at working precision, so no digit
-of F - 1 is lost near F = 1, and F > 1 is decided exactly.  Each pass of
+of F - 1 is lost near F = 1, and F > 1 is decided exactly.  Certified
+results need c < 1, i.e. F < 9 as c grows to 1 at F = 9: :func:`_certified`
+checks that on the spec's exact value before it evaluates anything, while
+:func:`compute_c` and :func:`delta_simple` answer for every F > 1.  Each pass of
 :func:`_certified` evaluates the chain (F, F - 1, c, c^2) once and hands it
 to every floor of the pass, so a call evaluates it once per context and
 precision by construction, with no cache object and nothing kept across
@@ -72,8 +75,6 @@ _ROOT_TOL = 1e-12
 @contextmanager
 def _workdps(dps: int):
     global mp, iv
-    if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
-        raise ValueError(f"dps must be an int >= 1, got {dps!r}")
     if mp is None:
         from mpmath import iv, mp
     old_mp, old_iv = mp.dps, iv.dps
@@ -179,15 +180,15 @@ def _delta(F, e, V):
     return 10 * e * V / (100 * F + V)
 
 
-def compute_c(F: Factor, dps: int = 50) -> mpf:
-    """The constant c: positive root of 5 c^2 + 3 c = F - 1."""
-    with _workdps(dps):
+def compute_c(F: Factor) -> mpf:
+    """The constant c: positive root of 5 c^2 + 3 c = F - 1, at 50 digits."""
+    with _workdps(50):
         return _evaluate(F, mp)[2]
 
 
-def delta_simple(F: Factor, dps: int = 50) -> mpf:
-    """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10)."""
-    with _workdps(dps):
+def delta_simple(F: Factor) -> mpf:
+    """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10), at 50 digits."""
+    with _workdps(50):
         Fv, e, _, c2 = _evaluate(F, mp)
         return _delta(Fv, e, c2)
 
@@ -215,8 +216,11 @@ def _certified(derive: Callable[..., object], spec: Factor):
     of its floors straddles an integer; each run evaluates the chain once.
     The doubling stops at 200 digits, or at the straddling enclosure's
     integer digits plus 50 where that is more: a value with d integer
-    digits needs more than d digits before its floor shows.
+    digits needs more than d digits before its floor shows.  A spec whose
+    exact value is not below 9, where c >= 1, raises before any evaluation.
     """
+    if not (_named(spec) or _rational(spec) < 9):
+        raise MoserpackError(f"area factor must be below 9, where c < 1, got {spec!r}")
     dps = 50
     while True:
         with _workdps(dps):
@@ -248,15 +252,14 @@ def _n0_integral(F, e, c, c2) -> int:
 
 
 def _derive_N(F, e, c, c2, N0: int, spec: Factor) -> tuple[int, int]:
-    exact = None if _named(spec) else _rational(spec)
-    if hasattr(exact, "denominator"):
-        # x = (10F + 1/10)^2 is rational, and an enclosure of an integer x
-        # straddles it: floor(x) in its place keeps floor(max(N0, x))
-        square = iv.mpf((100 * exact + 1) ** 2 // 100)
-    else:
+    if _named(spec):
         ten = iv.mpf(10)
         edge = ten * F + iv.one / ten
         square = edge * edge
+    else:
+        # below 9 the spec is a Fraction, so x = (10F + 1/10)^2 is rational; an enclosure
+        # of an integer x straddles it, and floor(x) in its place keeps floor(max(N0, x))
+        square = iv.mpf((100 * _rational(spec) + 1) ** 2 // 100)
     # max(N0, x) over the enclosure [a, b] of x is N0 where b <= N0 and x
     # where a >= N0; while a < N0 < b the floor of [a, b] straddles N0
     N1 = _floor(square if square.b > N0 else iv.mpf(N0), "N1")
@@ -352,17 +355,12 @@ def delta_refined(F: Factor) -> mpf:
     At the same corner delta_simple = a / (2 q) <= f, so delta_simple never
     exceeds the result.  f is evaluated in its cancellation-free form in
     outward-rounded interval arithmetic and the lower endpoint is returned.
-    K is empty when c > 1, i.e. F > 9, and :class:`MoserpackError` is raised.
+    As for every certified result, F >= 9 (c >= 1) raises :class:`MoserpackError`.
     """
-    with _workdps(50):
-        return _delta_refined(*_evaluate(F, iv), F)
+    return _certified(_delta_refined, F)
 
 
-def _delta_refined(Fi, e, c, c2, spec: Factor) -> mpf:
-    c2_lo = mp.mpf(c2.a)
-    if c2_lo > 1:
-        raise MoserpackError(
-            f"K is empty for F = {spec!r} > 9: c^2 >= {mp.nstr(c2_lo, 15)} > 1")
+def _delta_refined(Fi, e, c, c2) -> mpf:
     cap = c2 / 10
     q = (10 * Fi + cap) / 4
     a = e * c2 / 2
@@ -411,27 +409,15 @@ def build_report(F: Factor, *, refined: bool = False,
     """Run the full pipeline for one factor and package the results.
 
     ``use_integral_n0`` selects which N0 feeds the N1/N chain; both N0
-    forms are always computed and reported.  Root and sanity identities
-    are re-checked before the report is returned.  By construction, with
-    no cache, the chain is evaluated once in ``mp`` at 50 digits for the
-    strings and checks, and once in ``iv`` per precision the floors reach;
+    forms are always computed and reported.  The root identity is
+    re-checked before the report is returned.  By construction, with no
+    cache, the chain is evaluated once in ``iv`` per precision the floors
+    reach, then once in ``mp`` at 50 digits for the strings and the check;
     the refined edge comes from the floors' own enclosures.
     """
-    with _workdps(50):
-        Fv, e, c, c2 = _evaluate(F, mp)
-        if not (0 < c < 1):
-            raise MoserpackError(f"c = {c} outside (0, 1)")
-        if not 4 * c2 <= Fv:
-            raise MoserpackError(f"4 c^2 = {4 * c2} exceeds F = {Fv}")
-        root_resid = abs(5 * c2 + 3 * c - e)
-        if root_resid > _ROOT_TOL:
-            raise MoserpackError(f"root identity residual {root_resid}")
-        f_str = mp.nstr(Fv, 30)
-        c_str = mp.nstr(c, 30)
-        d_str = mp.nstr(_delta(Fv, e, c2), 30)
 
     def floors(*values):
-        d_ref = _delta_refined(*values, F) if refined else None
+        d_ref = _delta_refined(*values) if refined else None
         n0s = _n0_simple(*values)
         n0i = _n0_integral(*values)
         if n0i > n0s:
@@ -439,6 +425,14 @@ def build_report(F: Factor, *, refined: bool = False,
         return (d_ref, n0s, n0i) + _derive_N(*values, n0i if use_integral_n0 else n0s, F)
 
     d_ref, n0s, n0i, N1, N = _certified(floors, F)
+    with _workdps(50):
+        Fv, e, c, c2 = _evaluate(F, mp)
+        root_resid = abs(5 * c2 + 3 * c - e)
+        if root_resid > _ROOT_TOL:
+            raise MoserpackError(f"root identity residual {root_resid}")
+        f_str = mp.nstr(Fv, 30)
+        c_str = mp.nstr(c, 30)
+        d_str = mp.nstr(_delta(Fv, e, c2), 30)
     d_ref_str = None if d_ref is None else mp.nstr(d_ref, 30)
     certs = {"N0_simple": True, "N0_integral": True, "N1": True, "N": True}
     return ConstantsReport(

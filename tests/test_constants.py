@@ -232,15 +232,14 @@ class TestFactor:
         # building them once took 0.2 s to 16 s, or 400 MB for 1e999999999
         start = time.perf_counter()
         assert factor_float("1e1000000") == math.inf
+        assert float(compute_c("1e1000000")) == math.inf
         with pytest.raises(MoserpackError) as err:
             build_report("1e1000000")
-        assert str(err.value) == ("c = 4.4721359549995793928183473374625524708812367192231e+499999"
-                                  " outside (0, 1)")
+        assert str(err.value) == "area factor must be below 9, where c < 1, got '1e1000000'"
         assert cli_dispatch(["constants", "--F", "1e999999999"]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == {
             "type": "MoserpackError",
-            "message": "c = 1.414213562373095048801688724209698078569671875377e+499999999"
-                       " outside (0, 1)"}
+            "message": "area factor must be below 9, where c < 1, got '1e999999999'"}
         for func in (factor_float, build_report):
             with pytest.raises(ValueError) as err:
                 func("1e-1000000")
@@ -261,9 +260,10 @@ class TestC:
     def test_against_root_finder(self):
         for F in F_GRID:
             with mp.workdps(60):
-                got = compute_c(F, dps=60)
+                got = compute_c(F)
                 want = oracle_c(F)
-                assert abs(got - want) < mp.mpf(10) ** -55
+                # c < 1 at 50 significant digits
+                assert abs(got - want) < mp.mpf(10) ** -50
 
     def test_root_identity(self):
         for F in F_GRID:
@@ -277,14 +277,20 @@ class TestC:
     @pytest.mark.parametrize("func", [compute_c, delta_simple])
     @pytest.mark.parametrize("dps", [0, -5, True, False, 2.5, "50", None])
     def test_rejects_bad_dps(self, func, dps):
+        # the precision is fixed at 50 digits: there is no dps to pass
         before = mp.dps
-        with pytest.raises(ValueError, match="dps must be an int >= 1"):
+        with pytest.raises(TypeError, match="dps"):
             func(NOVOTNY, dps=dps)
         assert mp.dps == before
 
     @pytest.mark.parametrize("func", [compute_c, delta_simple])
     def test_one_digit(self, func):
-        assert float(func(NOVOTNY, dps=1)) == pytest.approx(float(func(NOVOTNY)), rel=0.1)
+        # a caller working at one digit still gets the 50-digit value
+        want = func(NOVOTNY)
+        with mp.workdps(1):
+            got = func(NOVOTNY)
+            assert mp.dps == 1
+        assert got == want
 
 
 def edge_bound(F: float, V: float) -> float:
@@ -313,7 +319,7 @@ class TestDelta:
             with mp.workdps(60):
                 c = oracle_c(F)
                 want = (mp.mpf(F) - 1) / (10 * mp.mpf(F) / (c * c) + mp.mpf(1) / 10)
-                assert abs(delta_simple(F, dps=60) - want) < mp.mpf(10) ** -50
+                assert abs(delta_simple(F) - want) < mp.mpf(10) ** -50
 
     def test_delta_of_full_area(self):
         # V = 1 collapses to (F-1)/(10F + 1/10)
@@ -616,7 +622,7 @@ class TestRefinedDelta:
     @pytest.mark.parametrize("F", ["9.5", "10"])
     def test_empty_K_raises(self, F):
         # c > 1 beyond F = 9, so no tail area V lies in [c^2, 1]
-        with pytest.raises(MoserpackError, match="K is empty"):
+        with pytest.raises(MoserpackError, match="must be below 9"):
             delta_refined(F)
 
     @settings(max_examples=60, deadline=None)
@@ -710,6 +716,42 @@ CLI_DIGESTS = [
     "d5b926a1f1ea87b61419cda84477462c165a278a2a548a66b89c674445601b63",
     "0732a8bebd42bd50ad0008b63428a8f25eb1d5cf7f9ae7f6c3e92233e526adf1",
 ]
+
+
+# The reduction needs c < 1, i.e. F < 9; each spec below is 9 or more.
+DOMAIN_EDGE = [9, "9.0", 9.5, 10, 20, "1e300", "1e999999999"]
+
+
+class TestDomain:
+    CERTIFIED = {
+        "build_report": build_report,
+        "n0_simple": n0_simple,
+        "n0_integral": n0_integral,
+        "derive_N": lambda F: derive_N(F, 5),
+        "delta_refined": delta_refined,
+    }
+
+    @pytest.mark.parametrize("F", DOMAIN_EDGE, ids=repr)
+    def test_certified_results_raise_from_9(self, F):
+        start = time.perf_counter()
+        for name, func in self.CERTIFIED.items():
+            with pytest.raises(MoserpackError) as err:
+                func(F)
+            assert str(err.value) == f"area factor must be below 9, where c < 1, got {F!r}", name
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("F", ["8.99", "8." + "9" * 60], ids=["8.99", "8.(60 nines)"])
+    def test_agree_below_9(self, F):
+        rep = build_report(F, refined=True)
+        assert (n0_simple(F), n0_integral(F)) == (rep.N0_simple, rep.N0_integral)
+        assert derive_N(F, rep.N0_simple) == (rep.N1, rep.N)
+        assert mp.nstr(delta_refined(F), 30) == rep.delta_refined
+
+    def test_closed_forms_answer_past_9(self):
+        # c = (sqrt(9 + 20 (F - 1)) - 3)/10, and delta_simple = 8/90.1 at F = 9, where c = 1
+        with mp.workdps(60):
+            assert abs(compute_c("9.5") - (mp.sqrt(179) - 3) / 10) < mp.mpf(10) ** -49
+            assert abs(delta_simple("9") - mp.mpf(80) / 901) < mp.mpf(10) ** -50
 
 
 class TestSharedChain:

@@ -326,6 +326,25 @@ class TestCli:
         assert err["type"] == "ValueError" and "--F" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flags, unread", [
+        ("small-s1", ["--F", "1.3", "--rect", "5x5"], "--rect"),
+        ("moon-moser", ["--rect", "1.2x1.2", "--F", "9"], "--F"),
+        ("meir-moser", ["--rect", "1.2x1.2", "--F", "9"], "--F"),
+    ], ids=["small-s1", "moon-moser", "meir-moser"])
+    def test_pack_rejects_the_flag_its_mode_does_not_read(self, tmp_path, capsys,
+                                                          mode, flags, unread):
+        inst = self.write(tmp_path, "inst.json", {"sides": [0.1] * 100})
+        out = tmp_path / "packed.json"
+        code = cli_dispatch(["pack", "--mode", mode, "--instance", inst, *flags,
+                             "-o", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].endswith(f"takes no {unread}"), err
+        assert not out.exists()
+
     def test_pack_requires_rect_for_moon_moser(self, tmp_path, capsys):
         inst = self.write(tmp_path, "inst.json", {"sides": [0.5]})
         code = cli_dispatch(["pack", "--mode", "moon-moser", "--instance", inst])
