@@ -22,6 +22,7 @@ from .geometry import (
     EPS_GEOM,
     Packing,
     Rectangle,
+    _number,
     instance_from_dict,
     packing_from_dict,
     verify_packing,
@@ -222,11 +223,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         raw = _read_json(args.toy_params)
         params = PackParams.toy_params(
             F=factor_float(args.F),
-            c=float(raw["c"]),
+            c=_number(raw["c"], "c"),
             N0=_index(raw, "N0"),
             N1=_index(raw, "N1"),
             N=_index(raw, "N"),
-            s1_threshold=float(raw.get("s1_threshold", 0.1)),
+            s1_threshold=_number(raw.get("s1_threshold", 0.1), "s1_threshold"),
         )
     else:
         params = PackParams.certified(args.F, use_integral_n0=args.integral_n0)

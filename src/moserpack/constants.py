@@ -252,17 +252,13 @@ def _n0_integral(F, e, c, c2) -> int:
 
 
 def _derive_N(F, e, c, c2, N0: int, spec: Factor) -> tuple[int, int]:
+    # N0 is an integer, so floor(max(N0, x)) = max(N0, floor(x)) with x = (10F + 1/10)^2
     if _named(spec):
         ten = iv.mpf(10)
         edge = ten * F + iv.one / ten
-        square = edge * edge
-    else:
-        # below 9 the spec is a Fraction, so x = (10F + 1/10)^2 is rational; an enclosure
-        # of an integer x straddles it, and floor(x) in its place keeps floor(max(N0, x))
-        square = iv.mpf((100 * _rational(spec) + 1) ** 2 // 100)
-    # max(N0, x) over the enclosure [a, b] of x is N0 where b <= N0 and x
-    # where a >= N0; while a < N0 < b the floor of [a, b] straddles N0
-    N1 = _floor(square if square.b > N0 else iv.mpf(N0), "N1")
+        N1 = max(N0, _floor(edge * edge, "N1"))
+    else:  # below 9 the spec is a Fraction, so x = (100F + 1)^2 / 100 floors exactly
+        N1 = max(N0, (100 * _rational(spec) + 1) ** 2 // 100)
     N = _floor(iv.exp(2) * N1, "N")
     mass = _harmonic_lower(N1 + 1, N)
     if mass < 1:
@@ -366,23 +362,6 @@ def _delta_refined(Fi, e, c, c2) -> mpf:
     a = e * c2 / 2
     f = a / (q + iv.sqrt(q * q - a))
     return min(mp.mpf(f.a), mp.mpf(cap.a))
-
-
-# --- two-square lower bound --------------------------------------------------
-
-
-def two_square_worst_case() -> tuple[float, float]:
-    """Worst pair of squares with total area 1 for a snug rectangle.
-
-    For s1 in (1/sqrt(2), 1) the two squares s1 >= s2 = sqrt(1 - s1^2)
-    must stand side by side, needing area g = s1 (s1 + s2).  Returns
-    (argmax, max) = (cos(pi/8), (1 + sqrt(2))/2) in closed form: with
-    s1 = cos t for t in (0, pi/4), s2 = sin t and
-    g = cos^2 t + cos t sin t = (1 + cos 2t + sin 2t)/2
-      = (1 + sqrt(2) sin(2t + pi/4))/2,
-    which is largest, at (1 + sqrt(2))/2, where 2t + pi/4 = pi/2, i.e. t = pi/8.
-    """
-    return math.cos(math.pi / 8), (1 + math.sqrt(2)) / 2
 
 
 # --- report ------------------------------------------------------------------

@@ -670,14 +670,29 @@ def packing_to_dict(packing: Packing) -> dict:
     }
 
 
+def _numbers(values: list, key: str) -> list:
+    """``values``, each checked to be a JSON number, or a ValueError naming ``key``.
+
+    ``float()`` would read ``true`` as 1.0 and ``"0.5"`` as 0.5.
+    """
+    if not {int, float}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ValueError(f"{key}: expected a JSON number, got {bad!r}")
+    return values
+
+
+def _number(value, key: str) -> float:
+    return float(_numbers([value], key)[0])
+
+
 def packing_from_dict(data: dict) -> Packing:
-    rect = Rectangle(float(data["rect"]["w"]), float(data["rect"]["h"]))
+    rect = data["rect"]
     pls = data["placements"]
     return Packing(
-        rect,
-        array("d", [float(p["side"]) for p in pls]),
-        array("d", [float(p["x"]) for p in pls]),
-        array("d", [float(p["y"]) for p in pls]),
+        Rectangle(_number(rect["w"], "rect.w"), _number(rect["h"], "rect.h")),
+        array("d", _numbers([p["side"] for p in pls], "side")),
+        array("d", _numbers([p["x"] for p in pls], "x")),
+        array("d", _numbers([p["y"] for p in pls], "y")),
     )
 
 
@@ -697,5 +712,7 @@ def instance_from_dict(data: dict) -> Instance:
     sides = data["sides"]
     if not isinstance(sides, list):
         raise ValueError(f"instance sides must be a JSON array, got {type(sides).__name__}")
-    # Instance converts each side with float() as it sorts them.
-    return Instance(tuple(sides), data.get("total_area"))
+    total = data.get("total_area")
+    if total is not None:
+        total = _number(total, "total_area")
+    return Instance(tuple(_numbers(sides, "sides")), total)

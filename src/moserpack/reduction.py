@@ -184,8 +184,9 @@ def glue_pack(inst: Instance, split: int, params: PackParams) -> Packing:
 def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]:
     """Smallest n in (N1, N] with s_n < c / sqrt(n), treating missing sides as 0.
 
-    Returns None when no such index exists (possible only if the instance
-    carries at least N positive-or-zero sides all at or above the bound).
+    The bound is the float ``c / math.sqrt(n)``, and the scan stops at the
+    first hit.  Returns None when no such index exists (possible only if
+    the instance carries at least N sides, all at or above the bound).
     """
     if not 0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
@@ -193,16 +194,9 @@ def find_small_index(inst: Instance, c: float, N1: int, N: int) -> Optional[int]
         raise ValueError(f"need 0 <= N1 < N, got N1={N1}, N={N}")
     sides = inst.sides
     m = len(sides)
-    hi = min(N, m)
-    if N1 + 1 <= hi:
-        # imported on use, so that `import moserpack` loads no numpy
-        import numpy as np
-
-        idx = np.arange(N1 + 1, hi + 1, dtype=np.float64)
-        vals = np.asarray(sides[N1:hi], dtype=np.float64)
-        hits = np.nonzero(vals < c / np.sqrt(idx))[0]
-        if hits.size:
-            return N1 + 1 + int(hits[0])
+    for n in range(N1 + 1, min(N, m) + 1):
+        if sides[n - 1] < c / math.sqrt(n):
+            return n
     if m < N:
         return max(N1 + 1, m + 1)
     return None

@@ -362,6 +362,27 @@ def reference_whitespace_pack(job) -> Packing:
     return packing_of(rect, placed)
 
 
+def reference_find_small_index(inst: Instance, c: float, N1: int, N: int):
+    """:func:`moserpack.reduction.find_small_index` as one vectorized pass.
+
+    numpy compares every side of the window (N1, min(N, m)] with
+    ``c / np.sqrt(n)`` and takes the first hit; with no hit it falls
+    through to the same index or None.  An oracle for the early-exit loop.
+    """
+    sides = inst.sides
+    m = len(sides)
+    hi = min(N, m)
+    if N1 + 1 <= hi:
+        idx = np.arange(N1 + 1, hi + 1, dtype=np.float64)
+        vals = np.asarray(sides[N1:hi], dtype=np.float64)
+        hits = np.nonzero(vals < c / np.sqrt(idx))[0]
+        if hits.size:
+            return N1 + 1 + int(hits[0])
+    if m < N:
+        return max(N1 + 1, m + 1)
+    return None
+
+
 def padded_reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
     """The driver as it was when case c padded a short prefix with zero sides.
 
@@ -473,11 +494,25 @@ def reference_verify_packing(packing: Packing, tol: float = 1e-12,
     return VerificationReport(not violations, tuple(violations), truncated)
 
 
+def two_square_worst_case() -> tuple[float, float]:
+    """Worst pair of squares with total area 1 for a snug rectangle.
+
+    For s1 in (1/sqrt(2), 1) the two squares s1 >= s2 = sqrt(1 - s1^2)
+    must stand side by side, needing area g = s1 (s1 + s2).  Returns
+    (argmax, max) = (cos(pi/8), (1 + sqrt(2))/2) in closed form: with
+    s1 = cos t for t in (0, pi/4), s2 = sin t and
+    g = cos^2 t + cos t sin t = (1 + cos 2t + sin 2t)/2
+      = (1 + sqrt(2) sin(2t + pi/4))/2,
+    which is largest, at (1 + sqrt(2))/2, where 2t + pi/4 = pi/2, i.e. t = pi/8.
+    """
+    return math.cos(math.pi / 8), (1 + math.sqrt(2)) / 2
+
+
 def two_square_ternary_search(steps: int = 200) -> tuple[float, float]:
     """(argmax, max) of g(s) = s (s + sqrt(1 - s^2)) on [1/sqrt(2), 1] by ternary search.
 
     Assumes only that g is unimodal there; an oracle for the closed form
-    of :func:`moserpack.constants.two_square_worst_case`.
+    of :func:`two_square_worst_case`.
     """
     a, b = 1 / math.sqrt(2), 1.0
 

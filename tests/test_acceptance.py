@@ -30,7 +30,7 @@ from moserpack import (
     verify_packing,
     whitespace_pack,
 )
-from moserpack.constants import harmonic_range_sum, two_square_worst_case
+from moserpack.constants import harmonic_range_sum
 from moserpack.reduction import default_prefix_packer
 from moserpack.geometry import feasible_midpoint_region, region_area
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     random_meir_moser_case,
     random_midpoint_config,
     random_moon_moser_case,
+    two_square_worst_case,
 )
 
 F_REF = (2 + math.sqrt(3)) / 3

@@ -40,7 +40,6 @@ from moserpack.constants import (
     harmonic_range_sum,
     n0_integral,
     n0_simple,
-    two_square_worst_case,
 )
 from moserpack.constants import _harmonic_lower
 from moserpack.reduction import PackParams, find_small_index
@@ -49,7 +48,9 @@ from conftest import (
     circumference_admits,
     harmonic_bounds,
     k_sample_grid,
+    reference_find_small_index,
     two_square_ternary_search,
+    two_square_worst_case,
 )
 
 F_GRID = [factor_float(NOVOTNY), 1.26, 1.28, 1.30, 1.33, 1.37]
@@ -547,7 +548,41 @@ class TestTwoTermN1:
             assert (100 * c2).b < (edge * edge).a
 
 
+@st.composite
+def boundary_scans(draw):
+    """(sides, c, N1, N) with side i on c / math.sqrt(i) or one ulp either side.
+
+    Sides up to a drawn index stay at or above their bound, so the first hit
+    may come anywhere in the window or nowhere; up to two zero sides end the
+    instance, and the instance may stop short of N or run past it.
+    """
+    N1 = draw(st.integers(0, 20))
+    N = draw(st.integers(N1 + 1, N1 + 30))
+    m = draw(st.integers(0, N + 5))
+    c = draw(st.floats(1e-6, 1.0, exclude_max=True))
+    shifts = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=m, max_size=m))
+    stop = draw(st.integers(0, m))
+    zeros = draw(st.integers(0, min(2, m)))
+    sides = []
+    for i, shift in enumerate(shifts[:m - zeros], 1):
+        bound = c / math.sqrt(i)
+        shift = max(shift, 0) if i <= stop else shift
+        sides.append(bound if shift == 0 else math.nextafter(bound, shift * math.inf))
+    return tuple(sides) + (0.0,) * zeros, c, N1, N
+
+
 class TestFindSmallIndex:
+    @given(boundary_scans())
+    @example(((0.5, 0.5 / math.sqrt(2)), 0.5, 0, 4))  # N1 = 0, m < N, no hit
+    @example(((0.5, 0.5 / math.sqrt(2), 0.5 / math.sqrt(3)), 0.5, 1, 3))  # m = N, no hit
+    @example(((0.5, math.nextafter(0.5 / math.sqrt(2), 0)), 0.5, 0, 1))  # m > N, no hit
+    @settings(max_examples=500, deadline=None)
+    def test_matches_vectorized_oracle(self, scan):
+        sides, c, N1, N = scan
+        inst = Instance(sides)
+        assert inst.sides == sides
+        assert find_small_index(inst, c, N1, N) == reference_find_small_index(inst, c, N1, N)
+
     def test_strict_inequality(self):
         c = 0.5
         sides = (0.9, c / math.sqrt(2), c / math.sqrt(3))
@@ -802,7 +837,7 @@ class TestSharedChain:
         build_report(NOVOTNY)
         assert len(evaluations) == 2 * once
 
-    # Each public function at the last factor, whose floors need up to 294
+    # Each public function at the last factor, whose floors need up to 295
     # digits: an mp chain at 50 digits for a value, one iv chain per
     # precision its floors reach, and the same again on a second call.
     PUBLIC_CHAINS = {
@@ -811,7 +846,8 @@ class TestSharedChain:
         "delta_refined": [(True, 50)],
         "n0_simple": [(True, 50), (True, 100), (True, 200), (True, 294)],
         "n0_integral": [(True, 50), (True, 100), (True, 200)],
-        "derive_N": [(True, 50), (True, 100), (True, 200), (True, 294)],
+        # derive_N's widest floor is N, of 245 integer digits, against N0's 244
+        "derive_N": [(True, 50), (True, 100), (True, 200), (True, 295)],
         "build_report": [(False, 50), (True, 50), (True, 100), (True, 200), (True, 294)],
     }
 
@@ -841,7 +877,8 @@ class TestFloorUncertified:
     MESSAGES = {
         "n0_simple": "[93752340.5639319, 93752342.5639319]",
         "n0_integral": "[491223.734537023, 491225.734537023]",
-        "N1": "[491224.0, 491226.0]",
+        # N1 = max(N0, floor((10F + 1/10)^2)): its one floor is of the square, 157.26
+        "N1": "[156.25584754144, 158.25584754144]",
         "N": "[3629688.08219721, 3629690.08219721]",
     }
 

@@ -270,7 +270,8 @@ class TestCli:
         )
         assert code == 1
         err = json.loads(capsys.readouterr().out)
-        assert err["error"]["type"] == "TypeError"
+        assert err["error"] == {"type": "ValueError",
+                                "message": "total_area: expected a JSON number, got 'x'"}
 
     def test_usage_error_maps_to_error_json(self, capsys):
         assert cli_dispatch(["verify"]) == 1
@@ -685,6 +686,49 @@ class TestCli:
                  else f'[{{"side": 0.5, "x": {huge}, "y": 0.0}}]')
         err = self.error_of(tmp_path, capsys, command, self.input_with(command, value))
         assert err == {"type": "OverflowError", "message": "int too large to convert to float"}
+
+    _UNIT_PACKING = {"rect": {"w": 1.0, "h": 1.0},
+                     "placements": [{"side": 1.0, "x": 0.0, "y": 0.0}]}
+    _TOY = {"c": 0.5, "N0": 1, "N1": 1, "N": 2, "s1_threshold": 0.1}
+    # key: the file it sits in and the path to it there
+    _WIRE_NUMBERS = {
+        "sides": ("instance", {"sides": [1.0, 0.0]}, ("sides", 0)),
+        "total_area": ("instance", {"sides": [1.0], "total_area": 1.0}, ("total_area",)),
+        "rect.w": ("packing", _UNIT_PACKING, ("rect", "w")),
+        "rect.h": ("packing", _UNIT_PACKING, ("rect", "h")),
+        "side": ("packing", _UNIT_PACKING, ("placements", 0, "side")),
+        "x": ("packing", _UNIT_PACKING, ("placements", 0, "x")),
+        "y": ("packing", _UNIT_PACKING, ("placements", 0, "y")),
+        "c": ("toy", _TOY, ("c",)),
+        "s1_threshold": ("toy", _TOY, ("s1_threshold",)),
+    }
+
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "string"])
+    @pytest.mark.parametrize("key", list(_WIRE_NUMBERS))
+    def test_non_number_maps_to_error_json(self, tmp_path, capsys, key, value):
+        # float() read true as 1.0 and "0.5" as 0.5, so each file packed or verified
+        kind, doc, path = self._WIRE_NUMBERS[key]
+        doc = json.loads(json.dumps(doc))
+        *parents, last = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[last] = value
+        out = tmp_path / "out.json"
+        if kind == "packing":
+            argv = ["verify", "--packing", self.write(tmp_path, "packing.json", doc)]
+        else:
+            instance = doc if kind == "instance" else {"sides": [1.0]}
+            argv = ["reduce", "--instance", self.write(tmp_path, "inst.json", instance),
+                    "--F", "novotny", "-o", str(out)]
+            if kind == "toy":
+                argv += ["--toy-params", self.write(tmp_path, "toy.json", doc)]
+        assert cli_dispatch(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ValueError", "message": f"{key}: expected a JSON number, got {value!r}"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "render", "reduce"])
     def test_deep_nesting_maps_to_error_json(self, tmp_path, capsys, command):

@@ -1,10 +1,11 @@
 """The runtime imports mpmath and numpy only on first use: scipy is a test-time dependency.
 
-`import moserpack`, the constants path and a case-b `reduce` load no numpy
-module; numpy is imported on the first call of `verify_packing`,
-`find_small_index` or `harmonic_range_sum`.  `import moserpack` and every
-command that derives no constants (`pack`, `verify`, `render`,
-`whitespace` and `reduce --toy-params`) load no mpmath module; mpmath is
+`import moserpack`, the constants path and a case-b or case-c `reduce`
+load no numpy module; numpy is imported on the first call of
+`verify_packing` or of the test oracle `harmonic_range_sum`.
+`import moserpack` and every command that derives no constants (`pack`,
+`verify`, `render`, `whitespace` and `reduce --toy-params`) load no
+mpmath module; mpmath is
 imported by the first certified computation of the constants layer.  Each
 check runs in a fresh interpreter, so modules that other tests (or
 hypothesis) already imported into this process cannot hide an import.
@@ -86,27 +87,37 @@ print(json.dumps({
 }))
 """
 
-CASE_B_REDUCE = """
-import json, sys, tempfile
+REDUCE_B_AND_C = """
+import json, math, sys, tempfile
 from pathlib import Path
 
 from moserpack.cli import cli_dispatch
 
 c = 0.0725632659982174  # float(compute_c((2 + 3 ** 0.5) / 3)), written out: it loads mpmath
 tail = [(0.375 / 8000) ** 0.5] * 8000
+# the whitespace workloads' case c: 200 base squares and 200 equal tail squares
+ws_tail = [math.sqrt(0.99 * c * c / 200)] * 200
+ws_base = [math.sqrt((1.0 - math.fsum(s * s for s in ws_tail)) / 200)] * 200
+runs = {}
 with tempfile.TemporaryDirectory() as tmp:
-    inst, toy = Path(tmp, "inst.json"), Path(tmp, "toy.json")
-    inst.write_text(json.dumps({"sides": [0.5, 0.5, 0.25, 0.25] + tail}))
-    toy.write_text(json.dumps({"c": c, "N0": 4, "N1": 158, "N": 1167}))
-    result = Path(tmp, "result.json")
-    code = cli_dispatch(["reduce", "--instance", str(inst), "--F", "novotny",
-                         "--toy-params", str(toy), "-o", str(result)])
-    reduced = json.loads(result.read_text())
+    def write(name, data):
+        Path(tmp, name).write_text(json.dumps(data))
+        return str(Path(tmp, name))
+
+    for case, sides, toy in [
+        ("b", [0.5, 0.5, 0.25, 0.25] + tail, {"c": c, "N0": 4, "N1": 158, "N": 1167}),
+        ("c", ws_base + ws_tail, {"c": c, "N0": 4, "N1": 200, "N": 1477, "s1_threshold": 0.04}),
+    ]:
+        result = Path(tmp, "result.json")
+        code = cli_dispatch(["reduce", "--instance", write("inst.json", {"sides": sides}),
+                             "--F", "novotny", "--toy-params", write("toy.json", toy),
+                             "-o", str(result)])
+        reduced = json.loads(result.read_text())
+        runs[case] = [code, reduced["case"], reduced.get("split_index"),
+                      len(reduced["packing"]["placements"])]
 
 print(json.dumps({
-    "code": code,
-    "case": reduced["case"],
-    "placements": len(reduced["packing"]["placements"]),
+    "runs": runs,
     "numpy": sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")),
     "mpmath": sorted(m for m in sys.modules if m.startswith("mpmath")),
 }))
@@ -212,9 +223,10 @@ def test_import_and_constants_load_no_numpy_until_the_verifier_runs():
 
 
 def test_case_b_reduce_loads_no_numpy():
-    # The shelf engine and the glue write stdlib ``array`` columns.
-    out = json.loads(run_fresh(CASE_B_REDUCE))
-    assert (out["code"], out["case"], out["placements"]) == (0, "b", 8_004)
+    # The shelf engine, the glue and the whitespace packer write stdlib
+    # ``array`` columns, and case c's index scan is a plain loop.
+    out = json.loads(run_fresh(REDUCE_B_AND_C))
+    assert out["runs"] == {"b": [0, "b", 4, 8_004], "c": [0, "c", 201, 400]}
     assert out["numpy"] == []
     assert out["mpmath"] == []
 
