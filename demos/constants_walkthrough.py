@@ -3,8 +3,9 @@
 Derives c, the per-square whitespace guarantee delta, and the index
 thresholds N0 <= N1 <= N, once with the closed-form N0 and once with the
 sharper integral variant. The floor certificates record that each floor
-was certified: its interval enclosure, at 50 digits and doubled until it
-does not straddle an integer, lies between two consecutive integers.
+was certified: N0 and N from an interval enclosure which, at 50 digits
+and doubled until it does not straddle an integer, lies between two
+consecutive integers, and N1 in exact integer arithmetic.
 """
 
 from moserpack import NOVOTNY, build_report, report_to_dict

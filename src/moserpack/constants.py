@@ -30,22 +30,27 @@ checks that on the spec's exact value before it evaluates anything, while
 :func:`compute_c` and :func:`delta_simple` answer for every F > 1.  Each pass of
 :func:`_certified` evaluates the chain (F, F - 1, c, c^2) once and hands it
 to every floor of the pass, so a call evaluates it once per context and
-precision by construction, with no cache object and nothing kept across
-calls.
-Everything feeding a floor is evaluated in outward-rounded interval
-arithmetic (``iv``, e^2 from ``iv.exp``) starting at 50 decimal digits and
-doubling until no enclosure straddles an integer, up to 200 digits or the
-straddling value's integer digits plus 50, whichever is more;
-:class:`~moserpack.errors.FloorUncertified` is raised past that point.
+precision by construction, with no cache object and nothing computed
+from a factor kept across calls.
+N0 and N are floored from enclosures evaluated in outward-rounded
+interval arithmetic (``iv``, e^2 from ``iv.exp``) starting at 50 decimal
+digits and doubling until no enclosure straddles an integer, up to 200
+digits or the straddling value's integer digits plus 50, whichever is
+more; :class:`~moserpack.errors.FloorUncertified` is raised past that
+point.  An enclosure's endpoints are binary fractions, each floored
+exactly in integers.  N1 takes no enclosure: (10F + 1/10)^2 floors in exact
+integer arithmetic, for a numeric factor as a fraction and for
+``"novotny"`` in closed form; see :func:`derive_N`.
 An ``iv`` operation on a Python int converts the int first, at about the
-cost of the operation itself, so the floors square by a product and make
-an operand that recurs an interval once (``iv.one``, ``ten``, ``hundred``).
-The enclosures are those of the plain form: the integers are exact, F + F
-doubles exactly, and every interval squared is positive.
+cost of the operation itself, so the floors square by a product and take
+the small integers they use as exact intervals made once (``iv.one`` and
+``_ints``).  The enclosures are those of the plain form: the integers are
+exact, F + F doubles exactly, and every interval squared is positive.
 The integral form is floored from its antiderivative in closed form; no
 numerical quadrature runs.  The window (N1, N] is certified to carry
 harmonic mass at least 1 by the closed-form bound
-sum_{i=a}^{b} 1/i >= ln((b + 1)/a), also evaluated in ``iv``.
+sum_{i=a}^{b} 1/i >= ln((b + 1)/a), decided in integers: the ratio
+(N + 1)/(N1 + 1) is checked against 2.71828183 > e.
 """
 
 from __future__ import annotations
@@ -60,9 +65,11 @@ from .errors import FloorUncertified, MoserpackError
 if TYPE_CHECKING:
     from mpmath import mpf
 
-# mpmath's contexts, bound by the first `_workdps`: only a certified
-# computation needs them, so `import moserpack` loads no mpmath.
-mp = iv = None
+# mpmath's contexts, libmp's exact floor, and each context's small integers
+# (`_ints[ctx][n]`, exact at every precision, as `ctx.one` is), bound by the
+# first `_workdps`: only a certified computation needs them, so
+# `import moserpack` loads no mpmath.
+mp = iv = to_int = round_floor = _ints = None
 
 Factor = Union[str, float, int]
 
@@ -74,9 +81,11 @@ _ROOT_TOL = 1e-12
 
 @contextmanager
 def _workdps(dps: int):
-    global mp, iv
+    global mp, iv, to_int, round_floor, _ints
     if mp is None:
         from mpmath import iv, mp
+        from mpmath.libmp import round_floor, to_int
+        _ints = {ctx: {n: ctx.mpf(n) for n in (2, 3, 4, 5, 10, 100)} for ctx in (mp, iv)}
     old_mp, old_iv = mp.dps, iv.dps
     mp.dps = dps
     iv.dps = dps
@@ -152,10 +161,11 @@ def _evaluate(spec: Factor, ctx) -> tuple:
     written as x / (sqrt((3/10)^2 + x) + 3/10) so that nothing cancels when
     F - 1 is small.
     """
-    three = ctx.mpf(3)
+    k = _ints[ctx]
+    three = k[3]
     if _named(spec):
         root3 = ctx.sqrt(three)
-        F, e = (2 + root3) / three, (root3 - ctx.one) / three
+        F, e = (k[2] + root3) / three, (root3 - ctx.one) / three
     else:
         exact = _rational(spec)
         if hasattr(exact, "denominator"):
@@ -163,21 +173,21 @@ def _evaluate(spec: Factor, ctx) -> tuple:
             F, e = ctx.mpf(exact.numerator) / den, ctx.mpf(exact.numerator - den) / den
         else:  # a Decimal beyond 10^400
             _, digits, exp = exact.as_tuple()
-            F = ctx.mpf(int("".join(map(str, digits)))) * ctx.mpf(10) ** exp
+            F = ctx.mpf(int("".join(map(str, digits)))) * k[10] ** exp
             e = F - 1
-    three_tenths = three / 10
-    x = e / 5
+    three_tenths = three / k[10]
+    x = e / k[5]
     c = x / (ctx.sqrt(three_tenths * three_tenths + x) + three_tenths)
     return F, e, c, c * c
 
 
-def _delta(F, e, V):
+def _delta(F, e, V, ten=10, hundred=100):
     """delta(V) = e / (10 F / V + 1/10) with e = F - 1, written as 10 e V / (100 F + V).
 
     Its constants are integers, so it runs unchanged on floats, mpf values
-    and intervals.
+    and intervals; the floors pass them as intervals, made once.
     """
-    return 10 * e * V / (100 * F + V)
+    return ten * e * V / (hundred * F + V)
 
 
 def compute_c(F: Factor) -> mpf:
@@ -201,12 +211,19 @@ class _Straddles(Exception):
 
 
 def _floor(val, what: str) -> int:
-    """Floor of the enclosure ``val``, which must not straddle an integer."""
-    lo, hi = mp.mpf(val.a), mp.mpf(val.b)
-    f_lo = mp.floor(lo)
-    if f_lo != mp.floor(hi):
-        raise _Straddles(what, lo, hi)
-    return int(f_lo)
+    """Floor of the enclosure ``val``, which must not straddle an integer.
+
+    Each endpoint is a binary mantissa and exponent, floored exactly in
+    integers (no float, no rounding); an infinite or NaN endpoint straddles.
+    """
+    lo, hi = val._mpi_
+    try:
+        f_lo = to_int(lo, round_floor)
+        if f_lo == to_int(hi, round_floor):
+            return f_lo
+    except ValueError:  # libmp's refusal of an infinite or NaN endpoint
+        pass
+    raise _Straddles(what, mp.make_mpf(lo), mp.make_mpf(hi))
 
 
 def _certified(derive: Callable[..., object], spec: Factor):
@@ -239,31 +256,43 @@ def _certified(derive: Callable[..., object], spec: Factor):
 
 
 def _n0_simple(F, e, c, c2) -> int:
-    d = _delta(F, e, c2)
+    k = _ints[iv]
+    d = _delta(F, e, c2, k[10], k[100])
     return max(1, _floor(iv.one / (d * d), "n0_simple"))
 
 
 def _n0_integral(F, e, c, c2) -> int:
-    one, hundred = iv.one, iv.mpf(100)
+    one, hundred = iv.one, _ints[iv][100]
     inv_c2 = one / c2
     val = ((hundred * (F * F) * (inv_c2 - one) + (F + F) * iv.log(inv_c2) + (one - c2) / hundred)
            / (e * e))
     return 1 + _floor(val, "n0_integral")
 
 
-def _derive_N(F, e, c, c2, N0: int, spec: Factor) -> tuple[int, int]:
-    # N0 is an integer, so floor(max(N0, x)) = max(N0, floor(x)) with x = (10F + 1/10)^2
+def _derive_N(N0: int, spec: Factor) -> tuple[int, int]:
+    """(N1, N) from an integer N0 >= 1; only N is floored from an enclosure.
+
+    N1 = max(N0, S) with S = floor((10F + 1/10)^2), since floor(max(N0, x))
+    = max(N0, floor(x)) for an integer N0.  S is exact integer arithmetic:
+    below 9 a numeric spec is a Fraction, and (10F + 1/10)^2 = (100F + 1)^2 / 100;
+    for ``"novotny"``, (10F + 1/10)^2 = (71209 + 40600 sqrt(3))/900, and
+    S = (71209 + isqrt(3 * 40600^2)) // 900 = 157, because isqrt(n) is
+    floor(sqrt(n)) and floor((a + y)/q) = floor((a + floor(y))/q) for
+    integers a and q > 0.  N = floor(e^2 N1) is floored from ``iv.exp(2)``.
+    The window (N1, N] carries harmonic mass at least ln((N + 1)/(N1 + 1)),
+    decided in integers: 10^8 (N + 1) >= 271828183 (N1 + 1) puts the ratio
+    at or above 2.71828183 > e, so the mass exceeds 1.
+    """
     if _named(spec):
-        ten = iv.mpf(10)
-        edge = ten * F + iv.one / ten
-        N1 = max(N0, _floor(edge * edge, "N1"))
-    else:  # below 9 the spec is a Fraction, so x = (100F + 1)^2 / 100 floors exactly
-        N1 = max(N0, (100 * _rational(spec) + 1) ** 2 // 100)
-    N = _floor(iv.exp(2) * N1, "N")
-    mass = _harmonic_lower(N1 + 1, N)
-    if mass < 1:
+        S = (71209 + math.isqrt(3 * 40600**2)) // 900
+    else:
+        S = (100 * _rational(spec) + 1) ** 2 // 100
+    N1 = max(N0, S)
+    N = _floor(iv.exp(_ints[iv][2]) * N1, "N")
+    if 10**8 * (N + 1) < 271_828_183 * (N1 + 1):
         raise MoserpackError(
-            f"harmonic certificate failed: mass over ({N1}, {N}] bounded only by {mass} < 1"
+            f"harmonic certificate failed: (N + 1)/(N1 + 1) = {N + 1}/{N1 + 1} is below "
+            f"2.71828183, so the mass over ({N1}, {N}] is not certified to reach 1"
         )
     return N1, N
 
@@ -300,31 +329,27 @@ def harmonic_range_sum(lo: int, hi: int) -> float:
     return math.fsum(parts)
 
 
-def _harmonic_lower(a: int, b: int) -> mpf:
-    """Certified lower bound on sum_{i=a}^{b} 1/i for 1 <= a <= b.
-
-    Each term satisfies 1/i >= integral of dx/x over [i, i + 1], so the sum
-    is at least ln((b + 1)/a); the result is the lower endpoint of an
-    outward-rounded enclosure of that logarithm at the working precision.
-    """
-    return mp.mpf(iv.log(iv.mpf(b + 1) / a).a)
-
-
 def derive_N(F: Factor, N0: int) -> tuple[int, int]:
-    """(N1, N) from N0: the two outer floors, interval-certified.
+    """(N1, N) from N0: N1 in exact integers, N interval-certified.
 
     N1 = floor(max(N0, (10F + 1/10)^2)) and N = floor(e^2 N1); the paper's
     100 c^2 never binds, as 5 c^2 + 3 c = F - 1 gives 100 c^2 < 20 (F - 1).
+    The square floors exactly: (100F + 1)^2 // 100 for a numeric F < 9,
+    which is a Fraction, and (71209 + isqrt(3 * 40600^2)) // 900 = 157 for
+    ``"novotny"``, whose square is (71209 + 40600 sqrt(3))/900: isqrt(n) is
+    floor(sqrt(n)) exactly, and floor(y/q) = floor(floor(y)/q) for an
+    integer q > 0.
     The window (N1, N] carries harmonic mass sum_{i=N1+1}^{N} 1/i >= 1,
     which ensures an index with edge below c/sqrt(n) exists in it whenever
     the tail area is below c^2.  That always holds: the mass is at least
     ln((N + 1)/(N1 + 1)), and N + 1 > e^2 N1 >= e^2 (N1 + 1)/2 gives
-    ln((N + 1)/(N1 + 1)) > 2 - ln 2 > 1.  The bound is still evaluated in
-    interval arithmetic, so a wrong N raises :class:`MoserpackError`.
+    ln((N + 1)/(N1 + 1)) > 2 - ln 2 > 1.  It is still checked, in integers:
+    10^8 (N + 1) >= 271828183 (N1 + 1) gives a ratio of at least
+    2.71828183 > e, and a wrong N raises :class:`MoserpackError`.
     """
     if N0 < 1:
         raise ValueError(f"N0 must be >= 1, got {N0}")
-    return _certified(lambda *values: _derive_N(*values, N0, F), F)
+    return _certified(lambda *chain: _derive_N(N0, F), F)
 
 
 # --- refined edge bound over the compact K ----------------------------------
@@ -357,9 +382,10 @@ def delta_refined(F: Factor) -> mpf:
 
 
 def _delta_refined(Fi, e, c, c2) -> mpf:
-    cap = c2 / 10
-    q = (10 * Fi + cap) / 4
-    a = e * c2 / 2
+    k = _ints[iv]
+    cap = c2 / k[10]
+    q = (k[10] * Fi + cap) / k[4]
+    a = e * c2 / k[2]
     f = a / (q + iv.sqrt(q * q - a))
     return min(mp.mpf(f.a), mp.mpf(cap.a))
 
@@ -394,6 +420,12 @@ def build_report(F: Factor, *, refined: bool = False,
     reach, then once in ``mp`` at 50 digits for the strings and the check;
     the refined edge comes from the floors' own enclosures.
     """
+    return _report_and_c(F, refined, use_integral_n0)[0]
+
+
+def _report_and_c(F: Factor, refined: bool, use_integral_n0: bool) -> tuple[ConstantsReport, mpf]:
+    """:func:`build_report` and the 50-digit c its ``mp`` chain computed, which is
+    :func:`compute_c`'s value."""
 
     def floors(*values):
         d_ref = _delta_refined(*values) if refined else None
@@ -401,7 +433,7 @@ def build_report(F: Factor, *, refined: bool = False,
         n0i = _n0_integral(*values)
         if n0i > n0s:
             raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
-        return (d_ref, n0s, n0i) + _derive_N(*values, n0i if use_integral_n0 else n0s, F)
+        return (d_ref, n0s, n0i) + _derive_N(n0i if use_integral_n0 else n0s, F)
 
     d_ref, n0s, n0i, N1, N = _certified(floors, F)
     with _workdps(50):
@@ -414,11 +446,12 @@ def build_report(F: Factor, *, refined: bool = False,
         d_str = mp.nstr(_delta(Fv, e, c2), 30)
     d_ref_str = None if d_ref is None else mp.nstr(d_ref, 30)
     certs = {"N0_simple": True, "N0_integral": True, "N1": True, "N": True}
-    return ConstantsReport(
+    report = ConstantsReport(
         F=f_str, c=c_str, delta_simple=d_str, delta_refined=d_ref_str,
         N0_simple=n0s, N0_integral=n0i, N1=N1, N=N,
         use_integral_n0=use_integral_n0, floor_certificates=certs,
     )
+    return report, c
 
 
 def report_to_dict(report: ConstantsReport) -> dict:

@@ -25,7 +25,7 @@ from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .constants import _delta, build_report, compute_c, factor_float
+from .constants import _delta, _report_and_c, factor_float
 from .errors import MoserpackError, PackFailure, PreconditionViolated
 from .geometry import EPS_GEOM, Instance, Packing, Rectangle, packing_to_dict
 from .shelf import meir_moser_holds, meir_moser_pack, small_s1_pack
@@ -73,9 +73,9 @@ class PackParams:
     def certified(cls, F: object = "novotny", *,
                   use_integral_n0: bool = False) -> "PackParams":
         """Parameters recomputed from the constants pipeline (not toy)."""
-        report = build_report(F, use_integral_n0=use_integral_n0)
+        report, c = _report_and_c(F, False, use_integral_n0)
         n0 = report.N0_integral if use_integral_n0 else report.N0_simple
-        return cls(F=factor_float(F), c=float(compute_c(F)), N0=n0,
+        return cls(F=factor_float(F), c=float(c), N0=n0,
                    N1=report.N1, N=report.N)
 
     @classmethod

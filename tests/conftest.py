@@ -7,6 +7,7 @@ from array import array
 from typing import NamedTuple
 
 import numpy as np
+from mpmath import iv, mp
 
 from moserpack import (
     Instance,
@@ -22,6 +23,7 @@ from moserpack import (
     reduce_and_pack,
     whitespace_pack,
 )
+from moserpack import constants
 from moserpack.constants import harmonic_range_sum
 from moserpack.geometry import (
     EPS_GEOM,
@@ -560,6 +562,25 @@ def harmonic_bounds(n: int) -> tuple[float, float, float]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return (math.log(n + 1), harmonic_range_sum(1, n), math.log(n) + 1.0)
+
+
+def _harmonic_lower(a: int, b: int):
+    """Certified lower bound on sum_{i=a}^{b} 1/i for 1 <= a <= b.
+
+    Each term satisfies 1/i >= integral of dx/x over [i, i + 1], so the sum
+    is at least ln((b + 1)/a); the result is the lower endpoint of an
+    outward-rounded enclosure of that logarithm at the working precision.
+    """
+    return mp.mpf(iv.log(iv.mpf(b + 1) / a).a)
+
+
+def reference_floor(val, what: str) -> int:
+    """``constants._floor`` through ``mp.floor`` of both endpoints, at the working precision."""
+    lo, hi = mp.mpf(val.a), mp.mpf(val.b)
+    f_lo = mp.floor(lo)
+    if f_lo != mp.floor(hi):
+        raise constants._Straddles(what, lo, hi)
+    return int(f_lo)
 
 
 class KSample(NamedTuple):

@@ -41,14 +41,15 @@ from moserpack.constants import (
     n0_integral,
     n0_simple,
 )
-from moserpack.constants import _harmonic_lower
 from moserpack.reduction import PackParams, find_small_index
 
 from conftest import (
+    _harmonic_lower,
     circumference_admits,
     harmonic_bounds,
     k_sample_grid,
     reference_find_small_index,
+    reference_floor,
     two_square_ternary_search,
     two_square_worst_case,
 )
@@ -503,6 +504,80 @@ class TestHarmonic:
         with constants._workdps(50):
             assert _harmonic_lower(a, b) <= harmonic_range_sum(a, b)
 
+    def test_window_constant_exceeds_e(self):
+        # derive_N's integer test 10^8 (N + 1) >= 271828183 (N1 + 1) bounds the ratio by it
+        with mp.workdps(60):
+            assert mp.mpf(271_828_183) / 10**8 > mp.e
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 10**15).flatmap(lambda n1: st.tuples(
+        st.just(n1),
+        st.one_of(st.integers(-3, 3).map(lambda d: -(-271_828_183 * (n1 + 1) // 10**8) - 1 + d),
+                  st.integers(n1 + 1, 10 * n1 + 10)))))
+    @example((0, 1))
+    @example((157, 1160))
+    def test_integer_window_implies_mass_one(self, pair):
+        # wherever the integer test passes, the interval log bound certifies mass >= 1
+        N1, N = pair
+        if N > N1 and 10**8 * (N + 1) >= 271_828_183 * (N1 + 1):
+            with constants._workdps(50):
+                assert _harmonic_lower(N1 + 1, N) >= 1
+
+
+@st.composite
+def floor_enclosures(draw):
+    """(dps, enclosure) with endpoints at that precision: integers of both signs
+    up to 300 digits, one ulp either side of one, or a fraction past one.  The
+    second endpoint starts from the first one's integer or from its own."""
+    dps = draw(st.sampled_from([15, 50, 200, 350]))
+    integers = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**300, 10**300))
+    n = draw(integers)
+    ends = []
+    with constants._workdps(dps):
+        for n in (n, draw(st.one_of(st.just(n), integers))):
+            x = mp.mpf(n)
+            step = draw(st.sampled_from(["none", "up", "down", "fraction"]))
+            if step == "fraction":
+                x += mp.mpf(draw(st.floats(0, 1, exclude_max=True)))
+            elif step != "none":
+                # a mantissa of exactly prec bits moves by one ulp
+                sign, man, exp, bc = x._mpf_
+                shift = mp.prec - bc if man else 0
+                mant = (-1) ** sign * (man << shift)
+                x = mp.mpf((mant + (1 if step == "up" else -1), exp - shift if man else -mp.prec))
+            ends.append(x)
+        lo, hi = sorted(ends)
+        return dps, constants.iv.make_mpf((lo._mpf_, hi._mpf_))
+
+
+def floor_outcome(floor, dps: int, val):
+    with constants._workdps(dps):
+        try:
+            return floor(val, "x")
+        except constants._Straddles as straddle:
+            return straddle.args
+
+
+class TestExactFloor:
+    @settings(max_examples=500)
+    @given(floor_enclosures())
+    def test_matches_mp_floor(self, enclosure):
+        dps, val = enclosure
+        assert floor_outcome(constants._floor, dps, val) == floor_outcome(reference_floor, dps, val)
+
+    def test_past_the_float_range_of_integers(self):
+        # a float floors 12345678901234567890.99 to 12345678901234567168
+        with constants._workdps(50):
+            val = constants.iv.mpf("12345678901234567890.99")
+            assert constants._floor(val, "x") == 12345678901234567890
+
+    @pytest.mark.parametrize("ends", [("1.5", "inf"), ("-inf", "1.5"), ("-inf", "inf")])
+    def test_infinite_endpoints_straddle(self, ends):
+        with constants._workdps(50):
+            val = constants.iv.mpf(list(ends))
+        assert floor_outcome(constants._floor, 50, val) == floor_outcome(reference_floor, 50, val)
+        assert floor_outcome(constants._floor, 50, val)[0] == "x"
+
 
 def oracle_N(N1: int) -> int:
     """floor(e^2 N1) at 60 digits."""
@@ -524,6 +599,15 @@ class TestTwoTermN1:
             assert rep.N1 == max(n0, k * k), F
             assert rep.N == oracle_N(rep.N1), F
             assert derive_N(F, n0) == (rep.N1, rep.N), F
+
+    @pytest.mark.parametrize("N0, N1, N", [(1, 157, 1160), (157, 157, 1160), (158, 158, 1167)])
+    def test_novotny_closed_form_binds(self, N0, N1, N):
+        # (10F + 1/10)^2 = (71209 + 40600 sqrt(3))/900 = 157.26 for F = (2 + sqrt(3))/3
+        with mp.workdps(60):
+            F = (2 + mp.sqrt(3)) / 3
+            want = int(mp.floor(max(N0, (10 * F + mp.mpf(1) / 10) ** 2)))
+        assert (want, oracle_N(want)) == (N1, N)
+        assert derive_N(NOVOTNY, N0) == (N1, N)
 
     @pytest.mark.parametrize("F, flags, N1, N", [
         ("4.99", [], 2_500, 18_472), ("4.99", ["--integral-n0"], 2_500, 18_472),
@@ -830,6 +914,15 @@ class TestSharedChain:
         assert sorted(evaluations) == [(False, 50), (True, 50), (True, 100), (True, 200),
                                        (True, 294)]
 
+    # the last three factors round to the float 1.0, which PackParams refuses
+    @pytest.mark.parametrize("integral", [False, True], ids=["simple", "integral"])
+    @pytest.mark.parametrize("F", [F for F in CHAIN_GRID if factor_float(F) > 1])
+    def test_certified_params_take_c_from_the_report(self, F, integral, monkeypatch):
+        want = float(compute_c(F))
+        evaluations = self._count_chains(monkeypatch)
+        assert PackParams.certified(F, use_integral_n0=integral).c == want
+        assert evaluations.count((False, 50)) == 1
+
     def test_no_chain_kept_across_calls(self, monkeypatch):
         evaluations = self._count_chains(monkeypatch)
         build_report(NOVOTNY)
@@ -877,19 +970,15 @@ class TestFloorUncertified:
     MESSAGES = {
         "n0_simple": "[93752340.5639319, 93752342.5639319]",
         "n0_integral": "[491223.734537023, 491225.734537023]",
-        # N1 = max(N0, floor((10F + 1/10)^2)): its one floor is of the square, 157.26
-        "N1": "[156.25584754144, 158.25584754144]",
         "N": "[3629688.08219721, 3629690.08219721]",
     }
 
     @pytest.mark.parametrize("what, call", [
         ("n0_simple", lambda: n0_simple(NOVOTNY)),
         ("n0_integral", lambda: n0_integral(NOVOTNY)),
-        ("N1", lambda: derive_N(NOVOTNY, 491_225)),
         ("N", lambda: derive_N(NOVOTNY, 491_225)),
         ("n0_simple", lambda: build_report(NOVOTNY, use_integral_n0=True)),
         ("n0_integral", lambda: build_report(NOVOTNY, use_integral_n0=True)),
-        ("N1", lambda: build_report(NOVOTNY, use_integral_n0=True)),
         ("N", lambda: build_report(NOVOTNY, use_integral_n0=True)),
     ])
     def test_names_the_straddling_floor(self, what, call, monkeypatch):
@@ -905,6 +994,24 @@ class TestFloorUncertified:
             call()
         assert str(err.value) == (f"{what}: enclosure {self.MESSAGES[what]} "
                                   "straddles an integer at 200 digits")
+
+    @pytest.mark.parametrize("call", [
+        lambda: derive_N(NOVOTNY, 491_225),
+        lambda: (lambda r: (r.N1, r.N))(build_report(NOVOTNY, use_integral_n0=True)),
+    ], ids=["derive_N", "build_report"])
+    def test_novotny_N1_has_no_enclosure(self, call, monkeypatch):
+        # N1 = max(N0, 157) in integers: widening an "N1" enclosure changes nothing
+        floor, names = constants._floor, []
+
+        def widened(val, name):
+            names.append(name)
+            if name == "N1":
+                val = val + constants.iv.mpf([-1, 1])
+            return floor(val, name)
+
+        monkeypatch.setattr(constants, "_floor", widened)
+        assert call() == (491_225, 3_629_689)
+        assert "N" in names and "N1" not in names
 
 
 class TestErrorHierarchy:
