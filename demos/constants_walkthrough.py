@@ -3,9 +3,10 @@
 Derives c, the per-square whitespace guarantee delta, and the index
 thresholds N0 <= N1 <= N, once with the closed-form N0 and once with the
 sharper integral variant. The floor certificates record that each floor
-was certified: N0 and N from an interval enclosure which, at 50 digits
-and doubled until it does not straddle an integer, lies between two
-consecutive integers, and N1 in exact integer arithmetic.
+was certified: N0 and N from an integer bracket [lo, hi] / 2^p which, at
+192 bits for this factor and doubled until it does not straddle an
+integer, lies between two consecutive integers, and N1 in exact integer
+arithmetic.
 """
 
 from moserpack import NOVOTNY, build_report, report_to_dict

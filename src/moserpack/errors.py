@@ -30,8 +30,9 @@ class EmptyRegionError(MoserpackError):
 
 
 class FloorUncertified(MoserpackError):
-    """An interval enclosure could not separate a value from the integers.
+    """An integer bracket could not separate a value from the integers,
+    or a printed value from its rounding boundaries.
 
-    The floor of the enclosed value is therefore ambiguous even at the
-    maximum working precision, and no integer result is reported.
+    The floor (or the digits) of the bracketed value is therefore ambiguous
+    even at the largest scale tried, and no result is reported.
     """

@@ -73,10 +73,13 @@ class PackParams:
     def certified(cls, F: object = "novotny", *,
                   use_integral_n0: bool = False) -> "PackParams":
         """Parameters recomputed from the constants pipeline (not toy)."""
+        F_float = factor_float(F)
+        if F_float == 1:
+            raise ValueError(f"area factor {F!r} rounds to the float 1.0, and PackParams "
+                             "needs a float F > 1")
         report, c = _report_and_c(F, False, use_integral_n0)
         n0 = report.N0_integral if use_integral_n0 else report.N0_simple
-        return cls(F=factor_float(F), c=float(c), N0=n0,
-                   N1=report.N1, N=report.N)
+        return cls(F=F_float, c=float(c), N0=n0, N1=report.N1, N=report.N)
 
     @classmethod
     def toy_params(cls, F: float, c: float, N0: int, N1: int, N: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -574,13 +575,98 @@ def _harmonic_lower(a: int, b: int):
     return mp.mpf(iv.log(iv.mpf(b + 1) / a).a)
 
 
-def reference_floor(val, what: str) -> int:
-    """``constants._floor`` through ``mp.floor`` of both endpoints, at the working precision."""
-    lo, hi = mp.mpf(val.a), mp.mpf(val.b)
-    f_lo = mp.floor(lo)
-    if f_lo != mp.floor(hi):
-        raise constants._Straddles(what, lo, hi)
-    return int(f_lo)
+# --- the certified constants' interval oracle --------------------------------
+# The package brackets its constants in integers over 2^p.  The oracle below
+# derives them in mpmath's outward-rounded interval arithmetic, with its own
+# formulas and its own precision schedule, so that it checks that arithmetic.
+
+
+@contextmanager
+def workdps(dps: int):
+    """Both mpmath contexts, ``mp`` and ``iv``, at ``dps`` digits."""
+    old = mp.dps, iv.dps
+    mp.dps = iv.dps = dps
+    try:
+        yield
+    finally:
+        mp.dps, iv.dps = old
+
+
+def oracle_chain(spec) -> tuple:
+    """(F, e, c, c^2) of a factor spec below 9 as ``iv`` intervals at the working precision.
+
+    c = x / (sqrt((3/10)^2 + x) + 3/10) with x = (F - 1)/5, so that nothing
+    cancels when F - 1 is small; F - 1 comes from the spec's exact value.
+    """
+    if constants._named(spec):
+        root3 = iv.sqrt(3)
+        F, e = (2 + root3) / 3, (root3 - 1) / 3
+    else:
+        exact = constants._rational(spec)
+        den = exact.denominator
+        F, e = iv.mpf(exact.numerator) / den, iv.mpf(exact.numerator - den) / den
+    x = e / 5
+    c = x / (iv.sqrt(iv.mpf(9) / 100 + x) + iv.mpf(3) / 10)
+    return F, e, c, c * c
+
+
+def oracle_values(spec) -> dict:
+    """Enclosures of the chain's values, by name, at the working precision of
+    both ``iv`` and ``mp``."""
+    F, e, c, c2 = oracle_chain(spec)
+    d = 10 * e * c2 / (100 * F + c2)
+    q = (10 * F + c2 / 10) / 4
+    a = e * c2 / 2
+    f = a / (q + iv.sqrt(q * q - a))
+    inv_c2, cap = 1 / c2, c2 / 10
+    refined = [min(mp.mpf(f.a), mp.mpf(cap.a)), min(mp.mpf(f.b), mp.mpf(cap.b))]
+    return {
+        "F": F, "w": 1 / e, "u": 1 / c, "u2": inv_c2, "c": c,
+        "inv_delta": 1 / d, "delta_refined": iv.mpf(refined),
+        "ln_u2": iv.log(inv_c2), "exp2": iv.exp(2),
+        "n0_simple": 1 / (d * d),
+        "n0_integral": (100 * F * F * (inv_c2 - 1) + 2 * F * iv.log(inv_c2) + (1 - c2) / 100)
+                       / (e * e),
+    }
+
+
+def _oracle_floor(val):
+    """The floor of an enclosure, or None where it straddles an integer."""
+    lo, hi = mp.floor(mp.mpf(val.a)), mp.floor(mp.mpf(val.b))
+    return int(lo) if lo == hi else None
+
+
+def oracle_floors(spec, use_integral_n0: bool = False) -> tuple:
+    """(N0_simple, N0_integral, N1, N) by the interval oracle.
+
+    It starts at 50 digits and doubles until every floor is decided.  N1's
+    (10F + 1/10)^2 is floored exactly for a numeric spec, where it can be an
+    integer, and from its enclosure for ``"novotny"``, where it is irrational.
+    """
+    dps = 50
+    while dps <= 4000:
+        with workdps(dps):
+            vals = oracle_values(spec)
+            n0s, n0i = _oracle_floor(vals["n0_simple"]), _oracle_floor(vals["n0_integral"])
+            if constants._named(spec):
+                F = vals["F"]
+                square = _oracle_floor((10 * F + iv.mpf(1) / 10) ** 2)
+            else:
+                square = int((100 * constants._rational(spec) + 1) ** 2 // 100)
+            if None not in (n0s, n0i, square):
+                n0s, n0i = max(1, n0s), 1 + n0i
+                N1 = max(n0i if use_integral_n0 else n0s, square)
+                N = _oracle_floor(iv.exp(2) * N1)
+                if N is not None:
+                    return n0s, n0i, N1, N
+        dps *= 2
+    raise AssertionError(f"the oracle cannot decide the floors of {spec!r}")
+
+
+def reference_floor(lo: int, hi: int, q: int):
+    """The floors of both ends of [lo, hi] / 2^q through ``mp.floor``, exactly."""
+    with mp.workprec(max(lo.bit_length(), hi.bit_length(), 1) + 10):
+        return int(mp.floor(mp.ldexp(lo, -q))), int(mp.floor(mp.ldexp(hi, -q)))
 
 
 class KSample(NamedTuple):

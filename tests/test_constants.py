@@ -1,8 +1,10 @@
 """Constant derivation chain: c, delta, the index thresholds, refinements.
 
 Expected values are frozen from independent oracles: root-finding instead of
-the closed-form radical, mpmath quadrature instead of the antiderivative, and
-mpmath's digamma-based harmonic numbers instead of direct summation.
+the closed-form radical, mpmath quadrature instead of the antiderivative,
+mpmath's digamma-based harmonic numbers instead of direct summation, and
+mpmath's interval arithmetic (``conftest.oracle_floors``) instead of the
+package's integer brackets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from moserpack import (
     NOVOTNY,
@@ -48,13 +50,28 @@ from conftest import (
     circumference_admits,
     harmonic_bounds,
     k_sample_grid,
+    oracle_chain,
+    oracle_floors,
+    oracle_values,
     reference_find_small_index,
     reference_floor,
     two_square_ternary_search,
     two_square_worst_case,
+    workdps,
 )
 
 F_GRID = [factor_float(NOVOTNY), 1.26, 1.28, 1.30, 1.33, 1.37]
+
+
+def as_mpf(x: Decimal):
+    """A 50-digit result at the working precision of ``mp``, which reads no Decimal."""
+    return mp.mpf(str(x))
+
+
+def exact(end) -> Fraction:
+    """The exact value of an interval endpoint, read at ``mp``'s working precision."""
+    man, exp = mp.mpf(end).man_exp
+    return man * Fraction(2) ** exp
 
 
 def oracle_c(F: float, dps: int = 60):
@@ -172,7 +189,7 @@ class TestFactor:
         assert factor_float(F) == want
 
     @pytest.mark.parametrize("spec", ["1.5", "1.3", "1.2440169358562925048", "9.75"])
-    def test_mpf_is_rejected(self, spec, monkeypatch):
+    def test_mpf_is_rejected(self, spec):
         # a factor spec is a decimal string, an int, a float or "novotny";
         # an mpf would be a second spelling of a "p/q" string
         with mp.workdps(60):
@@ -181,13 +198,6 @@ class TestFactor:
             with pytest.raises(ValueError) as err:
                 func(F)
             assert str(err.value).startswith("area factor must be finite and exceed 1, got mpf(")
-        # the same from a process whose constants layer has not bound
-        # mpmath yet, and factor_float leaves it unbound
-        for name in ("mp", "iv"):
-            monkeypatch.setattr(constants, name, None)
-        with pytest.raises(ValueError, match="area factor must be finite and exceed 1, got mpf"):
-            factor_float(F)
-        assert constants.mp is None
 
     @pytest.mark.parametrize("F, got", [
         ("1", "'1'"), ("0.5", "'0.5'"), ("-1.5", "'-1.5'"), ("nan", "'nan'"),
@@ -225,7 +235,7 @@ class TestFactor:
         compute_c, factor_float, delta_simple, n0_simple, build_report,
     ], ids=["compute_c", "factor_float", "delta_simple", "n0_simple", "build_report"])
     def test_non_finite_factor_rejected(self, func, F):
-        # n0_simple reads the factor only in interval arithmetic, the rest in mp
+        # each reads the spec's exact value, which a non-finite spec does not have
         with pytest.raises(ValueError, match="area factor must be finite and exceed 1"):
             func(F)
 
@@ -234,10 +244,10 @@ class TestFactor:
         # building them once took 0.2 s to 16 s, or 400 MB for 1e999999999
         start = time.perf_counter()
         assert factor_float("1e1000000") == math.inf
-        assert float(compute_c("1e1000000")) == math.inf
-        with pytest.raises(MoserpackError) as err:
-            build_report("1e1000000")
-        assert str(err.value) == "area factor must be below 9, where c < 1, got '1e1000000'"
+        for func in (compute_c, build_report):
+            with pytest.raises(MoserpackError) as err:
+                func("1e1000000")
+            assert str(err.value) == "area factor must be below 9, where c < 1, got '1e1000000'"
         assert cli_dispatch(["constants", "--F", "1e999999999"]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == {
             "type": "MoserpackError",
@@ -263,9 +273,10 @@ class TestC:
         for F in F_GRID:
             with mp.workdps(60):
                 got = compute_c(F)
+                assert isinstance(got, Decimal)
                 want = oracle_c(F)
                 # c < 1 at 50 significant digits
-                assert abs(got - want) < mp.mpf(10) ** -50
+                assert abs(as_mpf(got) - want) < mp.mpf(10) ** -50
 
     def test_root_identity(self):
         for F in F_GRID:
@@ -321,7 +332,7 @@ class TestDelta:
             with mp.workdps(60):
                 c = oracle_c(F)
                 want = (mp.mpf(F) - 1) / (10 * mp.mpf(F) / (c * c) + mp.mpf(1) / 10)
-                assert abs(delta_simple(F) - want) < mp.mpf(10) ** -50
+                assert abs(as_mpf(delta_simple(F)) - want) < mp.mpf(10) ** -50
 
     def test_delta_of_full_area(self):
         # V = 1 collapses to (F-1)/(10F + 1/10)
@@ -336,7 +347,8 @@ class TestDelta:
             assert all(a < b for a, b in zip(vals, vals[1:])), F
 
     def test_delta_at_c_squared_is_delta_simple(self):
-        for F, Vs in EDGE_GRID:
+        # delta_simple answers below F = 9, where c < 1
+        for F, Vs in EDGE_GRID[:-1]:
             assert edge_bound(F, Vs[0]) == pytest.approx(float(delta_simple(F)), rel=1e-12), F
 
     def test_edge_bound_matches_both_oracles(self):
@@ -379,7 +391,9 @@ class TestNearOne:
     @pytest.mark.parametrize("k", [25, 40])
     def test_c_and_delta_digits(self, k):
         F = "1." + "0" * (k - 1) + "1"
-        assert (mp.nstr(compute_c(F), 30), mp.nstr(delta_simple(F), 30)) == self._printed(F)
+        with mp.workdps(60):
+            got = mp.nstr(as_mpf(compute_c(F)), 30), mp.nstr(as_mpf(delta_simple(F)), 30)
+        assert got == self._printed(F)
 
     def test_report_digits(self):
         F = "1.0000000000000000000000001"
@@ -501,7 +515,7 @@ class TestHarmonic:
     def test_log_certificate_below_direct_sum(self, ab):
         # the closed-form bound derive_N certifies with never exceeds the sum
         a, b = ab
-        with constants._workdps(50):
+        with workdps(50):
             assert _harmonic_lower(a, b) <= harmonic_range_sum(a, b)
 
     def test_window_constant_exceeds_e(self):
@@ -520,63 +534,69 @@ class TestHarmonic:
         # wherever the integer test passes, the interval log bound certifies mass >= 1
         N1, N = pair
         if N > N1 and 10**8 * (N + 1) >= 271_828_183 * (N1 + 1):
-            with constants._workdps(50):
+            with workdps(50):
                 assert _harmonic_lower(N1 + 1, N) >= 1
 
 
 @st.composite
-def floor_enclosures(draw):
-    """(dps, enclosure) with endpoints at that precision: integers of both signs
-    up to 300 digits, one ulp either side of one, or a fraction past one.  The
-    second endpoint starts from the first one's integer or from its own."""
-    dps = draw(st.sampled_from([15, 50, 200, 350]))
+def floor_brackets(draw):
+    """(lo, hi, q): a bracket [lo, hi] / 2^q, q up to 1,200, with ends that are
+    integers of both signs up to 300 digits, one unit either side of one, or a
+    fraction past one.  The second end starts from the first one's integer or
+    from its own."""
+    q = draw(st.sampled_from([0, 1, 64, 192, 1_200]))
     integers = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**300, 10**300))
     n = draw(integers)
     ends = []
-    with constants._workdps(dps):
-        for n in (n, draw(st.one_of(st.just(n), integers))):
-            x = mp.mpf(n)
-            step = draw(st.sampled_from(["none", "up", "down", "fraction"]))
-            if step == "fraction":
-                x += mp.mpf(draw(st.floats(0, 1, exclude_max=True)))
-            elif step != "none":
-                # a mantissa of exactly prec bits moves by one ulp
-                sign, man, exp, bc = x._mpf_
-                shift = mp.prec - bc if man else 0
-                mant = (-1) ** sign * (man << shift)
-                x = mp.mpf((mant + (1 if step == "up" else -1), exp - shift if man else -mp.prec))
-            ends.append(x)
-        lo, hi = sorted(ends)
-        return dps, constants.iv.make_mpf((lo._mpf_, hi._mpf_))
+    for n in (n, draw(st.one_of(st.just(n), integers))):
+        end = n << q
+        step = draw(st.sampled_from(["none", "up", "down", "fraction"]))
+        if step == "fraction":
+            end += draw(st.integers(0, (1 << q) - 1))
+        elif step != "none":
+            end += 1 if step == "up" else -1
+        ends.append(end)
+    lo, hi = sorted(ends)
+    return lo, hi, q
 
 
-def floor_outcome(floor, dps: int, val):
-    with constants._workdps(dps):
-        try:
-            return floor(val, "x")
-        except constants._Straddles as straddle:
-            return straddle.args
+def floor_outcome(lo: int, hi: int, q: int):
+    try:
+        return constants._floor(lo, hi, q, "x")
+    except constants._Straddles as straddle:
+        return straddle.args
 
 
 class TestExactFloor:
     @settings(max_examples=500)
-    @given(floor_enclosures())
-    def test_matches_mp_floor(self, enclosure):
-        dps, val = enclosure
-        assert floor_outcome(constants._floor, dps, val) == floor_outcome(reference_floor, dps, val)
+    @given(floor_brackets())
+    def test_matches_mp_floor(self, bracket):
+        lo, hi, q = bracket
+        f_lo, f_hi = reference_floor(lo, hi, q)
+        got = floor_outcome(lo, hi, q)
+        if f_lo == f_hi:
+            assert got == f_lo
+        else:
+            text, bits = got
+            assert text.startswith("x: enclosure [") and text.endswith("] straddles an integer")
+            assert bits == hi.bit_length() - q
 
     def test_past_the_float_range_of_integers(self):
         # a float floors 12345678901234567890.99 to 12345678901234567168
-        with constants._workdps(50):
-            val = constants.iv.mpf("12345678901234567890.99")
-            assert constants._floor(val, "x") == 12345678901234567890
+        lo = math.floor(Fraction("12345678901234567890.99") * 2**64)
+        assert constants._floor(lo, lo + 1, 64, "x") == 12345678901234567890
 
-    @pytest.mark.parametrize("ends", [("1.5", "inf"), ("-inf", "1.5"), ("-inf", "inf")])
+    # An integer bracket has no infinite end; an end of 2^4000, far past the
+    # float range, stands in for the infinite ends mpmath's intervals had.
+    @pytest.mark.parametrize("ends", [(3, 1 << 4000), (-(1 << 4000), 3),
+                                      (-(1 << 4000), 1 << 4000)])
     def test_infinite_endpoints_straddle(self, ends):
-        with constants._workdps(50):
-            val = constants.iv.mpf(list(ends))
-        assert floor_outcome(constants._floor, 50, val) == floor_outcome(reference_floor, 50, val)
-        assert floor_outcome(constants._floor, 50, val)[0] == "x"
+        lo, hi = ends
+        f_lo, f_hi = reference_floor(lo, hi, 1)
+        assert f_lo != f_hi
+        text, bits = floor_outcome(lo, hi, 1)
+        assert text.startswith("x: enclosure [") and text.endswith("] straddles an integer")
+        assert bits == hi.bit_length() - 1
 
 
 def oracle_N(N1: int) -> int:
@@ -626,9 +646,9 @@ class TestTwoTermN1:
     @example("1." + "0" * 39 + "1")
     def test_hundred_c_squared_never_binds(self, spec):
         # 100 c^2 < 20 (F - 1) < (10F + 1/10)^2, by 5 c^2 + 3 c = F - 1
-        with constants._workdps(50):
-            F, _, _, c2 = constants._evaluate(spec, constants.iv)
-            edge = 10 * F + constants.iv.one / 10
+        with workdps(50):
+            F, _, _, c2 = oracle_chain(spec)
+            edge = 10 * F + iv.mpf(1) / 10
             assert (100 * c2).b < (edge * edge).a
 
 
@@ -725,12 +745,13 @@ class TestRefinedDelta:
             want = mp.mpf("1.1111108765432504678e-23")
             corner = oracle_f("1.0000001", oracle_c2("1.0000001"), 10 * mp.mpf("1.0000001"))
             assert abs(corner - want) < want * mp.mpf(10) ** -19
-            assert got <= corner
+            assert as_mpf(got) <= corner
         assert float(got) == pytest.approx(float(want), rel=1e-9, abs=0)
 
     def test_near_one_report(self):
         rep = build_report("1.0000001", refined=True)
-        assert rep.delta_refined == mp.nstr(delta_refined("1.0000001"), 30)
+        with mp.workdps(60):
+            assert rep.delta_refined == mp.nstr(as_mpf(delta_refined("1.0000001")), 30)
         assert float(rep.delta_refined) == pytest.approx(1.1111108765432504678e-23, rel=1e-9, abs=0)
 
     def test_near_one_cli(self, capsys):
@@ -752,7 +773,7 @@ class TestRefinedDelta:
             c2 = oracle_c2(F)
             V, H = point_of_K(F, c2, u, w)
             bound = min(oracle_f(F, V, H), c2 / 10)
-        assert simple <= refined <= bound
+            assert simple <= refined and as_mpf(refined) <= bound
 
     def test_grid_samples_live_in_K(self):
         F = 1.3
@@ -812,6 +833,11 @@ class TestReport:
         report = json.loads(capsys.readouterr().out)
         assert report["N0_integral"] == 902_802_554_844_838
 
+    def test_exact_tie_rounds_toward_zero(self):
+        # 31 significant digits ending in 5 lie half-way between two 30-digit strings
+        assert build_report("1.234567890123456789012345678905").F == "1.2345678901234567890123456789"
+        assert build_report("1.234567890123456789012345678915").F == "1.23456789012345678901234567891"
+
     def test_refined_flag(self):
         rep = build_report(1.37, refined=True)
         assert rep.delta_refined is not None
@@ -844,6 +870,8 @@ DOMAIN_EDGE = [9, "9.0", 9.5, 10, 20, "1e300", "1e999999999"]
 class TestDomain:
     CERTIFIED = {
         "build_report": build_report,
+        "compute_c": compute_c,
+        "delta_simple": delta_simple,
         "n0_simple": n0_simple,
         "n0_integral": n0_integral,
         "derive_N": lambda F: derive_N(F, 5),
@@ -864,13 +892,8 @@ class TestDomain:
         rep = build_report(F, refined=True)
         assert (n0_simple(F), n0_integral(F)) == (rep.N0_simple, rep.N0_integral)
         assert derive_N(F, rep.N0_simple) == (rep.N1, rep.N)
-        assert mp.nstr(delta_refined(F), 30) == rep.delta_refined
-
-    def test_closed_forms_answer_past_9(self):
-        # c = (sqrt(9 + 20 (F - 1)) - 3)/10, and delta_simple = 8/90.1 at F = 9, where c = 1
         with mp.workdps(60):
-            assert abs(compute_c("9.5") - (mp.sqrt(179) - 3) / 10) < mp.mpf(10) ** -49
-            assert abs(delta_simple("9") - mp.mpf(80) / 901) < mp.mpf(10) ** -50
+            assert mp.nstr(as_mpf(delta_refined(F)), 30) == rep.delta_refined
 
 
 class TestSharedChain:
@@ -893,26 +916,28 @@ class TestSharedChain:
 
     @staticmethod
     def _count_chains(monkeypatch) -> list:
+        """The scale p of every chain evaluation from here on."""
         evaluations = []
         evaluate = constants._evaluate
 
-        def counting(spec, ctx):
-            evaluations.append((ctx is constants.iv, ctx.dps))
-            return evaluate(spec, ctx)
+        def counting(v, p):
+            evaluations.append(p)
+            return evaluate(v, p)
 
         monkeypatch.setattr(constants, "_evaluate", counting)
         return evaluations
 
     def test_one_chain_per_context_and_precision(self, monkeypatch):
+        # one integer chain per pass, at 192 bits for novotny; there is no
+        # second chain for the strings
         evaluations = self._count_chains(monkeypatch)
         for refined in (False, True):
             build_report(NOVOTNY, refined=refined)
-            assert sorted(evaluations) == [(False, 50), (True, 50)]
+            assert evaluations == [192]
             evaluations.clear()
-        # past 50 digits, one interval chain per precision the floors reach
+        # 1 + 10^-40 starts at 192 + 6 * 132 bits, where every floor is decided
         build_report(CHAIN_GRID[-1], refined=True)
-        assert sorted(evaluations) == [(False, 50), (True, 50), (True, 100), (True, 200),
-                                       (True, 294)]
+        assert evaluations == [984]
 
     # the last three factors round to the float 1.0, which PackParams refuses
     @pytest.mark.parametrize("integral", [False, True], ids=["simple", "integral"])
@@ -921,7 +946,16 @@ class TestSharedChain:
         want = float(compute_c(F))
         evaluations = self._count_chains(monkeypatch)
         assert PackParams.certified(F, use_integral_n0=integral).c == want
-        assert evaluations.count((False, 50)) == 1
+        assert len(evaluations) == 1
+
+    @pytest.mark.parametrize("F", CHAIN_GRID[-3:])
+    def test_certified_params_refuse_a_float_of_one_first(self, F, monkeypatch):
+        evaluations = self._count_chains(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            PackParams.certified(F)
+        assert str(err.value) == (f"area factor {F!r} rounds to the float 1.0, and "
+                                  "PackParams needs a float F > 1")
+        assert evaluations == []
 
     def test_no_chain_kept_across_calls(self, monkeypatch):
         evaluations = self._count_chains(monkeypatch)
@@ -930,48 +964,65 @@ class TestSharedChain:
         build_report(NOVOTNY)
         assert len(evaluations) == 2 * once
 
-    # Each public function at the last factor, whose floors need up to 295
-    # digits: an mp chain at 50 digits for a value, one iv chain per
-    # precision its floors reach, and the same again on a second call.
-    PUBLIC_CHAINS = {
-        "compute_c": [(False, 50)],
-        "delta_simple": [(False, 50)],
-        "delta_refined": [(True, 50)],
-        "n0_simple": [(True, 50), (True, 100), (True, 200), (True, 294)],
-        "n0_integral": [(True, 50), (True, 100), (True, 200)],
-        # derive_N's widest floor is N, of 245 integer digits, against N0's 244
-        "derive_N": [(True, 50), (True, 100), (True, 200), (True, 295)],
-        "build_report": [(False, 50), (True, 50), (True, 100), (True, 200), (True, 294)],
-    }
+    # Each public function at the last factor evaluates the chain once, at
+    # the 984 bits where its floors and digits are decided, and the same
+    # again on a second call.
+    PUBLIC_CHAINS = ["compute_c", "delta_simple", "delta_refined", "n0_simple", "n0_integral",
+                     "build_report"]
 
     @pytest.mark.parametrize("name", PUBLIC_CHAINS)
     def test_public_functions_evaluate_once_per_precision(self, name, monkeypatch):
         F = CHAIN_GRID[-1]
-        n0 = n0_simple(F)
         call = {
             "compute_c": lambda: compute_c(F),
             "delta_simple": lambda: delta_simple(F),
             "delta_refined": lambda: delta_refined(F),
             "n0_simple": lambda: n0_simple(F),
             "n0_integral": lambda: n0_integral(F),
-            "derive_N": lambda: derive_N(F, n0),
             "build_report": lambda: build_report(F, refined=True),
         }[name]
         evaluations = self._count_chains(monkeypatch)
         for _ in range(2):
             call()
-            assert sorted(evaluations) == self.PUBLIC_CHAINS[name]
+            assert evaluations == [984]
             evaluations.clear()
+
+    def test_derive_N_brackets_only_e_squared(self, monkeypatch):
+        # N = floor(e^2 N1) needs e^2 alone; N1's square is exact, so no chain runs
+        F = CHAIN_GRID[-1]
+        n0 = n0_simple(F)
+        evaluations = self._count_chains(monkeypatch)
+        exp2, scales = constants._exp2, []
+        monkeypatch.setattr(constants, "_exp2", lambda p: scales.append(p) or exp2(p))
+        for _ in range(2):
+            # N has 245 integer digits against N0's 244, and needs no wider scale
+            derive_N(F, n0)
+            derive_N(NOVOTNY, 491_225)
+        assert evaluations == []
+        assert scales == [984, 192, 984, 192]
 
 
 class TestFloorUncertified:
-    # The enclosure of one floor, widened by [-1, 1], straddles an integer at
-    # every precision; the error names that floor and its enclosure at 200 digits.
+    # The bracket of one floor, widened by one unit either way, straddles an
+    # integer at every scale; the error names that floor and its bracket at
+    # 4 x 192 bits, novotny's cap.
     MESSAGES = {
         "n0_simple": "[93752340.5639319, 93752342.5639319]",
         "n0_integral": "[491223.734537023, 491225.734537023]",
         "N": "[3629688.08219721, 3629690.08219721]",
     }
+
+    @staticmethod
+    def _widen(monkeypatch, what: str, names: list) -> None:
+        floor = constants._floor
+
+        def widened(lo, hi, q, name):
+            names.append(name)
+            if name == what:
+                lo, hi = lo - (1 << q), hi + (1 << q)
+            return floor(lo, hi, q, name)
+
+        monkeypatch.setattr(constants, "_floor", widened)
 
     @pytest.mark.parametrize("what, call", [
         ("n0_simple", lambda: n0_simple(NOVOTNY)),
@@ -982,36 +1033,61 @@ class TestFloorUncertified:
         ("N", lambda: build_report(NOVOTNY, use_integral_n0=True)),
     ])
     def test_names_the_straddling_floor(self, what, call, monkeypatch):
-        floor = constants._floor
-
-        def widened(val, name):
-            if name == what:
-                val = val + constants.iv.mpf([-1, 1])
-            return floor(val, name)
-
-        monkeypatch.setattr(constants, "_floor", widened)
+        self._widen(monkeypatch, what, [])
         with pytest.raises(FloorUncertified) as err:
             call()
         assert str(err.value) == (f"{what}: enclosure {self.MESSAGES[what]} "
-                                  "straddles an integer at 200 digits")
+                                  "straddles an integer at 768 bits")
 
     @pytest.mark.parametrize("call", [
         lambda: derive_N(NOVOTNY, 491_225),
         lambda: (lambda r: (r.N1, r.N))(build_report(NOVOTNY, use_integral_n0=True)),
     ], ids=["derive_N", "build_report"])
     def test_novotny_N1_has_no_enclosure(self, call, monkeypatch):
-        # N1 = max(N0, 157) in integers: widening an "N1" enclosure changes nothing
-        floor, names = constants._floor, []
-
-        def widened(val, name):
-            names.append(name)
-            if name == "N1":
-                val = val + constants.iv.mpf([-1, 1])
-            return floor(val, name)
-
-        monkeypatch.setattr(constants, "_floor", widened)
+        # N1 = max(N0, 157) in integers: widening an "N1" bracket changes nothing
+        names = []
+        self._widen(monkeypatch, "N1", names)
         assert call() == (491_225, 3_629_689)
         assert "N" in names and "N1" not in names
+
+
+# Factors for the interval oracle: decimals in (1, 9) and 1 + 10^-k for k <= 40.
+ORACLE_FACTORS = st.one_of(
+    st.decimals(Decimal("1.000001"), Decimal("8.999999"), places=6).map(str),
+    st.integers(1, 40).map(lambda k: "1." + "0" * (k - 1) + "1"),
+)
+
+
+class TestIntervalOracle:
+    """The integer brackets against mpmath's interval derivation in ``conftest``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ORACLE_FACTORS)
+    @example(NOVOTNY)
+    @example("1." + "0" * 39 + "1")
+    def test_floors_and_brackets_match_the_oracle(self, F):
+        got = [(r.N0_simple, r.N0_integral, r.N1, r.N)
+               for r in (build_report(F), build_report(F, use_integral_n0=True))]
+        assert got == [oracle_floors(F), oracle_floors(F, use_integral_n0=True)]
+        # every bracket of the first pass meets the oracle's enclosure, taken
+        # 60 digits finer than the scale, and is narrow
+        v, p = constants._certified(lambda v, p: (v, p), F)
+        chain = constants._evaluate(v, p)
+        brackets = {
+            "F": chain[0], "w": chain[1], "u": chain[2], "u2": chain[3],
+            "c": constants._inv(chain[2], p),
+            "inv_delta": constants._inv_delta(chain, p),
+            "delta_refined": constants._delta_refined(chain, p),
+            "ln_u2": constants._ln(chain[3], p),
+            "exp2": constants._exp2(p),
+        }
+        dps = 60 + p * 3 // 10
+        with workdps(dps):
+            want = oracle_values(F)
+            for name, (lo, hi) in brackets.items():
+                a, b = (exact(end) for end in (want[name].a, want[name].b))
+                assert Fraction(lo, 2**p) <= b and a <= Fraction(hi, 2**p), (name, F)
+                assert lo <= hi and (hi - lo) << 100 <= lo, (name, F)
 
 
 class TestErrorHierarchy:

@@ -1,14 +1,13 @@
-"""The runtime imports mpmath and numpy only on first use: scipy is a test-time dependency.
+"""The runtime imports numpy only on first use; scipy and mpmath are test-time dependencies.
 
 `import moserpack`, the constants path and a case-b or case-c `reduce`
 load no numpy module; numpy is imported on the first call of
-`verify_packing` or of the test oracle `harmonic_range_sum`.
-`import moserpack` and every command that derives no constants (`pack`,
-`verify`, `render`, `whitespace` and `reduce --toy-params`) load no
-mpmath module; mpmath is
-imported by the first certified computation of the constants layer.  Each
-check runs in a fresh interpreter, so modules that other tests (or
-hypothesis) already imported into this process cannot hide an import.
+`verify_packing` or of the test oracle `harmonic_range_sum`.  No command
+loads mpmath: the certified constants are integer brackets, and mpmath is
+the tests' oracle.  `import moserpack` loads no `decimal` or `fractions`
+either; a numeric factor spec imports them on first use.  Each check runs
+in a fresh interpreter, so modules that other tests (or hypothesis)
+already imported into this process cannot hide an import.
 """
 
 from __future__ import annotations
@@ -58,6 +57,38 @@ print(json.dumps({
 }))
 """
 
+BLOCKED_MPMATH_RUN = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+sys.modules["mpmath"] = None  # any `import mpmath...` now raises ImportError
+
+import moserpack
+from moserpack import PackParams
+from moserpack.cli import cli_dispatch
+
+plain = moserpack.build_report("novotny")
+integral = moserpack.build_report("novotny", use_integral_n0=True)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli_dispatch(["constants", "--F", "novotny", "--refined"])
+params = PackParams.certified(use_integral_n0=True)
+with tempfile.TemporaryDirectory() as tmp:
+    inst = Path(tmp, "inst.json")
+    inst.write_text(json.dumps({"sides": [0.1] * 100}))
+    result = Path(tmp, "result.json")
+    reduce_code = cli_dispatch(["reduce", "--instance", str(inst), "--F", "novotny",
+                                "--integral-n0", "-o", str(result)])
+    reduced = json.loads(result.read_text())
+
+print(json.dumps({
+    "plain": [plain.N0_simple, plain.N0_integral, plain.N1, plain.N],
+    "integral": [integral.N1, integral.N],
+    "cli": [code, json.loads(out.getvalue())["N"]],
+    "params": [params.N0, params.N1, params.N, params.c],
+    "reduce": [reduce_code, reduced["case"], reduced["params"]["N"]],
+}))
+"""
+
 NUMPY_ON_FIRST_USE = """
 import contextlib, io, json, sys
 from array import array
@@ -93,7 +124,7 @@ from pathlib import Path
 
 from moserpack.cli import cli_dispatch
 
-c = 0.0725632659982174  # float(compute_c((2 + 3 ** 0.5) / 3)), written out: it loads mpmath
+c = 0.0725632659982174  # float(compute_c((2 + 3 ** 0.5) / 3)), written out
 tail = [(0.375 / 8000) ** 0.5] * 8000
 # the whitespace workloads' case c: 200 base squares and 200 equal tail squares
 ws_tail = [math.sqrt(0.99 * c * c / 200)] * 200
@@ -123,7 +154,7 @@ print(json.dumps({
 }))
 """
 
-MPMATH_ON_FIRST_CERTIFICATE = """
+MPMATH_NEVER_LOADED = """
 import contextlib, io, json, math, sys, tempfile
 from pathlib import Path
 
@@ -135,7 +166,7 @@ from moserpack.cli import cli_dispatch
 
 loaded = {"import": mpmath_loaded()}
 codes = {}
-c = 0.0725632659982174  # float(compute_c((2 + 3 ** 0.5) / 3)), written out: it loads mpmath
+c = 0.0725632659982174  # float(compute_c((2 + 3 ** 0.5) / 3)), written out
 root_F = math.sqrt((2 + math.sqrt(3)) / 3)
 base_side = math.sqrt((1 - c * c) / 158)
 tail = [(0.375 / 8000) ** 0.5] * 8000
@@ -189,6 +220,14 @@ import moserpack
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
+# Each of these cost about a millisecond to import, which would show in the
+# benchmark's setup time.
+IMPORT_LOADS_NO_NUMBER_MODULES = """
+import json, sys
+import moserpack
+print(json.dumps(sorted(m for m in ("decimal", "fractions", "mpmath") if m in sys.modules)))
+"""
+
 
 def run_fresh(code: str) -> str:
     env = dict(os.environ)
@@ -213,6 +252,19 @@ def test_plain_import_loads_no_scipy_module():
     assert run_fresh(PLAIN_IMPORT).strip() == "[]"
 
 
+def test_constants_and_certified_reduce_run_with_mpmath_blocked():
+    out = json.loads(run_fresh(BLOCKED_MPMATH_RUN))
+    assert out["plain"] == [93_752_341, 491_225, 93_752_341, 692_741_307]
+    assert out["integral"] == [491_225, 3_629_689]
+    assert out["cli"] == [0, 692_741_307]
+    assert out["params"] == [491_225, 491_225, 3_629_689, 0.07256326599821739]
+    assert out["reduce"] == [0, "a", 3_629_689]
+
+
+def test_plain_import_loads_no_decimal_fractions_or_mpmath():
+    assert json.loads(run_fresh(IMPORT_LOADS_NO_NUMBER_MODULES)) == []
+
+
 def test_import_and_constants_load_no_numpy_until_the_verifier_runs():
     out = json.loads(run_fresh(NUMPY_ON_FIRST_USE))
     assert out["numpy_before"] == []
@@ -232,11 +284,12 @@ def test_case_b_reduce_loads_no_numpy():
 
 
 def test_import_and_geometry_commands_load_no_mpmath_until_constants_run():
-    out = json.loads(run_fresh(MPMATH_ON_FIRST_CERTIFICATE))
+    out = json.loads(run_fresh(MPMATH_NEVER_LOADED))
     steps = ["import", "pack", "verify", "render", "base", "whitespace", "reduce"]
     assert out["loaded"] == {step: [] for step in steps}
     assert out["codes"] == {step: 0 for step in steps[1:]}
     assert out["placements"] == {"packed.json": 4, "full.json": 178}
     assert out["case"] == "b"
     assert out["report"] == [93_752_341, 692_741_307]
-    assert out["after_report"] is True
+    # the certified constants are integer brackets: mpmath is never loaded
+    assert out["after_report"] is False
