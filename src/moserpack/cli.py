@@ -13,9 +13,9 @@ import functools
 import json
 import sys
 from array import array
-from dataclasses import asdict
 from typing import Optional
 
+from ._value import as_dict
 from .constants import build_report, factor_float, report_to_dict
 from .errors import MoserpackError, PreconditionViolated
 from .geometry import (
@@ -141,7 +141,7 @@ def _result_pieces(result: ReduceResult) -> list:
     """``json.dumps(result_to_dict(result))`` as pieces to join."""
     pieces = _packing_pieces(result.packing)
     pieces[0] = f'{{"case": {json.dumps(result.case)}, "packing": {pieces[0]}'
-    pieces[-1] += f', "params": {json.dumps(asdict(result.params))}'
+    pieces[-1] += f', "params": {json.dumps(as_dict(result.params))}'
     if result.split_index is not None:
         pieces[-1] += f', "split_index": {json.dumps(result.split_index)}'
     pieces[-1] += "}"
@@ -190,7 +190,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     packing = _read_packing(args.packing)
     report = verify_packing(packing, tol=args.tol)
-    _emit_json([json.dumps(asdict(report))], args.output)
+    _emit_json([json.dumps(as_dict(report))], args.output)
     return 0 if report.valid else 1
 
 

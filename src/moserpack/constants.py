@@ -56,17 +56,19 @@ Digits.  The report's F, c, delta and delta1 are 30 significant digits and
 50-digit ``decimal.Decimal`` values.  Each is rounded to nearest from a
 bracket whose two ends round alike (an exact tie rounds toward zero), except
 delta_refined, which is its bracket's lower end rounded down, so that it stays
-a certified lower bound.  Strings are spelled as mpmath's ``nstr`` spells
-them: fixed form for decimal exponents in (-10, 30), else ``d.ddde+X``,
-trailing zeros stripped, ``.0`` kept.
+a certified lower bound.  When c is rational (see :func:`_c_delta`), c, delta
+and the simple N0 come from exact fractions by the same rules instead, since
+no bracket decides an exact tie or an integer 1/delta^2.  Strings are
+spelled as mpmath's ``nstr`` spells them: fixed form for decimal exponents
+in (-10, 30), else ``d.ddde+X``, trailing zeros stripped, ``.0`` kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
+from ._value import Frozen, as_dict, setfield
 from .errors import FloorUncertified, MoserpackError
 
 if TYPE_CHECKING:
@@ -237,8 +239,15 @@ def _round(num: int, den: int, n: int, rounding: str = "ROUND_HALF_DOWN") -> Dec
     return Context(prec=n, rounding=rounding).divide(Decimal(num), Decimal(den))
 
 
-def _digits(y: tuple, p: int, n: int, what: str) -> Decimal:
-    """:func:`_round` of the bracket ``y``, whose two ends must round alike."""
+def _digits(y, p: int, n: int, what: str) -> Decimal:
+    """:func:`_round` of an exact fraction ``y``, or of the bracket ``y``,
+    whose two ends must round alike."""
+    if not isinstance(y, tuple):
+        from decimal import Context, Decimal
+
+        # an exact quotient keeps only its own digits: pad it to n, as a bracket's are
+        got = _round(y.numerator, y.denominator, n)
+        return Context(prec=n).quantize(got, Decimal(1).scaleb(got.adjusted() + 1 - n))
     got = _round(y[0], 1 << p, n)
     if got != _round(y[1], 1 << p, n):
         raise _Straddles(f"{what}: enclosure {_show(*y, p)} straddles a rounding "
@@ -293,8 +302,33 @@ def _inv_delta(chain: tuple, p: int) -> tuple:
     return 10 * t[0] + w[0] // 10, 10 * t[1] - (-w[1] // 10)
 
 
-def _n0_simple(chain: tuple, p: int) -> int:
+def _c_delta(v, p: int, chain: Optional[tuple] = None) -> tuple:
+    """(c, delta, 1/delta): fractions when c is rational, else brackets at 2^p
+    from ``chain``, which is evaluated here when not given.
+
+    c = 2 e / (3 + sqrt(9 + 20 e)) is rational exactly when the spec is a
+    number and 9 + 20 e = a/b in lowest terms has a and b perfect squares;
+    then so is delta = 10 e c^2 / (100 F + c^2).  A bracket of such a value
+    straddles at every scale when the value is a rounding tie, or when
+    1/delta^2 is an integer, so these values are rounded and floored exactly.
+    """
+    if v is not None:
+        e = v - 1
+        t = 9 + 20 * e
+        a, b = math.isqrt(t.numerator), math.isqrt(t.denominator)
+        if a * a == t.numerator and b * b == t.denominator:
+            c = 2 * e * b / (3 * b + a)
+            delta = 10 * e * c * c / (100 * v + c * c)
+            return c, delta, 1 / delta
+    chain = chain or _evaluate(v, p)
     d = _inv_delta(chain, p)
+    return _inv(chain[2], p), _inv(d, p), d
+
+
+def _n0_simple(d, p: int) -> int:
+    """max(1, floor(1/delta^2)) from 1/delta, an exact fraction or a bracket."""
+    if not isinstance(d, tuple):
+        return max(1, d.numerator ** 2 // d.denominator ** 2)
     return max(1, _floor(d[0] * d[0], d[1] * d[1], 2 * p, "n0_simple"))
 
 
@@ -312,7 +346,7 @@ def _n0_integral(chain: tuple, p: int) -> int:
 
 def n0_simple(F: Factor) -> int:
     """max(1, floor(1/delta^2)) with the floor certified."""
-    return _certified(lambda v, p: _n0_simple(_evaluate(v, p), p), F)
+    return _certified(lambda v, p: _n0_simple(_c_delta(v, p)[2], p), F)
 
 
 def n0_integral(F: Factor) -> int:
@@ -390,13 +424,12 @@ def derive_N(F: Factor, N0: int) -> tuple[int, int]:
 
 def compute_c(F: Factor) -> Decimal:
     """The constant c: positive root of 5 c^2 + 3 c = F - 1, to 50 digits."""
-    return _certified(lambda v, p: _digits(_inv(_evaluate(v, p)[2], p), p, 50, "c"), F)
+    return _certified(lambda v, p: _digits(_c_delta(v, p)[0], p, 50, "c"), F)
 
 
 def delta_simple(F: Factor) -> Decimal:
     """Edge bound delta = delta(c^2) = (F - 1) / (10 F / c^2 + 1/10), to 50 digits."""
-    return _certified(
-        lambda v, p: _digits(_inv(_inv_delta(_evaluate(v, p), p), p), p, 50, "delta_simple"), F)
+    return _certified(lambda v, p: _digits(_c_delta(v, p)[1], p, 50, "delta_simple"), F)
 
 
 # --- refined edge bound over the compact K ----------------------------------
@@ -445,8 +478,7 @@ def _delta_refined(chain: tuple, p: int) -> tuple:
 # --- report ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(Frozen):
     """All constants for one factor, decimal strings plus exact integers."""
 
     F: str
@@ -459,6 +491,20 @@ class ConstantsReport:
     N: int
     use_integral_n0: bool
     floor_certificates: dict
+
+    def __init__(self, F: str, c: str, delta_simple: str, delta_refined: Optional[str],
+                 N0_simple: int, N0_integral: int, N1: int, N: int,
+                 use_integral_n0: bool, floor_certificates: dict) -> None:
+        setfield(self, "F", F)
+        setfield(self, "c", c)
+        setfield(self, "delta_simple", delta_simple)
+        setfield(self, "delta_refined", delta_refined)
+        setfield(self, "N0_simple", N0_simple)
+        setfield(self, "N0_integral", N0_integral)
+        setfield(self, "N1", N1)
+        setfield(self, "N", N)
+        setfield(self, "use_integral_n0", use_integral_n0)
+        setfield(self, "floor_certificates", floor_certificates)
 
 
 def build_report(F: Factor, *, refined: bool = False,
@@ -479,18 +525,18 @@ def _report_and_c(F: Factor, refined: bool,
     :func:`compute_c`'s value."""
 
     def derive(v, p):
-        def text(y: tuple, what: str) -> str:
+        def text(y, what: str) -> str:
             return _spell(_digits(y, p, 30, what))
 
         chain = _evaluate(v, p)
-        n0s, n0i = _n0_simple(chain, p), _n0_integral(chain, p)
+        c, delta, inv_delta = _c_delta(v, p, chain)
+        n0s, n0i = _n0_simple(inv_delta, p), _n0_integral(chain, p)
         if n0i > n0s:
             raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
         N1, N = _derive_N(n0i if use_integral_n0 else n0s, v, p)
-        c = _inv(chain[2], p)
         report = ConstantsReport(
             F=text(chain[0], "F") if v is None else _spell(_round(v.numerator, v.denominator, 30)),
-            c=text(c, "c"), delta_simple=text(_inv(_inv_delta(chain, p), p), "delta_simple"),
+            c=text(c, "c"), delta_simple=text(delta, "delta_simple"),
             delta_refined=text(_delta_refined(chain, p), "delta_refined") if refined else None,
             N0_simple=n0s, N0_integral=n0i, N1=N1, N=N, use_integral_n0=use_integral_n0,
             floor_certificates={"N0_simple": True, "N0_integral": True, "N1": True, "N": True},
@@ -501,4 +547,4 @@ def _report_and_c(F: Factor, refined: bool,
 
 
 def report_to_dict(report: ConstantsReport) -> dict:
-    return asdict(report)
+    return as_dict(report)

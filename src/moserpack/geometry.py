@@ -12,32 +12,31 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
+from ._value import Frozen, Value, setfield
 from .errors import PreconditionViolated
 
 #: Global absolute geometric tolerance.
 EPS_GEOM = 1e-12
 
 # A region part is a plain (x0, y0, x1, y1) tuple; keeping the hot loops on
-# tuples instead of dataclass instances is a large constant-factor win.
+# tuples instead of objects with named fields is a large constant-factor win.
 _Part = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Frozen):
     """The box [0, width] x [0, height]: positive, finite edges at the origin."""
 
     width: float
     height: float
 
-    def __post_init__(self) -> None:
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise ValueError(
-                f"rectangle sides must be positive and finite, got {self.width} x {self.height}"
-            )
+    def __init__(self, width: float, height: float) -> None:
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise ValueError(f"rectangle sides must be positive and finite, got {width} x {height}")
+        setfield(self, "width", width)
+        setfield(self, "height", height)
 
     @property
     def area(self) -> float:
@@ -48,19 +47,21 @@ class Rectangle:
         return min(self.width, self.height)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Frozen):
     """A square of edge ``side`` whose lower-left corner sits at (x, y)."""
 
     side: float
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.side < math.inf:
-            raise ValueError(f"placement side must be finite and >= 0, got {self.side}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"placement corner must be finite, got ({self.x}, {self.y})")
+    def __init__(self, side: float, x: float, y: float) -> None:
+        if not 0 <= side < math.inf:
+            raise ValueError(f"placement side must be finite and >= 0, got {side}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"placement corner must be finite, got ({x}, {y})")
+        setfield(self, "side", side)
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
     @property
     def x2(self) -> float:
@@ -71,8 +72,7 @@ class Placement:
         return self.y + self.side
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
     """A multiset of square edge lengths, stored sorted non-increasingly.
 
     Construction sorts the sides, so zero sides can only appear as a
@@ -82,22 +82,24 @@ class Instance:
     """
 
     sides: tuple[float, ...]
-    declared_total_area: Optional[float] = None
+    declared_total_area: Optional[float]
 
     AREA_DECL_TOL = 1e-9
 
-    def __post_init__(self) -> None:
-        sides = tuple(sorted(map(float, self.sides), reverse=True))
+    def __init__(self, sides: Sequence[float],
+                 declared_total_area: Optional[float] = None) -> None:
+        sides = tuple(sorted(map(float, sides), reverse=True))
         # Once no side is NaN the order holds, so the last side is the least.
         if not (_finite(sides) and (not sides or sides[-1] >= 0)):
             bad = next(s for s in sides if not 0 <= s < math.inf)
             raise ValueError(f"instance sides must be finite and >= 0, got {bad}")
-        object.__setattr__(self, "sides", sides)
-        if self.declared_total_area is not None:
+        setfield(self, "sides", sides)
+        setfield(self, "declared_total_area", declared_total_area)
+        if declared_total_area is not None:
             actual = self.total_area
-            if not abs(actual - self.declared_total_area) <= self.AREA_DECL_TOL:
+            if not abs(actual - declared_total_area) <= self.AREA_DECL_TOL:
                 raise ValueError(
-                    f"declared total area {self.declared_total_area} differs from "
+                    f"declared total area {declared_total_area} differs from "
                     f"actual {actual} by more than {self.AREA_DECL_TOL}"
                 )
 
@@ -121,8 +123,7 @@ def _finite(column: Sequence[float]) -> bool:
     return math.isfinite(sum(column)) or all(map(math.isfinite, column))
 
 
-@dataclass
-class Packing:
+class Packing(Value):
     """A target rectangle and one square per input square, as three columns.
 
     Square i has edge ``sides[i]`` and its lower-left corner at ``(xs[i],
@@ -138,8 +139,7 @@ class Packing:
     xs: array
     ys: array
 
-    def __post_init__(self) -> None:
-        sides, xs, ys = self.sides, self.xs, self.ys
+    def __init__(self, rect: Rectangle, sides: array, xs: array, ys: array) -> None:
         if not all(isinstance(c, array) and c.typecode == "d" for c in (sides, xs, ys)):
             raise TypeError("packing columns must be array('d')")
         if not len(sides) == len(xs) == len(ys):
@@ -148,6 +148,10 @@ class Packing:
             raise ValueError("placement corners must be finite")
         if not _finite(sides) or min(sides, default=0.0) < 0:
             raise ValueError("placement sides must be finite and >= 0")
+        self.rect = rect
+        self.sides = sides
+        self.xs = xs
+        self.ys = ys
 
     @property
     def placements(self) -> tuple[Placement, ...]:
@@ -158,39 +162,56 @@ class Packing:
         return math.fsum(map(operator.mul, self.sides, self.sides))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One verification defect: a placement out of bounds or an overlapping pair."""
 
     kind: str  # "outside" | "overlap"
     index: int
-    partner: Optional[int] = None
-    measure: float = 0.0
+    partner: Optional[int]
+    measure: float
+
+    def __init__(self, kind: str, index: int, partner: Optional[int] = None,
+                 measure: float = 0.0) -> None:
+        setfield(self, "kind", kind)
+        setfield(self, "index", index)
+        setfield(self, "partner", partner)
+        setfield(self, "measure", measure)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of :func:`verify_packing`.
 
     ``pairs_examined`` counts the candidate pairs the overlap sweep
     tested; it describes the work done, not the verdict, so report
-    equality ignores it.
+    equality and hashing ignore it.
     """
 
     valid: bool
-    violations: tuple[Violation, ...] = ()
-    truncated: bool = False
-    pairs_examined: int = field(default=0, compare=False)
+    violations: tuple[Violation, ...]
+    truncated: bool
+    pairs_examined: int
+
+    def __init__(self, valid: bool, violations: tuple[Violation, ...] = (),
+                 truncated: bool = False, pairs_examined: int = 0) -> None:
+        setfield(self, "valid", valid)
+        setfield(self, "violations", violations)
+        setfield(self, "truncated", truncated)
+        setfield(self, "pairs_examined", pairs_examined)
+
+    def _key(self) -> tuple:
+        return self.valid, self.violations, self.truncated
 
 
-@dataclass(frozen=True)
-class RectilinearRegion:
+class RectilinearRegion(Frozen):
     """A finite union of axis-parallel rectangles, which may overlap.
 
     Parts are (x0, y0, x1, y1) tuples.
     """
 
-    parts: tuple[_Part, ...] = field(default_factory=tuple)
+    parts: tuple[_Part, ...]
+
+    def __init__(self, parts: tuple[_Part, ...] = ()) -> None:
+        setfield(self, "parts", parts)
 
 
 def region_area(region: RectilinearRegion) -> float:

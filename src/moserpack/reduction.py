@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import asdict, dataclass
 from typing import Optional
 
+from ._value import Frozen, as_dict, setfield
 from .constants import _delta, _report_and_c, factor_float
 from .errors import MoserpackError, PackFailure, PreconditionViolated
 from .geometry import EPS_GEOM, Instance, Packing, Rectangle, packing_to_dict
@@ -35,8 +35,7 @@ from .whitespace import WhitespaceJob, whitespace_pack
 _ASPECT_STEPS = 96
 
 
-@dataclass(frozen=True)
-class PackParams:
+class PackParams(Frozen):
     """Constants driving the case split.
 
     ``toy`` marks desk-scale parameters that were not produced by the
@@ -49,25 +48,30 @@ class PackParams:
     N0: int
     N1: int
     N: int
-    s1_threshold: float = 0.1
-    toy: bool = False
+    s1_threshold: float
+    toy: bool
 
-    def __post_init__(self) -> None:
-        if not 1 < self.F < math.inf:
-            raise ValueError(f"area factor must be finite and exceed 1, got {self.F}")
-        if not (0 < self.c < 1):
-            raise ValueError(f"c must lie in (0, 1), got {self.c}")
-        for name in ("N0", "N1", "N"):
-            value = getattr(self, name)
+    def __init__(self, F: float, c: float, N0: int, N1: int, N: int,
+                 s1_threshold: float = 0.1, toy: bool = False) -> None:
+        if not 1 < F < math.inf:
+            raise ValueError(f"area factor must be finite and exceed 1, got {F}")
+        if not (0 < c < 1):
+            raise ValueError(f"c must lie in (0, 1), got {c}")
+        for name, value in (("N0", N0), ("N1", N1), ("N", N)):
             # an __index__ is what operator.index and a slice need
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (1 <= self.N0 <= self.N1 <= self.N):
-            raise ValueError(f"need 1 <= N0 <= N1 <= N, got {self.N0}, {self.N1}, {self.N}")
-        if not 0 < self.s1_threshold < math.inf:
-            raise ValueError(
-                f"s1 threshold must be positive and finite, got {self.s1_threshold}"
-            )
+        if not (1 <= N0 <= N1 <= N):
+            raise ValueError(f"need 1 <= N0 <= N1 <= N, got {N0}, {N1}, {N}")
+        if not 0 < s1_threshold < math.inf:
+            raise ValueError(f"s1 threshold must be positive and finite, got {s1_threshold}")
+        setfield(self, "F", F)
+        setfield(self, "c", c)
+        setfield(self, "N0", N0)
+        setfield(self, "N1", N1)
+        setfield(self, "N", N)
+        setfield(self, "s1_threshold", s1_threshold)
+        setfield(self, "toy", toy)
 
     @classmethod
     def certified(cls, F: object = "novotny", *,
@@ -88,12 +92,18 @@ class PackParams:
                    s1_threshold=s1_threshold, toy=True)
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(Frozen):
     case: str
     packing: Packing
     params: PackParams
-    split_index: Optional[int] = None
+    split_index: Optional[int]
+
+    def __init__(self, case: str, packing: Packing, params: PackParams,
+                 split_index: Optional[int] = None) -> None:
+        setfield(self, "case", case)
+        setfield(self, "packing", packing)
+        setfield(self, "params", params)
+        setfield(self, "split_index", split_index)
 
 
 def default_prefix_packer(inst: Instance, F: float) -> Packing:
@@ -248,7 +258,7 @@ def result_to_dict(result: ReduceResult) -> dict:
     out = {
         "case": result.case,
         "packing": packing_to_dict(result.packing),
-        "params": asdict(result.params),
+        "params": as_dict(result.params),
     }
     if result.split_index is not None:
         out["split_index"] = result.split_index

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._value import Frozen, setfield
 from .errors import EmptyRegionError, PreconditionViolated
 from .geometry import (
     EPS_GEOM,
@@ -38,8 +38,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class WhitespaceJob:
+class WhitespaceJob(Frozen):
     """A validated whitespace-packing request.
 
     Invariants (checked by :meth:`validate`):
@@ -55,6 +54,12 @@ class WhitespaceJob:
     tail: Instance
     c: float
     F: float
+
+    def __init__(self, base: Packing, tail: Instance, c: float, F: float) -> None:
+        setfield(self, "base", base)
+        setfield(self, "tail", tail)
+        setfield(self, "c", c)
+        setfield(self, "F", F)
 
     def validate(self) -> None:
         problems: list[str] = []

@@ -14,7 +14,7 @@ import json
 import math
 import random
 import time
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -47,6 +47,7 @@ from moserpack.reduction import PackParams, find_small_index
 
 from conftest import (
     _harmonic_lower,
+    _oracle_floor,
     circumference_admits,
     harmonic_bounds,
     k_sample_grid,
@@ -837,6 +838,37 @@ class TestReport:
         # 31 significant digits ending in 5 lie half-way between two 30-digit strings
         assert build_report("1.234567890123456789012345678905").F == "1.2345678901234567890123456789"
         assert build_report("1.234567890123456789012345678915").F == "1.23456789012345678901234567891"
+
+    def test_rational_c_at_a_tie_is_rounded_exactly(self):
+        # 9 + 20 (F - 1) is a rational square: c = 0.1234567890123456789012345678905
+        # exactly, a 30-digit tie that no bracket decides
+        F = "1.44657826080323122045618046148479827788257125439388126809995125"
+        assert build_report(F).c == "0.12345678901234567890123456789"
+        assert compute_c(F) == Decimal("0.1234567890123456789012345678905")
+
+    def test_rational_c_with_integer_inverse_delta_square(self):
+        # F = 1 + 5 c^2 + 3 c at c = 1/20 makes 1/delta = 28616 exactly, so
+        # 1/delta^2 is an integer whose floor no bracket decides
+        c = Fraction(1, 20)
+        exact = 1 + 5 * c * c + 3 * c
+        F = str(Decimal(exact.numerator) / exact.denominator)
+        rep = build_report(F)
+        assert (F, rep.c, rep.N0_simple) == ("1.1625", "0.05", 28616 ** 2)
+        assert compute_c(F) == Decimal("0.05") and len(compute_c(F).as_tuple().digits) == 50
+        assert delta_simple(F) == Context(prec=50).divide(Decimal(1), Decimal(28616))
+        assert n0_simple(F) == rep.N0_simple
+        assert PackParams.certified(F).N0 == rep.N0_simple
+        with workdps(60):
+            want = oracle_values(F)
+            # both ends of each enclosure spell the report's string
+            for x, text in ((want["c"], rep.c), (1 / want["inv_delta"], rep.delta_simple)):
+                assert {mp.nstr(mp.mpf(end), 30) for end in (x.a, x.b)} == {text}
+            # the oracle's enclosure of 1/delta^2 holds the integer, and straddles it
+            assert rep.N0_simple in want["n0_simple"]
+            assert _oracle_floor(want["n0_simple"]) is None
+            assert rep.N0_integral == 1 + _oracle_floor(want["n0_integral"])
+            assert rep.N1 == rep.N0_simple
+            assert rep.N == _oracle_floor(iv.exp(2) * rep.N1)
 
     def test_refined_flag(self):
         rep = build_report(1.37, refined=True)

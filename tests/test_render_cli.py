@@ -932,8 +932,9 @@ def test_packing_dict_round_trip_is_exact(build):
 class TestCliGoldenJson:
     """sha256 of the exact bytes each command writes.  The constants,
     reduce-then-verify and invalid-verify pins were computed before the dict
-    builders became ``dataclasses.asdict``; the pack, whitespace and case-b
-    pins before the writer spelled each distinct float once."""
+    builders became one recursive dict form of the value types; the pack,
+    whitespace and case-b pins before the writer spelled each distinct float
+    once."""
 
     @pytest.mark.parametrize("flags, digest", [
         ([], "e3d72d8b7ad27c7a12c01de45c4e517bf016e3a1e718cfc1016eb0d2777ae0a8"),

@@ -5,7 +5,9 @@ load no numpy module; numpy is imported on the first call of
 `verify_packing` or of the test oracle `harmonic_range_sum`.  No command
 loads mpmath: the certified constants are integer brackets, and mpmath is
 the tests' oracle.  `import moserpack` loads no `decimal` or `fractions`
-either; a numeric factor spec imports them on first use.  Each check runs
+either; a numeric factor spec imports them on first use.  Neither
+`import moserpack` nor `import moserpack.cli` loads `dataclasses` or
+`inspect`: the value types are plain classes.  Each check runs
 in a fresh interpreter, so modules that other tests (or hypothesis)
 already imported into this process cannot hide an import.
 """
@@ -228,6 +230,18 @@ import moserpack
 print(json.dumps(sorted(m for m in ("decimal", "fractions", "mpmath") if m in sys.modules)))
 """
 
+# The modules each import adds, so that a module a `site` hook loaded first
+# cannot mask one.
+IMPORT_ADDS = """
+import json, sys
+added = {}
+for name in ("moserpack", "moserpack.cli"):
+    before = set(sys.modules)
+    __import__(name)
+    added[name] = sorted(set(sys.modules) - before)
+print(json.dumps(added))
+"""
+
 
 def run_fresh(code: str) -> str:
     env = dict(os.environ)
@@ -263,6 +277,14 @@ def test_constants_and_certified_reduce_run_with_mpmath_blocked():
 
 def test_plain_import_loads_no_decimal_fractions_or_mpmath():
     assert json.loads(run_fresh(IMPORT_LOADS_NO_NUMBER_MODULES)) == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    added = json.loads(run_fresh(IMPORT_ADDS))
+    assert "moserpack.geometry" in added["moserpack"]
+    assert "moserpack.cli" in added["moserpack.cli"]
+    for modules in added.values():
+        assert [m for m in modules if m in ("dataclasses", "inspect")] == []
 
 
 def test_import_and_constants_load_no_numpy_until_the_verifier_runs():
