@@ -1,19 +1,17 @@
 """The base of the package's value types, with no import beyond the builtins.
 
-A value type is a plain class that annotates its fields in order and sets
-them in its own ``__init__``.  :class:`Value` gives it equality on the
-field tuple (other types compare unequal), the repr ``Name(field=...,
+A value type is a plain class that annotates its fields in order; a field
+whose annotation line assigns a value takes it as its default.  The field
+names, in order, are the class's ``__match_args__``.  :class:`Value` gives
+it an ``__init__`` that takes the fields by position or by name, equality
+on the field tuple (other types compare unequal), the repr ``Name(field=...,
 ...)`` and no hash; :class:`Frozen` adds the hash of the field tuple and
-refuses to assign or delete an attribute once the object exists, so its
-``__init__`` sets each field with :func:`setfield`.  The field names,
-in order, are the class's ``__match_args__``.  This is the part of
-``dataclasses`` the package uses, without its import (which loads
-``inspect``) or its per-class code generation.
+refuses to assign or delete an attribute once the object exists.  A type
+that checks its arguments keeps its own ``__init__`` and ends it with
+``super().__init__(...)``.  This is the part of ``dataclasses`` the package
+uses, without its import (which loads ``inspect``) or its per-class code
+generation.
 """
-
-#: Sets an attribute past :class:`Frozen`'s refusal; for ``__init__`` only.
-setfield = object.__setattr__
-
 
 class Value:
     """Equality on the fields, the repr and :func:`as_dict`; mutable and unhashable."""
@@ -25,6 +23,30 @@ class Value:
         super().__init_subclass__()
         # a subclass keeps its base's fields and appends the ones it annotates
         cls.__match_args__ += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if not kwargs and len(args) == len(names):
+            self.__dict__.update(zip(names, args))
+            return
+        cls = self.__class__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__} takes {len(names)} fields "
+                            f"({', '.join(names)}), got {len(args)} positional arguments")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__qualname__} got field {name!r} twice")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                try:  # the default its annotation line assigns
+                    values[name] = getattr(cls, name)
+                except AttributeError:
+                    raise TypeError(f"{cls.__qualname__} is missing field {name!r}") from None
+        self.__dict__.update(values)
 
     def _key(self) -> tuple:
         """The values equality and hashing compare: every field, in order."""

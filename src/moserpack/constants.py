@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from ._value import Frozen, as_dict, setfield
+from ._value import Frozen, as_dict
 from .errors import FloorUncertified, MoserpackError
 
 if TYPE_CHECKING:
@@ -492,20 +492,6 @@ class ConstantsReport(Frozen):
     use_integral_n0: bool
     floor_certificates: dict
 
-    def __init__(self, F: str, c: str, delta_simple: str, delta_refined: Optional[str],
-                 N0_simple: int, N0_integral: int, N1: int, N: int,
-                 use_integral_n0: bool, floor_certificates: dict) -> None:
-        setfield(self, "F", F)
-        setfield(self, "c", c)
-        setfield(self, "delta_simple", delta_simple)
-        setfield(self, "delta_refined", delta_refined)
-        setfield(self, "N0_simple", N0_simple)
-        setfield(self, "N0_integral", N0_integral)
-        setfield(self, "N1", N1)
-        setfield(self, "N", N)
-        setfield(self, "use_integral_n0", use_integral_n0)
-        setfield(self, "floor_certificates", floor_certificates)
-
 
 def build_report(F: Factor, *, refined: bool = False,
                  use_integral_n0: bool = False) -> ConstantsReport:
@@ -535,7 +521,7 @@ def _report_and_c(F: Factor, refined: bool,
             raise MoserpackError(f"integral N0 {n0i} exceeds simple N0 {n0s}")
         N1, N = _derive_N(n0i if use_integral_n0 else n0s, v, p)
         report = ConstantsReport(
-            F=text(chain[0], "F") if v is None else _spell(_round(v.numerator, v.denominator, 30)),
+            F=text(chain[0] if v is None else v, "F"),
             c=text(c, "c"), delta_simple=text(delta, "delta_simple"),
             delta_refined=text(_delta_refined(chain, p), "delta_refined") if refined else None,
             N0_simple=n0s, N0_integral=n0i, N1=N1, N=N, use_integral_n0=use_integral_n0,

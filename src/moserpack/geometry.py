@@ -15,7 +15,7 @@ from array import array
 from functools import cached_property
 from typing import Optional, Sequence
 
-from ._value import Frozen, Value, setfield
+from ._value import Frozen, Value
 from .errors import PreconditionViolated
 
 #: Global absolute geometric tolerance.
@@ -33,10 +33,12 @@ class Rectangle(Frozen):
     height: float
 
     def __init__(self, width: float, height: float) -> None:
+        # True passes the comparisons below, but the wire reader refuses a JSON true
+        if isinstance(width, bool) or isinstance(height, bool):
+            raise ValueError(f"rectangle sides must be numbers, not bools, got {width} x {height}")
         if not (0 < width < math.inf and 0 < height < math.inf):
             raise ValueError(f"rectangle sides must be positive and finite, got {width} x {height}")
-        setfield(self, "width", width)
-        setfield(self, "height", height)
+        super().__init__(width, height)
 
     @property
     def area(self) -> float:
@@ -59,9 +61,7 @@ class Placement(Frozen):
             raise ValueError(f"placement side must be finite and >= 0, got {side}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"placement corner must be finite, got ({x}, {y})")
-        setfield(self, "side", side)
-        setfield(self, "x", x)
-        setfield(self, "y", y)
+        super().__init__(side, x, y)
 
     @property
     def x2(self) -> float:
@@ -93,8 +93,7 @@ class Instance(Frozen):
         if not (_finite(sides) and (not sides or sides[-1] >= 0)):
             bad = next(s for s in sides if not 0 <= s < math.inf)
             raise ValueError(f"instance sides must be finite and >= 0, got {bad}")
-        setfield(self, "sides", sides)
-        setfield(self, "declared_total_area", declared_total_area)
+        super().__init__(sides, declared_total_area)
         if declared_total_area is not None:
             actual = self.total_area
             if not abs(actual - declared_total_area) <= self.AREA_DECL_TOL:
@@ -148,10 +147,7 @@ class Packing(Value):
             raise ValueError("placement corners must be finite")
         if not _finite(sides) or min(sides, default=0.0) < 0:
             raise ValueError("placement sides must be finite and >= 0")
-        self.rect = rect
-        self.sides = sides
-        self.xs = xs
-        self.ys = ys
+        super().__init__(rect, sides, xs, ys)
 
     @property
     def placements(self) -> tuple[Placement, ...]:
@@ -167,15 +163,8 @@ class Violation(Frozen):
 
     kind: str  # "outside" | "overlap"
     index: int
-    partner: Optional[int]
-    measure: float
-
-    def __init__(self, kind: str, index: int, partner: Optional[int] = None,
-                 measure: float = 0.0) -> None:
-        setfield(self, "kind", kind)
-        setfield(self, "index", index)
-        setfield(self, "partner", partner)
-        setfield(self, "measure", measure)
+    partner: Optional[int] = None
+    measure: float = 0.0
 
 
 class VerificationReport(Frozen):
@@ -187,16 +176,9 @@ class VerificationReport(Frozen):
     """
 
     valid: bool
-    violations: tuple[Violation, ...]
-    truncated: bool
-    pairs_examined: int
-
-    def __init__(self, valid: bool, violations: tuple[Violation, ...] = (),
-                 truncated: bool = False, pairs_examined: int = 0) -> None:
-        setfield(self, "valid", valid)
-        setfield(self, "violations", violations)
-        setfield(self, "truncated", truncated)
-        setfield(self, "pairs_examined", pairs_examined)
+    violations: tuple[Violation, ...] = ()
+    truncated: bool = False
+    pairs_examined: int = 0
 
     def _key(self) -> tuple:
         return self.valid, self.violations, self.truncated
@@ -208,10 +190,7 @@ class RectilinearRegion(Frozen):
     Parts are (x0, y0, x1, y1) tuples.
     """
 
-    parts: tuple[_Part, ...]
-
-    def __init__(self, parts: tuple[_Part, ...] = ()) -> None:
-        setfield(self, "parts", parts)
+    parts: tuple[_Part, ...] = ()
 
 
 def region_area(region: RectilinearRegion) -> float:

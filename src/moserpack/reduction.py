@@ -24,7 +24,7 @@ import operator
 from array import array
 from typing import Optional
 
-from ._value import Frozen, as_dict, setfield
+from ._value import Frozen, as_dict
 from .constants import _delta, _report_and_c, factor_float
 from .errors import MoserpackError, PackFailure, PreconditionViolated
 from .geometry import EPS_GEOM, Instance, Packing, Rectangle, packing_to_dict
@@ -63,15 +63,9 @@ class PackParams(Frozen):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= N0 <= N1 <= N):
             raise ValueError(f"need 1 <= N0 <= N1 <= N, got {N0}, {N1}, {N}")
-        if not 0 < s1_threshold < math.inf:
+        if isinstance(s1_threshold, bool) or not 0 < s1_threshold < math.inf:
             raise ValueError(f"s1 threshold must be positive and finite, got {s1_threshold}")
-        setfield(self, "F", F)
-        setfield(self, "c", c)
-        setfield(self, "N0", N0)
-        setfield(self, "N1", N1)
-        setfield(self, "N", N)
-        setfield(self, "s1_threshold", s1_threshold)
-        setfield(self, "toy", toy)
+        super().__init__(F, c, N0, N1, N, s1_threshold, toy)
 
     @classmethod
     def certified(cls, F: object = "novotny", *,
@@ -96,14 +90,7 @@ class ReduceResult(Frozen):
     case: str
     packing: Packing
     params: PackParams
-    split_index: Optional[int]
-
-    def __init__(self, case: str, packing: Packing, params: PackParams,
-                 split_index: Optional[int] = None) -> None:
-        setfield(self, "case", case)
-        setfield(self, "packing", packing)
-        setfield(self, "params", params)
-        setfield(self, "split_index", split_index)
+    split_index: Optional[int] = None
 
 
 def default_prefix_packer(inst: Instance, F: float) -> Packing:
@@ -230,7 +217,8 @@ def reduce_and_pack(inst: Instance, params: PackParams) -> ReduceResult:
         packing = glue_pack(inst, params.N0, params)
         return ReduceResult("b", packing, params, split_index=params.N0)
 
-    n = find_small_index(inst, params.c, params.N1, params.N)
+    # an empty window (N1 == N) holds no index, as one with no hit does
+    n = find_small_index(inst, params.c, params.N1, params.N) if params.N1 < params.N else None
     if n is None:
         raise MoserpackError(
             "no small-edge index in (N1, N] although the late area is below c^2; "

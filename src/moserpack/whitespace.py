@@ -25,7 +25,7 @@ import math
 from array import array
 from typing import Callable, Optional
 
-from ._value import Frozen, setfield
+from ._value import Frozen
 from .errors import EmptyRegionError, PreconditionViolated
 from .geometry import (
     EPS_GEOM,
@@ -54,12 +54,6 @@ class WhitespaceJob(Frozen):
     tail: Instance
     c: float
     F: float
-
-    def __init__(self, base: Packing, tail: Instance, c: float, F: float) -> None:
-        setfield(self, "base", base)
-        setfield(self, "tail", tail)
-        setfield(self, "c", c)
-        setfield(self, "F", F)
 
     def validate(self) -> None:
         problems: list[str] = []

@@ -97,6 +97,9 @@ class TestRectangle:
             Rectangle(0.0, 1.0)
         with pytest.raises(ValueError):
             Rectangle(1.0, -2.0)
+        # True compares as 1, but the wire reader refuses a JSON true
+        with pytest.raises(ValueError, match="not bools"):
+            Rectangle(True, 2.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -188,6 +188,35 @@ def test_value_types_keep_their_defaults_and_rules():
     assert inst.total_area == 1.0 and vars(inst)["total_area"] == 1.0
 
 
+@pytest.mark.parametrize("cls, args, kwargs, words", [
+    (Violation, ("overlap",), {}, ("missing", "'index'")),
+    (Violation, ("overlap", 1), {"other": 2}, ("no field", "'other'")),
+    (Violation, ("overlap", 1), {"kind": "outside"}, ("twice", "'kind'")),
+    (Violation, ("overlap", 1, 2, 0.5, 0), {}, ("4 fields", "5 positional")),
+    (Rectangle, (1.0,), {}, ("missing", "'height'")),
+    (Rectangle, (1.0, 2.0), {"depth": 2.0}, ("unexpected", "'depth'")),
+    (Rectangle, (1.0, 2.0), {"width": 3.0}, ("multiple", "'width'")),
+    (Rectangle, (1.0, 2.0, 3.0), {}, ("4 were given",)),
+], ids=[f"{cls}-{case}" for cls in ("Violation", "Rectangle")
+        for case in ("missing", "unknown", "repeated", "surplus")])
+def test_value_types_refuse_a_missing_unknown_repeated_or_surplus_field(cls, args, kwargs,
+                                                                         words):
+    with pytest.raises(TypeError) as err:
+        cls(*args, **kwargs)
+    for word in (cls.__name__, *words):
+        assert word in str(err.value)
+
+
+def test_fields_by_name_take_the_class_defaults_around_them():
+    report = VerificationReport(False, pairs_examined=3)
+    assert (report.violations, report.truncated, report.pairs_examined) == ((), False, 3)
+    assert Violation("overlap", 1, measure=0.5) == Violation("overlap", 1, None, 0.5)
+    # a subclass made with type() keeps the fields and their defaults
+    Other = type("Other", (Violation,), {})
+    assert Other.__match_args__ == Violation.__match_args__
+    assert repr(Other("outside", 3)) == "Other(kind='outside', index=3, partner=None, measure=0.0)"
+
+
 def test_dict_forms_keep_their_key_order(tmp_path):
     report = build_report("novotny")
     assert list(report_to_dict(report)) == list(_REPORT)

@@ -75,7 +75,7 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             PackParams.toy_params(F=1.244, c=0.0725, N0=N0, N1=N1, N=N)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
     def test_rejects_non_finite_s1_threshold(self, bad):
         with pytest.raises(ValueError, match="s1 threshold"):
             PackParams(F=1.3, c=0.1, N0=1, N1=2, N=3, s1_threshold=bad)
@@ -250,6 +250,13 @@ class TestDispatch:
         params = PackParams.toy_params(F=1.25, c=0.5, N0=1, N1=2, N=4)
         a = math.sqrt((1.0 - 2 * 0.09) / 2)
         inst = Instance((a, a, 0.3, 0.3))
+        with pytest.raises(MoserpackError, match="inconsistent"):
+            reduce_and_pack(inst, params)
+
+    def test_empty_index_window_detected(self):
+        # N1 == N leaves (N1, N] empty: the driver's error, not the scan's own check
+        params = PackParams.toy_params(F=1.3, c=0.3, N0=1, N1=2, N=2)
+        inst = Instance([0.75, 0.6] + [math.sqrt(0.0775 / 100)] * 100)
         with pytest.raises(MoserpackError, match="inconsistent"):
             reduce_and_pack(inst, params)
 
